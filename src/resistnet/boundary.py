@@ -22,7 +22,7 @@ from .graphs import (
     HALF_LINE_GEOM, LINE_GEOM_SYM, ModelSpec, WeightedGraph,
     build_half_line, build_sym_line,
 )
-from .linsolve import solve_psd_system
+from .linsolve import solve_reduced
 from .polynomials import pair_values_sequence
 
 HARM_TRIVIAL = "HARM_TRIVIAL"
@@ -562,41 +562,22 @@ def resolvent_delta(graph: WeightedGraph, x: int, tol: float = 1e-10,
     """
     n = graph.n_vertices
     if boundary == "free":
-        keep = list(range(n))
+        pinned = {}
     elif boundary == "dirichlet":
-        frontier = set(graph.truncation.frontier) if graph.truncation else set()
+        frontier = graph.truncation.frontier if graph.truncation else ()
         if x in frontier:
             raise ValueError("the source vertex is pinned by the Dirichlet frontier")
-        keep = [i for i in range(n) if i not in frontier]
+        pinned = dict.fromkeys(frontier, 0.0)
     else:
         raise ValueError(f"unknown boundary policy {boundary!r}")
-    pos = {v: i for i, v in enumerate(keep)}
-    m = len(keep)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = Fraction(1)
-    for a, b, c in graph.edges:
-        fc = Fraction(c)
-        ia, ib = pos.get(a), pos.get(b)
-        if ia is not None:
-            rows[ia][ia] += fc
-        if ib is not None:
-            rows[ib][ib] += fc
-        if ia is not None and ib is not None:
-            rows[ia][ib] -= fc
-            rows[ib][ia] -= fc
-    rhs = [Fraction(0)] * m
-    rhs[pos[x]] = Fraction(1)
-    sol_reduced, _exact, diag = solve_psd_system(rows, rhs, tol=tol)
-    sol = np.zeros(n)
-    sol[keep] = sol_reduced
+    sol, diag = solve_reduced(graph, 1.0, {x: 1.0}, pinned, tol)
     u = EnergyVector(graph, sol)
     lap = apply_laplacian(u).values
     full = sol + lap
     target = np.zeros(n)
     target[x] = 1.0
-    row_mask = np.zeros(n, dtype=bool)
-    row_mask[keep] = True
+    row_mask = np.ones(n, dtype=bool)
+    row_mask[list(pinned)] = False
     residual = float(np.max(np.abs((full - target)[row_mask])))
     punct_mask = row_mask.copy()
     punct_mask[x] = False

@@ -6,7 +6,7 @@ that configuration; `resistnet replay <file>` reruns a command from such
 an echo and reproduces the output byte for byte. CSV artifacts are
 embedded in the JSON and also written as files when --out-dir is given.
 
-Exit codes: 0 success, 2 a checked claim failed, 64 usage error.
+Exit codes: 0 success, 2 a checked claim or a solve failed, 64 usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import boundary, embedding, graphs, polynomials, walk
 from .energy import apply_laplacian, energy as energy_of, read_vector, write_vector
+from .linsolve import SolverError
 
 USAGE_EXIT = 64
 CLAIM_EXIT = 2
@@ -271,7 +272,11 @@ def run_resolvent(config):
             x = config["x"]
     if not 0 <= x < graph.n_vertices:
         raise UsageError(f"vertex {config['x']} is outside the truncation")
-    result = boundary.resolvent_delta(graph, x, tol=config["tol"])
+    try:
+        result = boundary.resolvent_delta(graph, x, tol=config["tol"])
+    except SolverError as exc:
+        error = {"class": type(exc).__name__, "message": str(exc)}
+        return CLAIM_EXIT, {"error": error, "contract_ok": False}, {}
     ok = (result.residual_inf <= config["tol"] and result.contractive_ok
           and result.punctured_residual_inf <= 1e-9)
     doc = {"resolvent": result.to_dict(), "contract_ok": ok}

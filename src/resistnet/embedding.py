@@ -15,7 +15,6 @@ geometric half line with doubling conductances, psi = 2^depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .energy import EnergyVector, apply_laplacian, energy, random_interior_vecto
 from .graphs import (
     HALF_LINE_GEOM, TruncationInfo, WeightedGraph, build_dyadic_tree,
 )
-from .linsolve import solve_psd_system
+from .linsolve import solve_reduced
 
 
 class MissingCertificateError(RuntimeError):
@@ -227,27 +226,8 @@ def dirichlet_monopole(graph: WeightedGraph, tol: float = 1e-10) -> EnergyVector
     """
     if graph.truncation is None or not graph.truncation.frontier:
         raise ValueError("a Dirichlet monopole needs a truncation frontier to pin")
-    frontier = set(graph.truncation.frontier)
-    keep = [i for i in range(graph.n_vertices) if i not in frontier]
-    pos = {v: i for i, v in enumerate(keep)}
-    n = len(keep)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for a, b, c in graph.edges:
-        fc = Fraction(c)
-        ia = pos.get(a)
-        ib = pos.get(b)
-        if ia is not None:
-            rows[ia][ia] += fc
-        if ib is not None:
-            rows[ib][ib] += fc
-        if ia is not None and ib is not None:
-            rows[ia][ib] -= fc
-            rows[ib][ia] -= fc
-    rhs = [Fraction(0)] * n
-    rhs[pos[graph.base_vertex]] = Fraction(-1)
-    sol, _exact, _diag = solve_psd_system(rows, rhs, tol=tol)
-    values = np.zeros(graph.n_vertices)
-    values[keep] = sol
+    pinned = dict.fromkeys(graph.truncation.frontier, 0.0)
+    values, _diag = solve_reduced(graph, 0.0, {graph.base_vertex: -1.0}, pinned, tol)
     return EnergyVector(graph, values)
 
 
@@ -287,45 +267,17 @@ def tree_harmonic_direct(c_const: float, N: int, tol: float = 1e-10) -> TreeHarm
         raise ValueError("N must be >= 3 so the tree has interior structure")
     graph = build_dyadic_tree(c_const, N)
     labels = graph.labels
-    boundary = {}
-    for i, w in enumerate(labels):
-        if len(w) == N:
-            boundary[i] = 1.0 if w[0] == "0" else -1.0
-    keep = [i for i in range(graph.n_vertices) if i not in boundary]
-    pos = {v: i for i, v in enumerate(keep)}
-    n = len(keep)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for a, b, c in graph.edges:
-        fc = Fraction(c)
-        ia = pos.get(a)
-        ib = pos.get(b)
-        if ia is not None:
-            rows[ia][ia] += fc
-            if ib is None:
-                rhs[ia] += fc * Fraction(boundary[b])
-        if ib is not None:
-            rows[ib][ib] += fc
-            if ia is None:
-                rhs[ib] += fc * Fraction(boundary[a])
-        if ia is not None and ib is not None:
-            rows[ia][ib] -= fc
-            rows[ib][ia] -= fc
-    sol, _exact, _diag = solve_psd_system(rows, rhs, tol=tol)
-    values = np.zeros(graph.n_vertices)
-    values[keep] = sol
-    for i, v in boundary.items():
-        values[i] = v
+    boundary = {i: (1.0 if w[0] == "0" else -1.0)
+                for i, w in enumerate(labels) if len(w) == N}
+    values, _diag = solve_reduced(graph, 0.0, {}, boundary, tol)
     h = EnergyVector(graph, values)
     lap = apply_laplacian(h).values
     interior_residual = float(np.max(np.abs(lap[graph.interior_mask])))
     index = {w: i for i, w in enumerate(labels)}
-    # exact solves give exact mirror symmetry; float solves get an eps allowance
-    anti_tol = 0.0 if n <= 128 else 1e-12
-    anti_ok = all(
-        abs(values[index["0" + w]] + values[index["1" + w]]) <= anti_tol
-        for w in labels if len(w) <= N - 1
-    )
+    # the elimination treats mirrored subtrees identically, so the odd
+    # boundary data gives exactly opposite values at every depth
+    anti_ok = all(values[index["0" + w]] == -values[index["1" + w]]
+                  for w in labels if len(w) <= N - 1)
     return TreeHarmonicResult(h, N, float(c_const), interior_residual,
                               float(values[graph.base_vertex]), anti_ok,
                               energy(h))

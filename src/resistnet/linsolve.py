@@ -1,24 +1,31 @@
-"""Linear solvers for the positive (semi)definite systems used throughout.
+"""The one linear solver behind every dipole, resolvent and Dirichlet solve.
 
-Three paths share one contract (residual infinity-norm <= tol, reported in
-a diagnostics record): exact rational Gaussian elimination for small
-systems, dense float solve with one step of iterative refinement, and
-Jacobi-preconditioned conjugate gradients for everything larger. Geometric
-conductances give these systems an extreme dynamic range, so the exact
-path is the default whenever the system is small enough for it; it makes
-downstream pointwise identities hold to rounding error instead of to
-solver error.
+solve_reduced solves (shift I + Lap) u = rhs on the unpinned vertices of a
+graph, with u fixed on the pinned ones. Every built-in model is a tree, and
+so is the unpinned subgraph it leaves, so the solve eliminates leaf to root
+with no fill-in in O(V). Each vertex carries its "excess", the part of its
+pivot not owed to its parent edge:
+
+    excess(v) = shift + sum of pinned conductances at v
+                + sum over children w of c(v, w) excess(w) / (excess(w) + c(v, w))
+
+Every update is a sum of positive terms (the idea of Grassmann, Taksar and
+Heyman's elimination), so pivots keep high relative accuracy however many
+orders of magnitude the conductances span. A CUSTOM graph whose unpinned
+part has a cycle falls back to one dense float solve. Either path reports
+the normwise backward residual over the unpinned rows,
+
+    ||(shift I + Lap) u - rhs||_inf / (||shift I + Lap||_inf ||u||_inf + ||rhs||_inf),
+
+and raises SolverError, never a numpy error, when the system is singular
+or the residual exceeds the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-EXACT_SIZE_LIMIT = 128
-DENSE_SIZE_LIMIT = 500
 
 
 class SolverError(RuntimeError):
@@ -45,107 +52,125 @@ class SolveDiagnostics:
         }
 
 
-def solve_exact(matrix_rows, rhs):
-    """Gaussian elimination over Fractions; returns list of Fractions.
+def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
+    """Solve (shift I + Lap) u = rhs off the pinned set, u = pinned there.
 
-    matrix_rows: list of lists (any exact-convertible entries).
-    Partial pivoting keeps the elimination defined for any nonsingular
-    system; entries are converted through Fraction, so float inputs are
-    used at their exact binary values.
+    rhs maps unpinned vertices to their source values (zero elsewhere);
+    pinned maps vertices to their fixed values. Returns (values, diagnostics)
+    with values a float array over every vertex. A connected piece of the
+    unpinned subgraph with no pinned neighbour and shift == 0 makes the
+    system singular and raises SolverError, as does a backward residual
+    above tol.
     """
-    n = len(rhs)
-    a = [[Fraction(v) for v in row] + [Fraction(b)]
-         for row, b in zip(matrix_rows, rhs)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise SolverError("exact elimination hit a zero pivot (singular system)")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n + 1):
-                a[r][c] -= factor * a[col][c]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+    if any(v in pinned for v in rhs):
+        raise ValueError("a source vertex is pinned")
+    adj = graph.adjacency
+    n = graph.n_vertices
+    parent = [-1] * n
+    up = [0.0] * n          # conductance of the edge to the parent
+    seen = [False] * n
+    excess = [shift] * n
+    beta = [0.0] * n        # right-hand side as elimination updates it
+    for v, value in rhs.items():
+        beta[v] = float(value)
+    order = []              # preorder of every unpinned component
+    links = 0               # unpinned-unpinned edge ends
+    components = 0
+    for root in range(n):
+        if seen[root] or root in pinned:
+            continue
+        seen[root] = True
+        components += 1
+        anchored = shift > 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w, c in adj[v]:
+                if w == v:
+                    continue
+                if w in pinned:
+                    anchored = True
+                    excess[v] += c
+                    beta[v] += c * pinned[w]
+                    continue
+                links += 1
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    up[w] = c
+                    stack.append(w)
+        if not anchored:
+            raise SolverError(f"the component of vertex {root} has no pinned "
+                              "vertex and shift is 0: the system is singular")
+    if links == 2 * (len(order) - components):
+        method = "tree"
+        values = _eliminate_forest(order, parent, up, excess, beta)
+    else:
+        method = "dense"
+        values = _solve_dense(adj, order, excess, beta)
+    for v, value in pinned.items():
+        values[v] = value
+    diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, rhs, pinned), tol)
+    if not diag.residual <= tol:
+        raise SolverError(f"{method} solve backward residual {diag.residual:g} "
+                          f"exceeds {tol:g}", diag)
+    return values, diag
 
 
-def _residual_inf(matrix, x, rhs):
-    return float(np.max(np.abs(matrix @ x - rhs))) if len(rhs) else 0.0
+def _eliminate_forest(order, parent, up, excess, beta):
+    """Leaf-to-root elimination over a forest given in preorder, then back-substitution."""
+    pivot = [0.0] * len(parent)
+    for v in reversed(order):
+        p = parent[v]
+        c = up[v]
+        pivot[v] = d = excess[v] + c
+        if not d > 0:
+            raise SolverError(f"elimination reached pivot {d!r} at vertex {v}")
+        if p >= 0:
+            excess[p] += c * excess[v] / d
+            beta[p] += c * beta[v] / d
+    u = np.zeros(len(parent))
+    for v in order:
+        p = parent[v]
+        u[v] = (beta[v] if p < 0 else beta[v] + up[v] * u[p]) / pivot[v]
+    return u
 
 
-def solve_spd_dense(matrix, rhs, tol):
-    """Dense solve plus one iterative-refinement pass."""
-    x = np.linalg.solve(matrix, rhs)
-    r = rhs - matrix @ x
-    x = x + np.linalg.solve(matrix, r)
-    res = _residual_inf(matrix, x, rhs)
-    return x, SolveDiagnostics("dense", 1, res, tol)
+def _solve_dense(adj, order, excess, beta):
+    """One dense solve of the reduced system, for unpinned subgraphs with a cycle."""
+    index = {v: i for i, v in enumerate(order)}
+    a = np.diag([excess[v] for v in order])
+    for v, i in index.items():
+        for w, c in adj[v]:
+            j = index.get(w)
+            if j is not None and w != v:
+                a[i, i] += c
+                a[i, j] -= c
+    try:
+        x = np.linalg.solve(a, [beta[v] for v in order])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"dense solve failed: {exc}") from exc
+    u = np.zeros(len(adj))
+    u[order] = x
+    return u
 
 
-def solve_spd_pcg(matrix, rhs, tol, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients on a dense/sparse operator."""
-    n = len(rhs)
-    if max_iter is None:
-        max_iter = max(200, 40 * n)
-    diag = np.asarray(matrix.diagonal() if hasattr(matrix, "diagonal") else np.diag(matrix))
-    inv_diag = 1.0 / diag
-    x = np.zeros(n)
-    r = rhs - matrix @ x
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    it = 0
-    while it < max_iter:
-        if float(np.max(np.abs(r))) <= tol:
-            break
-        ap = matrix @ p
-        denom = float(p @ ap)
-        if denom <= 0:
-            raise SolverError("conjugate gradient lost positive definiteness",
-                              SolveDiagnostics("pcg", it, float(np.max(np.abs(r))), tol))
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * ap
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    res = _residual_inf(matrix, x, rhs)
-    if res > tol:
-        raise SolverError(
-            f"pcg did not reach residual {tol:g} in {it} iterations (got {res:g})",
-            SolveDiagnostics("pcg", it, res, tol))
-    return x, SolveDiagnostics("pcg", it, res, tol)
-
-
-def solve_psd_system(matrix_exact_rows, rhs_exact, tol=1e-10, prefer_exact=True):
-    """Solve a symmetric positive definite system, exactly when small.
-
-    matrix_exact_rows holds exact-convertible entries (floats are fine,
-    they are taken at face value). Returns (x_float, x_exact_or_None,
-    diagnostics); the exact path reports residual 0.0 by construction.
-    """
-    n = len(rhs_exact)
-    if prefer_exact and n <= EXACT_SIZE_LIMIT:
-        x_exact = solve_exact(matrix_exact_rows, rhs_exact)
-        x = np.array([float(v) for v in x_exact])
-        return x, x_exact, SolveDiagnostics("exact", 0, 0.0, tol)
-    matrix = np.array([[float(v) for v in row] for row in matrix_exact_rows])
-    rhs = np.array([float(v) for v in rhs_exact])
-    if n <= DENSE_SIZE_LIMIT:
-        x, diag = solve_spd_dense(matrix, rhs, tol)
-        if diag.residual > tol:
-            raise SolverError(
-                f"dense solve residual {diag.residual:g} exceeds {tol:g}", diag)
-        return x, None, diag
-    x, diag = solve_spd_pcg(matrix, rhs, tol)
-    return x, None, diag
+def _backward_residual(graph, shift, u, rhs, pinned):
+    """Normwise backward residual of (shift I + Lap) u = rhs over the unpinned rows."""
+    n = graph.n_vertices
+    b = np.zeros(n)
+    for v, value in rhs.items():
+        b[v] = value
+    rows = np.ones(n, dtype=bool)
+    rows[list(pinned)] = False
+    if not np.all(np.isfinite(u)):
+        return float("nan")
+    if not rows.any():
+        return 0.0
+    ex, ey, ec = graph.edge_arrays
+    flow = ec * (u[ex] - u[ey])
+    resid = shift * u + np.bincount(ex, flow, n) - np.bincount(ey, flow, n) - b
+    scale = (np.max(shift + 2 * graph.vertex_weights[rows]) * np.max(np.abs(u))
+             + np.max(np.abs(b[rows])))
+    return float(np.max(np.abs(resid[rows])) / scale) if scale > 0 else 0.0

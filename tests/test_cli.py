@@ -182,6 +182,27 @@ def test_resolvent_command(capsys):
     assert doc["resolvent"]["l2_norm"] <= 1.0
 
 
+def test_resolvent_past_former_size_cliff(capsys):
+    code, out = run_cli(capsys, ["resolvent", "--model", "sym-line",
+                                 "--M", "2", "--N", "64", "--x", "3"])
+    assert code in (0, 2)
+    doc = json.loads(out)
+    assert doc["resolvent"]["diagnostics"]["method"] == "tree"
+    assert doc["resolvent"]["diagnostics"]["residual"] <= 1e-15
+    assert doc["exit_code"] == code
+
+
+def test_resolvent_solver_failure_is_structured(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(write_graph(path_graph([-1.0])))
+    code, out = run_cli(capsys, ["resolvent", "--graph", str(graph_file), "--x", "0"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["class"] == "SolverError"
+    assert doc["error"]["message"]
+    assert doc["contract_ok"] is False
+
+
 def test_replay_rejects_non_config(tmp_path, capsys):
     bogus = tmp_path / "b.json"
     bogus.write_text(json.dumps({"not_a": "config"}))

@@ -152,11 +152,12 @@ def test_monopole_transport_constant_shift_invariant():
 
 
 def test_tree_harmonic_direct():
-    res = tree_harmonic_direct(1.0, 5)
-    assert res.root_value == 0.0
-    assert res.antisymmetric_ok
-    assert res.interior_residual <= 1e-10
-    assert res.energy_value > 0.5
+    for N in (5, 10):
+        res = tree_harmonic_direct(1.0, N)
+        assert res.root_value == 0.0
+        assert res.antisymmetric_ok
+        assert res.interior_residual <= 1e-10
+        assert res.energy_value > 0.5
 
 
 def test_tree_harmonic_energy_increments_decay():
