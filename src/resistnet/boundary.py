@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from math import sqrt
 from typing import Optional, Sequence
 
@@ -23,7 +25,7 @@ from .graphs import (
     build_half_line, build_sym_line,
 )
 from .linsolve import solve_reduced
-from .polynomials import pair_values_sequence
+from .polynomials import _float_quotient, _scaled_pairs
 
 HARM_TRIVIAL = "HARM_TRIVIAL"
 CONVERGENT = "CONVERGENT"
@@ -205,10 +207,19 @@ def build_harmonic_zline(M: float, t: float, N: int) -> HarmonicLineResult:
 class DeficiencySolution:
     """Exact solution of Lap u = -u on a truncated line model.
 
-    Values are exact rationals produced by the two-term recursion; the
-    floated copy lives in `vector`. Interior residuals are checked in
-    rational arithmetic (exact zero) and in floats (backward-style
-    relative residual).
+    The exact values are the scaled integers of the pair recursion at
+    xi = a/b: `scaled[n] = (P_n, Q_n, R_n, D_n)` with
+
+        u(n) = Q_n / D_n,   du(n) = u(n) - u(n-1) = R_n / D_n,   D_n = d b^T(n),
+
+    T(n) = n(n+1)/2 and d the denominator of the seed. On the half line
+    (d = 1) Q_n and R_n are coprime to b for n >= 1, so these quotients are
+    already in lowest terms. `u_exact` and `du_exact` are the same values
+    as Fractions, built on first read; `u_float`, `du_float` and the floated
+    copy in `vector` are int / int quotients, correctly rounded exactly as
+    Fraction.__float__ rounds. The defining relations are checked as
+    integer identities (exact zero) and in floats (backward-style relative
+    residual).
     """
 
     family: str
@@ -217,8 +228,7 @@ class DeficiencySolution:
     N: int
     graph: WeightedGraph
     vector: EnergyVector
-    u_exact: tuple                  # u(0..N) by coordinate, Fractions
-    du_exact: tuple                 # u(x) - u(x-1) for x = 1..N, Fractions
+    scaled: list                    # (P_n, Q_n, R_n, D_n) for n = 0..N
     seed_relation_ok: bool
     flux_recursion_ok: bool
     interior_residual_exact_zero: bool
@@ -231,8 +241,20 @@ class DeficiencySolution:
     upper_bound: float              # 1 + sqrt(A xi)/(1 - sqrt(xi)), A observed
     within_bound: bool
     classification: str             # energy verdict: CONVERGENT maps to FINITE
-    energy_cumulative: tuple = ()   # full per-coordinate partial sums
-    l2_cumulative: tuple = ()
+    energy_cumulative: tuple        # full per-coordinate partial sums
+    l2_cumulative: tuple
+    u_float: tuple                  # u(0..N) by coordinate
+    du_float: tuple                 # du(1..N)
+
+    @cached_property
+    def u_exact(self):
+        """u(0..N) by coordinate, Fractions."""
+        return _q_values(self.scaled)
+
+    @cached_property
+    def du_exact(self):
+        """u(x) - u(x-1) for x = 1..N, Fractions."""
+        return tuple(Fraction(R, D) for _P, _Q, R, D in self.scaled[1:])
 
     def to_dict(self):
         return {
@@ -252,22 +274,51 @@ class DeficiencySolution:
             "upper_bound": self.upper_bound,
             "within_bound": self.within_bound,
             "classification": self.classification,
-            "u_head": [float(v) for v in self.u_exact[: min(8, len(self.u_exact))]],
+            "u_head": list(self.u_float[:8]),
         }
 
 
-def _exact_interior_residual_zero(u, mu):
-    """Check mu(x) du(x) - mu(x+1) du(x+1) + u(x) == 0 in Fractions.
+def _kernel_rows(ratio, N, seed=(0, 1)):
+    """xi = 1/ratio exactly, and the scaled pair rows for n = 0..N."""
+    xi = 1 / Fraction(float(ratio))
+    return xi, list(islice(_scaled_pairs(xi, seed), N + 1))
 
-    Covers x = 1 .. N-1; the vertex-0 row is checked separately by the
-    callers because the two models seed it differently.
+
+def _q_values(rows):
+    return tuple(Fraction(Q, D) for _P, Q, _R, D in rows)
+
+
+def _energy_terms(rows):
+    """Floats of xi^n p_n^2 = R_n P_n / (D_n D_(n-1)) for n = 1..N."""
+    return np.array([_float_quotient(R, P, D, D_prev)
+                     for (_, _, _, D_prev), (P, _, R, D) in zip(rows, rows[1:])])
+
+
+def _exact_rows_zero(Q, a, b):
+    """Flux recursion and interior rows of Lap u = -u as integer identities.
+
+    With u(x) = Q_x / D_x, D_x = d b^T(x) and mu(x) = (b/a)^x, multiplying
+    the flux recursion mu(x+1) du(x+1) = mu(x) du(x) + u(x) by
+    a^(x+1) D_(x+1) / b^(x+1) clears every denominator:
+
+        Q_(x+1) - b^(x+1) Q_x = a b^x (Q_x - b^x Q_(x-1)) + a^(x+1) Q_x.
+
+    The interior row mu(x) du(x) + mu(x+1) (u(x) - u(x+1)) + u(x) = 0 is
+    checked in the same scaled form, for x = 1 .. N-1; the vertex-0 row is
+    checked by the callers because the two models seed it differently.
+    Returns (flux_ok, interior_ok).
     """
-    n_max = len(u) - 1
-    for x in range(1, n_max):
-        lhs = mu[x] * (u[x] - u[x - 1]) + mu[x + 1] * (u[x] - u[x + 1]) + u[x]
-        if lhs != 0:
-            return False
-    return True
+    flux_ok = interior_ok = True
+    a_next, b_x = a, 1
+    for x in range(1, len(Q) - 1):
+        a_next *= a
+        b_x *= b
+        inflow = a * b_x * (Q[x] - b_x * Q[x - 1])      # mu(x) du(x)
+        outflow = Q[x + 1] - b * b_x * Q[x]             # mu(x+1) du(x+1)
+        source = a_next * Q[x]                          # u(x)
+        flux_ok = flux_ok and outflow == inflow + source
+        interior_ok = interior_ok and inflow - outflow + source == 0
+    return flux_ok, interior_ok
 
 
 def _l2_flag_for(u_floats, depths):
@@ -280,72 +331,62 @@ def _l2_flag_for(u_floats, depths):
     return (DIVERGENT if divergent else INCONCLUSIVE), marks
 
 
+def _deficiency_solution(family, M, N, graph, xi, rows, seed_ok, zero_row_ok):
+    """Checks, floats and growth evidence shared by the two line models."""
+    a, b = xi.numerator, xi.denominator
+    flux_ok, interior_ok = _exact_rows_zero([Q for _, Q, _, _ in rows], a, b)
+    u = [Q / D for _P, Q, _R, D in rows]
+    du = [R / D for _P, _Q, R, D in rows[1:]]
+    half = np.array(u)
+    sides = 2 if family == LINE_GEOM_SYM else 1
+    values = np.zeros(graph.n_vertices)
+    for x in range(-N if sides == 2 else 0, N + 1):
+        values[graph.index_of(x)] = half[abs(x)]
+    vector = EnergyVector(graph, values)
+    float_rel = _backward_residual(graph, values, values.copy())
+
+    depths = _dyadic_depths(N)
+    terms = _energy_terms(rows)
+    cumulative = np.concatenate([[0.0], np.cumsum(sides * terms)])
+    energy_flag, energy_marks = tail_flag(cumulative, depths)
+    l2_flag, l2_marks = _l2_flag_for(half, depths)
+
+    monotone = all(R > 0 for _P, _Q, R, _D in rows[1:])
+    a_obs = float(np.max(terms))
+    bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
+    return DeficiencySolution(
+        family, float(M), xi, N, graph, vector, rows,
+        seed_ok, flux_ok, zero_row_ok and interior_ok, float_rel, monotone,
+        tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
+        bound, u[-1] <= bound + 1e-12,
+        "FINITE" if energy_flag == CONVERGENT else
+        ("INFINITE" if energy_flag == DIVERGENT else INCONCLUSIVE),
+        tuple(float(v) for v in cumulative),
+        tuple(float(v) for v in np.cumsum(np.square(half))),
+        tuple(u), tuple(du))
+
+
 def build_deficiency_zplus(M: float, N: int) -> DeficiencySolution:
     """Defect eigenvector u(n) = q_n(xi) on the geometric half line.
 
     Exactness: the vertex-0 relation u(1) = (1 + xi) u(0), the flux
     recursion mu(x+1) du(x+1) = mu(x) du(x) + u(x), and the interior rows
-    of Lap u = -u all hold as identities of rationals. Energy partial sums
-    are expected CONVERGENT and square-sum partials DIVERGENT.
+    of Lap u = -u all hold as integer identities of the scaled values.
+    Energy partial sums are expected CONVERGENT and square-sum partials
+    DIVERGENT.
     """
     if not M > 1:
         raise ValueError("M must be > 1")
     graph = build_half_line(M, N)
-    m_exact = Fraction(float(M))
-    xi = 1 / m_exact
-    pairs = pair_values_sequence(xi, N)
-    u = [q for _, q in pairs]
-    xi_pows = [xi ** n for n in range(N + 1)]
-    du = [xi_pows[n] * pairs[n][0] for n in range(1, N + 1)]
-    mu = [m_exact ** n for n in range(N + 1)]
-
-    seed_ok = u[1] == (1 + xi) * u[0] and mu[1] * du[0] == u[0]
-    flux_ok = all(mu[x + 1] * (u[x + 1] - u[x]) == mu[x] * (u[x] - u[x - 1]) + u[x]
-                  for x in range(1, N))
-    # vertex-0 row of Lap u = -u, then the interior rows
-    zero_row_ok = mu[1] * (u[0] - u[1]) + u[0] == 0
-    interior_zero = zero_row_ok and _exact_interior_residual_zero(u, mu)
-
-    values = np.array([float(v) for v in u])
-    vector = EnergyVector(graph, values)
-    rhs = values.copy()          # residual of Lap u + u
-    float_rel = _backward_residual(graph, values, rhs)
-
-    depths = _dyadic_depths(N)
-    energy_terms = np.array([float(xi_pows[n] * pairs[n][0] ** 2)
-                             for n in range(1, N + 1)])
-    cumulative = np.concatenate([[0.0], np.cumsum(energy_terms)])
-    energy_flag, energy_marks = tail_flag(cumulative, depths)
-    l2_flag, l2_marks = _l2_flag_for(values, depths)
-
-    monotone = all(du_n > 0 for du_n in du)
-    a_obs = max(float(xi_pows[n] * pairs[n][0] ** 2) for n in range(1, N + 1))
-    bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
-    within = float(u[-1]) <= bound + 1e-12
-
-    return DeficiencySolution(
-        HALF_LINE_GEOM, float(M), xi, N, graph, vector,
-        tuple(u), tuple(du), seed_ok, flux_ok, interior_zero, float_rel,
-        monotone, tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
-        bound, within,
-        "FINITE" if energy_flag == CONVERGENT else
-        ("INFINITE" if energy_flag == DIVERGENT else INCONCLUSIVE),
-        tuple(float(v) for v in cumulative),
-        tuple(float(v) for v in np.cumsum(np.square(values))))
-
-
-def _modified_pair_values(xi, seed_p, seed_q, n_max):
-    """Run the two-term recursion from a nonstandard index-1 seed."""
-    p, q = Fraction(seed_p), Fraction(seed_q)
-    xi = Fraction(xi)
-    xi_pow = xi
-    out = [(p, q)]
-    for n in range(2, n_max + 1):
-        xi_pow *= xi
-        p = p + q
-        q = q + xi_pow * p
-        out.append((p, q))
-    return out
+    xi, rows = _kernel_rows(M, N)
+    a, b = xi.numerator, xi.denominator
+    (_, Q0, _, _), (_, Q1, R1, _) = rows[:2]
+    # u(1) = (1 + xi) u(0) times D_1, and mu(1) du(1) = u(0) times a D_1 / b
+    seed_ok = Q1 == (b + a) * Q0 and R1 == a * Q0
+    # vertex-0 row mu(1) (u(0) - u(1)) + u(0) = 0, times a D_1 / b
+    zero_row_ok = b * Q0 - Q1 + a * Q0 == 0
+    return _deficiency_solution(HALF_LINE_GEOM, M, N, graph, xi, rows,
+                                seed_ok, zero_row_ok)
 
 
 def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
@@ -353,57 +394,23 @@ def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
 
     Symmetry u(-x) = u(x) together with the vertex-0 row forces the first
     increment du(1) = (xi/2) u(0); from there the one-sided flux recursion
-    propagates, which is the standard matrix product applied to the
-    modified seed (1/2, 1 + xi/2). The energy verdict (FINITE, INFINITE
-    or INCONCLUSIVE) is reported as evidence, never asserted.
+    propagates, which is the pair recursion from the seed
+    (p_0, q_0) = (-1/2, 1), that is (p_1, q_1) = (1/2, 1 + xi/2). The
+    energy verdict (FINITE, INFINITE or INCONCLUSIVE) is reported as
+    evidence, never asserted.
     """
     if not M > 1:
         raise ValueError("M must be > 1")
     graph = build_sym_line(M, N)
-    m_exact = Fraction(float(M))
-    xi = 1 / m_exact
-    mods = _modified_pair_values(xi, Fraction(1, 2), 1 + xi / 2, N)
-    u = [Fraction(1)] + [q for _, q in mods]           # u(0..N) by coordinate
-    xi_pows = [xi ** n for n in range(N + 1)]
-    du = [xi_pows[n] * mods[n - 1][0] for n in range(1, N + 1)]
-    mu = [m_exact ** n for n in range(N + 1)]
-
-    seed_ok = (du[0] == (xi / 2) * u[0]) and (u[1] == (1 + xi / 2) * u[0])
-    # vertex-0 row: M (2 u(0) - 2 u(1)) + u(0) == 0
-    zero_row_ok = mu[1] * (2 * u[0] - 2 * u[1]) + u[0] == 0
-    flux_ok = all(mu[x + 1] * (u[x + 1] - u[x]) == mu[x] * (u[x] - u[x - 1]) + u[x]
-                  for x in range(1, N))
-    interior_zero = zero_row_ok and _exact_interior_residual_zero(u, mu)
-
-    floats_half = np.array([float(v) for v in u])
-    values = np.zeros(2 * N + 1)
-    for x in range(N + 1):
-        values[graph.index_of(x)] = floats_half[x]
-        values[graph.index_of(-x)] = floats_half[x]
-    vector = EnergyVector(graph, values)
-    float_rel = _backward_residual(graph, values, values.copy())
-
-    depths = _dyadic_depths(N)
-    energy_terms = np.array([2.0 * float(xi_pows[n] * mods[n - 1][0] ** 2)
-                             for n in range(1, N + 1)])
-    cumulative = np.concatenate([[0.0], np.cumsum(energy_terms)])
-    energy_flag, energy_marks = tail_flag(cumulative, depths)
-    l2_flag, l2_marks = _l2_flag_for(floats_half, depths)
-
-    monotone = all(d > 0 for d in du)
-    a_obs = max(float(xi_pows[n] * mods[n - 1][0] ** 2) for n in range(1, N + 1))
-    bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
-    within = float(u[-1]) <= bound + 1e-12
-
-    return DeficiencySolution(
-        LINE_GEOM_SYM, float(M), xi, N, graph, vector,
-        tuple(u), tuple(du), seed_ok, flux_ok, interior_zero, float_rel,
-        monotone, tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
-        bound, within,
-        "FINITE" if energy_flag == CONVERGENT else
-        ("INFINITE" if energy_flag == DIVERGENT else INCONCLUSIVE),
-        tuple(float(v) for v in cumulative),
-        tuple(float(v) for v in np.cumsum(np.square(floats_half))))
+    xi, rows = _kernel_rows(M, N, (Fraction(-1, 2), 1))
+    a, b = xi.numerator, xi.denominator
+    (_, Q0, _, _), (_, Q1, R1, _) = rows[:2]
+    # du(1) = (xi/2) u(0) and u(1) = (1 + xi/2) u(0), both times 2 D_1
+    seed_ok = 2 * R1 == a * Q0 and 2 * Q1 == (2 * b + a) * Q0
+    # vertex-0 row M (2 u(0) - 2 u(1)) + u(0) = 0, times a D_1 / b
+    zero_row_ok = 2 * b * Q0 - 2 * Q1 + a * Q0 == 0
+    return _deficiency_solution(LINE_GEOM_SYM, M, N, graph, xi, rows,
+                                seed_ok, zero_row_ok)
 
 
 # -- the A-B two-sided model -------------------------------------------------
@@ -416,7 +423,9 @@ class ABDeficiencyReport:
     combined normalization evaluates to 2, not 1, so the literal candidate
     cannot satisfy the vertex-0 row. Both the literal candidate and a
     repaired candidate with per-side scale factors summing to 1 are
-    reported; nothing is silently fixed.
+    reported; nothing is silently fixed. The per-side values are carried as
+    scaled pair rows (see DeficiencySolution) and built as Fractions on
+    first read.
     """
 
     A: float
@@ -436,10 +445,12 @@ class ABDeficiencyReport:
     repaired_vertex0_residual: Fraction
     literal_energy_partials: tuple
     repaired_energy_partials: tuple
-    literal_values_pos: tuple
-    literal_values_neg: tuple
-    repaired_values_pos: tuple
-    repaired_values_neg: tuple
+    scaled: tuple                     # rows: literal +, literal -, repaired +, repaired -
+
+    literal_values_pos = cached_property(lambda self: _q_values(self.scaled[0]))
+    literal_values_neg = cached_property(lambda self: _q_values(self.scaled[1]))
+    repaired_values_pos = cached_property(lambda self: _q_values(self.scaled[2]))
+    repaired_values_neg = cached_property(lambda self: _q_values(self.scaled[3]))
 
     def to_dict(self):
         return {
@@ -464,55 +475,45 @@ class ABDeficiencyReport:
         }
 
 
-def _one_sided_energy_partials(ratio, pair_values, depths):
-    terms = np.array([float((ratio ** n) * pair_values[n][0] ** 2)
-                      for n in range(1, len(pair_values))])
-    cumulative = np.concatenate([[0.0], np.cumsum(terms)])
-    return [(d, float(cumulative[d])) for d in depths]
+def _two_sided_energy_partials(pos_rows, neg_rows, depths):
+    marks = []
+    for rows in (pos_rows, neg_rows):
+        cumulative = np.concatenate([[0.0], np.cumsum(_energy_terms(rows))])
+        marks.append([float(cumulative[d]) for d in depths])
+    return tuple((d, pa + pb) for d, pa, pb in zip(depths, *marks))
 
 
 def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
     """Analyze the defect system on the line with ratios A right, B left."""
     if not (A > 1 and B > 1):
         raise ValueError("A and B must both be > 1")
-    alpha = 1 / Fraction(float(A))
-    beta = 1 / Fraction(float(B))
-    pos = pair_values_sequence(alpha, N)
-    neg = pair_values_sequence(beta, N)
-    a_f, b_f = Fraction(float(A)), Fraction(float(B))
+    alpha, pos = _kernel_rows(A, N)
+    beta, neg = _kernel_rows(B, N)
+    a_f, b_f = 1 / alpha, 1 / beta
 
-    u1 = pos[1][1]
-    um1 = neg[1][1]
-    literal_res = (a_f + b_f + 1) * 1 - a_f * u1 - b_f * um1
-    norm_sum = pos[1][0] + neg[1][0]     # p_1 at each ratio; identically 1 + 1
+    (u0, u1), (_, um1) = _q_values(pos[:2]), _q_values(neg[:2])
+    literal_res = (a_f + b_f + 1) * u0 - a_f * u1 - b_f * um1
+    # p_1 = P_1 / D_0 at each ratio; identically 1 + 1
+    norm_sum = Fraction(pos[1][0], pos[0][3]) + Fraction(neg[1][0], neg[0][3])
     norm_flag = "CONSISTENT" if norm_sum == 1 else "INCONSISTENT_AS_WRITTEN"
 
+    # per-side scale lambda: (p_1, q_1) = (lambda, 1 + lambda xi), i.e. the
+    # seed (p_0, q_0) = (lambda - 1, 1)
     lam_p = Fraction(1, 2)
     lam_m = 1 - lam_p
-    rep_pos = _modified_pair_values(alpha, lam_p, 1 + lam_p * alpha, N)
-    rep_neg = _modified_pair_values(beta, lam_m, 1 + lam_m * beta, N)
-    rep_u1 = rep_pos[0][1]
-    rep_um1 = rep_neg[0][1]
-    rep_res = (a_f + b_f + 1) * 1 - a_f * rep_u1 - b_f * rep_um1
+    _, rep_pos = _kernel_rows(A, N, (lam_p - 1, 1))
+    _, rep_neg = _kernel_rows(B, N, (lam_m - 1, 1))
+    (_, rep_u1), (_, rep_um1) = _q_values(rep_pos[:2]), _q_values(rep_neg[:2])
+    rep_res = (a_f + b_f + 1) * u0 - a_f * rep_u1 - b_f * rep_um1
 
     depths = _dyadic_depths(N)
-    lit_marks = tuple((d, pa + pb) for (d, pa), (_, pb) in zip(
-        _one_sided_energy_partials(alpha, pos, depths),
-        _one_sided_energy_partials(beta, neg, depths)))
-    rep_pairs_pos = [(Fraction(0), Fraction(1))] + rep_pos
-    rep_pairs_neg = [(Fraction(0), Fraction(1))] + rep_neg
-    rep_marks = tuple((d, pa + pb) for (d, pa), (_, pb) in zip(
-        _one_sided_energy_partials(alpha, rep_pairs_pos, depths),
-        _one_sided_energy_partials(beta, rep_pairs_neg, depths)))
-
     return ABDeficiencyReport(
         float(A), float(B), N, alpha, beta,
         u1, um1, literal_res, norm_sum, norm_flag,
         lam_p, lam_m, rep_u1, rep_um1, rep_res,
-        lit_marks, rep_marks,
-        tuple(q for _, q in pos), tuple(q for _, q in neg),
-        (Fraction(1),) + tuple(q for _, q in rep_pos),
-        (Fraction(1),) + tuple(q for _, q in rep_neg))
+        _two_sided_energy_partials(pos, neg, depths),
+        _two_sided_energy_partials(rep_pos, rep_neg, depths),
+        (pos, neg, rep_pos, rep_neg))
 
 
 # -- resolvent ----------------------------------------------------------------
@@ -687,20 +688,26 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
         harm = build_harmonic_zplus(spec.M, spec.N)
         deficiency = build_deficiency_zplus(spec.M, spec.N)
         harm_dim = 0 if harm.verdict == HARM_TRIVIAL else 1
-        def_ok = (deficiency.interior_residual_exact_zero
-                  and deficiency.energy_flag == CONVERGENT
-                  and deficiency.l2_flag == DIVERGENT)
+        # The paper gives the half line one defect vector for every M > 1.
+        # The energy and square-sum flags read a finite window, so when one
+        # of them fails the vector is not certified, but not refuted either.
+        flags_ok = (deficiency.energy_flag == CONVERGENT
+                    and deficiency.l2_flag == DIVERGENT)
+        if not deficiency.interior_residual_exact_zero:
+            def_dim, def_hard = 0, True
+        else:
+            def_dim, def_hard = (1, True) if flags_ok else (None, False)
         curves = {
             "coordinate": list(range(spec.N + 1)),
-            "u": [float(v) for v in deficiency.u_exact],
-            "du": [0.0] + [float(v) for v in deficiency.du_exact],
+            "u": list(deficiency.u_float),
+            "du": [0.0] + list(deficiency.du_float),
             "energy_partial": list(deficiency.energy_cumulative),
             "l2_partial": list(deficiency.l2_cumulative),
         }
         return BoundaryReport(
             spec.family, spec.M, spec.N,
             harm_dim, True, harm.to_dict(),
-            1 if def_ok else 0, True, deficiency.to_dict(), curves)
+            def_dim, def_hard, deficiency.to_dict(), curves)
     if spec.family == LINE_GEOM_SYM:
         harm = build_harmonic_zline(spec.M, 1.0, spec.N)
         deficiency = build_deficiency_zline(spec.M, spec.N)
@@ -711,8 +718,8 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
         def_dim = {"FINITE": 1, "INFINITE": 0}.get(deficiency.classification)
         curves = {
             "coordinate": list(range(spec.N + 1)),
-            "u": [float(v) for v in deficiency.u_exact],
-            "du": [0.0] + [float(v) for v in deficiency.du_exact],
+            "u": list(deficiency.u_float),
+            "du": [0.0] + list(deficiency.du_float),
             "h": [float(harm.vector.values[harm.vector.graph.index_of(x)])
                   for x in range(spec.N + 1)],
             "energy_partial": list(deficiency.energy_cumulative),

@@ -43,10 +43,13 @@ class UsageError(ValueError):
 
 def _parse_fraction(text):
     text = str(text)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a rational number: {text!r}") from exc
 
 
 def _fraction_str(value):
@@ -107,8 +110,8 @@ def run_polys(config):
     files["polys_table.csv"] = _polys_table_csv(pairs)
     doc["table_rows"] = config["n_max"]
 
-    if config["xi"] is not None:
-        xi = _parse_fraction(config["xi"])
+    xi = None if config["xi"] is None else _parse_fraction(config["xi"])
+    if xi is not None:
         values = polynomials.pair_values_sequence(xi, config["n_max"])
         files["polys_eval.csv"] = _polys_eval_csv(xi, values)
 
@@ -125,10 +128,12 @@ def run_polys(config):
             code = CLAIM_EXIT
 
     if config["growth"]:
-        if config["xi"] is None:
+        if xi is None:
             raise UsageError("--growth needs --xi")
-        report = polynomials.growth_bounds_report(
-            _parse_fraction(config["xi"]), config["n_max"])
+        try:
+            report = polynomials.growth_bounds_report(xi, config["n_max"])
+        except ValueError as exc:
+            raise UsageError(f"--growth: {exc}") from exc
         doc["growth"] = report.to_dict()
         if not (report.lower_linear_ok and report.cumulative_identity_ok):
             code = CLAIM_EXIT
@@ -136,10 +141,12 @@ def run_polys(config):
             code = CLAIM_EXIT
 
     if config["q_limit"]:
-        if config["xi"] is None:
+        if xi is None:
             raise UsageError("--q-limit needs --xi")
-        result = polynomials.q_limit(_parse_fraction(config["xi"]),
-                                     tol=config["q_limit_tol"])
+        try:
+            result = polynomials.q_limit(xi, tol=config["q_limit_tol"])
+        except ValueError as exc:
+            raise UsageError(f"--q-limit: {exc}") from exc
         doc["q_limit"] = {
             "value": result.value,
             "n_terms": result.n_terms,

@@ -10,6 +10,7 @@ can restrict identities to interior vertices.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -283,8 +284,9 @@ class ModelSpec:
 
 
 def _require_ratio(value, name):
-    if value is None or not value > 1:
-        raise ValueError(f"{name} must be > 1 (got {value!r}); the geometric models assume it")
+    if value is None or not 1 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 1 (got {value!r}); "
+                         "the geometric models assume it")
 
 
 def _require_depth(n):

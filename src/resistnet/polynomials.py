@@ -7,8 +7,22 @@ The pair is generated by
 
 in the variable xi, with integer coefficients that are kept exact (Python
 ints, Fractions where rational scalars enter). The same recursion in
-matrix form multiplies [[1, 1], [xi^k, 1 + xi^k]] for k = n down to 1 into
-the start vector (0, 1); both routes are implemented and must agree.
+matrix form multiplies [[1, 1], [xi^k, 1 + xi^k]] for k = n down to 1
+into the start vector (0, 1); both routes are implemented and must agree.
+
+Values at one rational xi = a/b (lowest terms) are computed on scaled
+integers rather than Fractions. With T(n) = n(n+1)/2,
+
+    P_n = b^T(n-1) p_n(xi),   Q_n = b^T(n) q_n(xi)
+
+are integers obeying P_{n+1} = b^n P_n + Q_n and
+Q_{n+1} = b^(n+1) Q_n + a^(n+1) P_{n+1}, so no step takes a gcd (the
+fraction-free idea of Bareiss, Math. Comp. 22, 1968). For n >= 1 both
+P_n and Q_n are coprime to b: P_1 = 1 and Q_1 = a + b, and modulo every
+prime factor of b, P_{n+1} = Q_n and Q_{n+1} = a^(n+1) P_{n+1}. So
+p_n = P_n / b^T(n-1) and q_n = Q_n / b^T(n) are already in lowest terms,
+and a float of either is one correctly rounded int / int division,
+exactly as Fraction.__float__ computes it.
 
 The module also provides truncated formal power series in a second
 variable X whose coefficients are polynomials in xi, used to verify the
@@ -26,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, sqrt
+from itertools import islice
+from math import exp, lcm, sqrt
 from typing import Optional, Sequence
 
 __all__ = [
@@ -171,21 +186,78 @@ def pair_sequence(n_max: int) -> list:
     return out
 
 
+def _scaled_pairs(xi, seed=(0, 1)):
+    """Run the pair recursion on plain ints at rational xi = a/b.
+
+    With a/b in lowest terms, d the least common denominator of the seed
+    (p_0, q_0) and T(n) = n(n+1)/2, yields (P_n, Q_n, R_n, D_n) for
+    n = 0, 1, 2, ... where
+
+        D_n = d b^T(n),   q_n = Q_n / D_n,   p_n = P_n / D_(n-1)   (D_(-1) = D_0),
+        R_n = a^n P_n,    so that xi^n p_n = q_n - q_(n-1) = R_n / D_n.
+
+    Clearing the powers of b turns the recursion into
+
+        P_(n+1) = b^n P_n + Q_n,   Q_(n+1) = b^(n+1) Q_n + a^(n+1) P_(n+1),
+
+    which multiplies only by small powers of a and b and never takes a gcd.
+    """
+    xi = Fraction(xi)
+    a, b = xi.numerator, xi.denominator
+    p0, q0 = Fraction(seed[0]), Fraction(seed[1])
+    d = lcm(p0.denominator, q0.denominator)
+    P, Q, D = int(p0 * d), int(q0 * d), d
+    R = P
+    a_n = b_n = 1
+    while True:
+        yield P, Q, R, D
+        P = b_n * P + Q
+        a_n *= a
+        b_n *= b
+        R = a_n * P
+        Q = b_n * Q + R
+        D *= b_n
+
+
+def _float_quotient(n1, n2, d1, d2):
+    """float(n1 n2 / (d1 d2)) for ints, correctly rounded.
+
+    For positive factors, cutting each to its leading 64 bits brackets the
+    quotient between two nearby rationals. Rounding is monotone, so when
+    both round to the same float the quotient does too, and the big
+    products are never formed; otherwise the exact quotient is rounded.
+    """
+    factors = (n1, n2, d1, d2)
+    if min(factors) > 0:
+        cuts = [max(v.bit_length() - 64, 0) for v in factors]
+        low = [v >> c for v, c in zip(factors, cuts)]
+        high = [t + (c > 0) for t, c in zip(low, cuts)]
+        shift = cuts[0] + cuts[1] - cuts[2] - cuts[3]
+
+        def scaled(num, den):
+            return (num << shift) / den if shift >= 0 else num / (den << -shift)
+
+        try:
+            lo = scaled(low[0] * low[1], high[2] * high[3])
+            hi = scaled(high[0] * high[1], low[2] * low[3])
+        except OverflowError:   # at the top of the float range: round exactly
+            lo, hi = 0.0, None
+        if lo == hi:
+            return lo
+    return n1 * n2 / (d1 * d2)
+
+
 def pair_values_sequence(xi, n_max: int) -> list:
     """Exact values (p_n(xi), q_n(xi)) for n = 0 .. n_max at rational xi.
 
-    Runs the evaluated recursion, which is much cheaper than carrying the
-    full polynomials when only the values at one xi are needed.
+    Built on the scaled-integer recursion; each value is normalised once,
+    on output, instead of after every arithmetic step.
     """
-    xi = Fraction(xi)
-    p, q = Fraction(0), Fraction(1)
-    xi_pow = Fraction(1)
-    out = [(p, q)]
-    for n in range(1, n_max + 1):
-        xi_pow *= xi
-        p = p + q
-        q = q + xi_pow * p
-        out.append((p, q))
+    out = []
+    d_prev = 1
+    for P, Q, _R, D in islice(_scaled_pairs(xi), max(n_max, 0) + 1):
+        out.append((Fraction(P, d_prev), Fraction(Q, D)))
+        d_prev = D
     return out
 
 
@@ -456,7 +528,7 @@ def growth_bounds_report(xi, n_max: int) -> GrowthReport:
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
     pairs = pair_sequence(n_max)
-    values = [(pair.p(xi), pair.q(xi)) for pair in pairs]
+    values = pair_values_sequence(xi, n_max)
 
     lower_ok = all(values[n][0] >= n for n in range(1, n_max + 1))
 
@@ -512,41 +584,37 @@ class QLimitResult:
 def q_limit(xi, tol: float = 1e-12, max_n: int = 5000) -> QLimitResult:
     """Iterate q_n(xi) exactly until the relative increment drops below tol.
 
-    The increments q_{n+1} - q_n = xi^(n+1) p_{n+1}(xi) are positive, so
-    the sequence increases; both that and q_n > 1 are asserted on every
-    step rather than assumed.
+    The increments q_n - q_(n-1) = xi^n p_n(xi) are positive, so the
+    sequence increases; both that and q_n > 1 are asserted on every step
+    rather than assumed, as identities of the scaled integers (q_n > q_(n-1)
+    is Q_n > b^n Q_(n-1) and q_n > 1 is Q_n > D_n).
     """
     xi = Fraction(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
-    p, q = Fraction(0), Fraction(1)
-    xi_pow = Fraction(1)
+    b = xi.denominator
     monotone_ok = True
     above_one_ok = True
-    a_max = Fraction(0)
-    n = 0
-    while True:
-        xi_pow *= xi
-        p = p + q
-        increment = xi_pow * p
-        q_next = q + increment
-        n += 1
-        if increment <= 0 or q_next <= q:
+    a_max = 0.0
+    pairs = _scaled_pairs(xi)
+    _, Q_prev, _, D_prev = next(pairs)
+    b_n = 1
+    for n, (P, Q, R, D) in enumerate(pairs, 1):
+        b_n *= b
+        if R <= 0 or Q <= b_n * Q_prev:
             monotone_ok = False
-        if q_next <= 1:
+        if Q <= D:
             above_one_ok = False
-        a_here = xi_pow * p * p
-        if a_here > a_max:
-            a_max = a_here
-        if float(increment) < tol * float(q_next):
-            q = q_next
+        a_max = max(a_max, _float_quotient(R, P, D, D_prev))   # xi^n p_n^2
+        increment = R / D
+        if increment < tol * (Q / D):
             break
-        q = q_next
         if n >= max_n:
             raise QLimitError(
                 f"no convergence to rel. increment {tol:g} within {max_n} steps",
-                n, float(q), float(increment))
-    a_f = float(a_max)
-    bound = 1.0 + sqrt(a_f * float(xi)) / (1.0 - sqrt(float(xi)))
-    return QLimitResult(float(q), n, monotone_ok, above_one_ok, a_f, bound,
-                        float(q) <= bound + 1e-12)
+                n, Q / D, increment)
+        Q_prev, D_prev = Q, D
+    value = Q / D
+    bound = 1.0 + sqrt(a_max * float(xi)) / (1.0 - sqrt(float(xi)))
+    return QLimitResult(value, n, monotone_ok, above_one_ok, a_max, bound,
+                        value <= bound + 1e-12)

@@ -284,6 +284,26 @@ def test_classify_half_line(m_ratio):
     assert report.def_evidence["interior_residual_exact_zero"]
 
 
+def test_classify_half_line_uncertified_window_is_inconclusive():
+    # at M = 1.1 the energy terms still grow at N = 60 (they peak near
+    # n = 75), so the window flags cannot certify the defect vector; the
+    # paper gives it for every M > 1, so the verdict is open, never 0
+    report = classify_model(ModelSpec("HALF_LINE_GEOM", 60, M=1.1))
+    assert report.def_evidence["interior_residual_exact_zero"]
+    assert report.def_evidence["energy_flag"] != "CONVERGENT"
+    assert report.def_dim is None
+    assert not report.def_hard
+    assert not report.hard_expectations_ok
+    assert report.to_dict()["def_dim"] is None
+
+
+def test_deficiency_float_curves_round_the_exact_values():
+    for sol in (build_deficiency_zplus(1.5, 40), build_deficiency_zline(1.5, 40)):
+        assert sol.u_float == tuple(float(v) for v in sol.u_exact)
+        assert sol.du_float == tuple(float(v) for v in sol.du_exact)
+        assert sol.to_dict()["u_head"] == list(sol.u_float[:8])
+
+
 def test_classify_sym_line():
     report = classify_model(ModelSpec("LINE_GEOM_SYM", 100, M=2.0))
     assert report.harm_dim == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -218,3 +219,63 @@ def test_exit_codes_stable_contract(capsys):
                             "--wrong-psi"])[0] == 2
     assert cli.main(["classify", "--model", "half-line", "--M", "0.5"]) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["polys", "--xi", "1/0"],
+    ["polys", "--xi", "abc"],
+    ["polys", "--xi", "0", "--q-limit"],
+    ["polys", "--xi", "3/2", "--q-limit"],
+    ["polys", "--n-max", "5", "--xi", "1/2", "--growth"],
+    ["classify", "--model", "half-line", "--M", "inf", "--N", "10"],
+])
+def test_bad_input_is_a_usage_error(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("resistnet: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_classify_half_line_uncertified_window_exits_2(capsys):
+    code, out = run_cli(capsys, ["classify", "--model", "half-line",
+                                 "--M", "1.1", "--N", "60"])
+    assert code == 2
+    report = json.loads(out)["report"]
+    assert report["def_dim"] is None
+    assert report["def_hard"] is False
+
+
+# sha256 of stdout and of each CSV artifact, recorded from the Fraction-based
+# recursion this kernel replaced; any change to these outputs is deliberate
+PINNED_OUTPUTS = [
+    (["classify", "--model", "half-line", "--M", "2", "--N", "300"], {
+        "stdout": "49631dcf05624c2f28bb50a87241db361ea88fb6e9548c541466eeed9641458d",
+        "boundary_curves.csv":
+            "8af47bf9f22d6a6065f68be01888beb18e9da15c376bf0e5bc29d05684edd0e6",
+    }),
+    (["classify", "--model", "sym-line", "--M", "2", "--N", "300"], {
+        "stdout": "5773d0ae6079b78263426c2864abe03bf547c70701a6caf0c1ebc7a76beb56ae",
+        "boundary_curves.csv":
+            "6edbd0f8854d6b5cc5c1c0018840d7a981a135874632e5e1b7a69d76f5207166",
+    }),
+    (["polys", "--n-max", "40", "--xi", "1/2", "--check-identities", "--order", "12",
+      "--growth", "--q-limit"], {
+        "stdout": "3de4f1adf55f10ab585069d4fef0abffa35955f8963e9f3ece6afde134fc6958",
+        "polys_eval.csv":
+            "ced3659e01e7786db1a449a064e7750e8ddd7dbe997b2f9684b0664bafcb3a0a",
+        "polys_table.csv":
+            "823a47491206deba588316a2b92da0ebcfcabb611186e04dc0601b0378081c34",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,hashes", PINNED_OUTPUTS)
+def test_pinned_outputs_are_byte_identical(argv, hashes):
+    config = cli._config_from_args(cli._build_parser().parse_args(argv))
+    _code, text, files = cli.execute(config)
+    outputs = dict(files, stdout=text)
+    assert sorted(outputs) == sorted(hashes)
+    for name, digest in hashes.items():
+        assert hashlib.sha256(outputs[name].encode()).hexdigest() == digest, name

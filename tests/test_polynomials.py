@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import pytest
 
 from resistnet.polynomials import (
+    _float_quotient, _scaled_pairs,
     CUBE_BOUND_RATIO_THRESHOLD, FormalSeries, QLimitError, SEED_PAIR, XiPoly,
     check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
     genfunc_P, genfunc_Q, growth_bounds_report, identity_P_holds,
@@ -239,3 +243,105 @@ def test_xipoly_arithmetic_basics():
     assert XiPoly((0, 0)).is_zero()
     assert XiPoly((Fraction(2, 1),)).coeffs == (2,)   # cleaned to int
     assert a(Fraction(1, 2)) == 2
+
+
+# -- the scaled-integer pair kernel ----------------------------------------------
+
+# n_max is smaller at 1/1.1 because the Fraction oracle carries a 2^51-scale
+# denominator and takes seconds per step pair beyond n ~ 60
+KERNEL_CASES = [(HALF, 120), (Fraction(3, 4), 120), (Fraction(1, 3), 120),
+                (1 / Fraction(1.1), 50)]
+
+
+def _fraction_pairs(xi, n_max, p1=1, q1=None):
+    """(p_n, q_n) for n = 1..n_max by the plain Fraction recursion, index-1 seed."""
+    p, q = Fraction(p1), 1 + xi if q1 is None else Fraction(q1)
+    out = [(p, q)]
+    for n in range(2, n_max + 1):
+        p = p + q
+        q = q + xi ** n * p
+        out.append((p, q))
+    return out
+
+
+@pytest.mark.parametrize("xi,n_max", KERNEL_CASES)
+def test_scaled_kernel_matches_fraction_recursion(xi, n_max):
+    rows = list(islice(_scaled_pairs(xi), n_max + 1))
+    assert rows[0] == (0, 1, 0, 1)
+    b = xi.denominator
+    for n, ((P, Q, R, D), (p, q)) in enumerate(zip(rows[1:], _fraction_pairs(xi, n_max)), 1):
+        assert D == b ** (n * (n + 1) // 2)
+        assert Fraction(P, rows[n - 1][3]) == p
+        assert Fraction(Q, D) == q
+        assert Fraction(R, D) == xi ** n * p
+    assert pair_values_sequence(xi, n_max)[1:] == _fraction_pairs(xi, n_max)
+
+
+@pytest.mark.parametrize("xi,n_max", KERNEL_CASES)
+def test_scaled_kernel_matches_matrix_product(xi, n_max):
+    values = pair_values_sequence(xi, n_max)
+    for n in sorted({1, 2, 3, 17, n_max // 2, n_max}):
+        assert values[n] == matrix_product_pair(n, xi)
+
+
+@pytest.mark.parametrize("xi,n_max", KERNEL_CASES)
+def test_scaled_kernel_sym_line_seed(xi, n_max):
+    # (p_0, q_0) = (-1/2, 1) gives (p_1, q_1) = (1/2, 1 + xi/2), the symmetric
+    # line's seed; the seed's denominator 2 is carried in every D_n
+    rows = list(islice(_scaled_pairs(xi, (Fraction(-1, 2), 1)), n_max + 1))
+    assert rows[0] == (-1, 2, -1, 2)
+    oracle = _fraction_pairs(xi, n_max, Fraction(1, 2), 1 + xi / 2)
+    for n, ((P, Q, R, D), (p, q)) in enumerate(zip(rows[1:], oracle), 1):
+        assert D == 2 * xi.denominator ** (n * (n + 1) // 2)
+        assert Fraction(P, rows[n - 1][3]) == p
+        assert Fraction(Q, D) == q
+        assert Fraction(R, D) == xi ** n * p
+
+
+@pytest.mark.parametrize("xi,n_max", KERNEL_CASES)
+def test_scaled_kernel_lowest_terms(xi, n_max):
+    # P_n and Q_n are coprime to b for n >= 1, so p_n = P_n / D_(n-1) and
+    # q_n = Q_n / D_n need no reduction
+    b = xi.denominator
+    for P, Q, _R, _D in islice(_scaled_pairs(xi), 1, n_max + 1):
+        assert gcd(P, b) == 1
+        assert gcd(Q, b) == 1
+
+
+def test_float_quotient_rounds_like_fraction():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        sizes = [rng.randint(1, 3000) for _ in range(3)]
+        # quotients from the subnormal range up to overflow
+        sizes.append(max(1, sizes[0] + sizes[1] - sizes[2] + rng.randint(-1100, 1100)))
+        n1, n2, d1, d2 = (rng.getrandbits(k) | 1 << (k - 1) for k in sizes)
+        try:
+            expected = n1 * n2 / (d1 * d2)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _float_quotient(n1, n2, d1, d2)
+            continue
+        assert _float_quotient(n1, n2, d1, d2) == expected
+    # exactly halfway between 1 and 1 + 2^-52 (ties to even), and just above
+    # it: the 64-bit cut cannot decide these, so the exact quotient is rounded
+    half = (2 ** 53 + 1) << 2000
+    assert _float_quotient(half, 1, 2 ** 2053, 1) == 1.0
+    assert _float_quotient(half + 1, 1, 2 ** 2053, 1) == 1.0 + 2.0 ** -52
+
+
+def _float_q_limit(xi, tol):
+    p, q, xi_pow = 0.0, 1.0, 1.0
+    while True:
+        xi_pow *= xi
+        p += q
+        increment = xi_pow * p
+        q += increment
+        if increment < tol * q:
+            return q
+
+
+def test_q_limit_nine_tenths_against_float_iteration():
+    result = q_limit(Fraction(9, 10))
+    expected = _float_q_limit(0.9, 1e-12)
+    assert abs(result.value - expected) <= 1e-9 * expected
+    assert result.monotone_ok and result.above_one_ok and result.within_bound
