@@ -37,7 +37,7 @@ print("bounded energy across depths:",
        [(n, rn.energy(rn.transport_monopole(
            rn.dyadic_pair(1.0, n).with_certificate(
                rn.check_compatible(rn.dyadic_pair(1.0, n), 10, seed=1)),
-           rn.dirichlet_monopole(rn.doubling_half_line(1.0, n)))[0]))
+           rn.dirichlet_monopole(rn.build_half_line(2, n)))[0]))
         for n in (4, 6, 8)]])
 
 print()
@@ -52,7 +52,7 @@ print(" unlike the half line it embeds into)")
 
 print()
 print("=== pullbacks compose ===")
-deeper = rn.doubling_half_line(1.0, 12)
+deeper = rn.build_half_line(2, 12)
 inclusion = rn.GraphMap(gmap.target, deeper,
                         np.arange(gmap.target.n_vertices),
                         np.ones(gmap.target.n_vertices))

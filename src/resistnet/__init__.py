@@ -9,7 +9,7 @@ energy-isometric embeddings between graphs.
 """
 
 from .graphs import (
-    CUSTOM, DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM,
+    DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM,
     GraphStructureError, ModelSpec, TruncationInfo, ValidationReport,
     WeightedGraph, build_ab_line, build_dyadic_tree, build_half_line,
     build_sym_line, path_graph, read_graph, validate, write_graph,
@@ -44,9 +44,9 @@ from .walk import (
 from .embedding import (
     CompatibilityCertificate, GraphMap, MissingCertificateError,
     TreeHarmonicResult, check_compatible, compose_maps, dirichlet_monopole,
-    doubling_half_line, dyadic_pair, identity_map, pullback, read_map,
-    transport_harmonic, transport_monopole, tree_harmonic_direct,
-    tree_harmonic_energy_curve, write_map,
+    dyadic_pair, identity_map, pullback, read_map, transport_harmonic,
+    transport_monopole, tree_harmonic_direct, tree_harmonic_energy_curve,
+    write_map,
 )
 
 __version__ = "0.1.0"

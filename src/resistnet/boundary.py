@@ -697,40 +697,34 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
             def_dim, def_hard = 0, True
         else:
             def_dim, def_hard = (1, True) if flags_ok else (None, False)
-        curves = {
-            "coordinate": list(range(spec.N + 1)),
-            "u": list(deficiency.u_float),
-            "du": [0.0] + list(deficiency.du_float),
-            "energy_partial": list(deficiency.energy_cumulative),
-            "l2_partial": list(deficiency.l2_cumulative),
-        }
-        return BoundaryReport(
-            spec.family, spec.M, spec.N,
-            harm_dim, True, harm.to_dict(),
-            def_dim, def_hard, deficiency.to_dict(), curves)
-    if spec.family == LINE_GEOM_SYM:
+        extra = {}
+    elif spec.family == LINE_GEOM_SYM:
         harm = build_harmonic_zline(spec.M, 1.0, spec.N)
         deficiency = build_deficiency_zline(spec.M, spec.N)
         harm_ok = (harm.interior_residual <= 1e-12
                    and harm.energy_partial > 0
                    and abs(harm.energy_partial - harm.energy_partial_closed)
                    <= 1e-10 * harm.energy_limit)
+        harm_dim = 1 if harm_ok else 0
         def_dim = {"FINITE": 1, "INFINITE": 0}.get(deficiency.classification)
-        curves = {
-            "coordinate": list(range(spec.N + 1)),
-            "u": list(deficiency.u_float),
-            "du": [0.0] + list(deficiency.du_float),
-            "h": [float(harm.vector.values[harm.vector.graph.index_of(x)])
-                  for x in range(spec.N + 1)],
-            "energy_partial": list(deficiency.energy_cumulative),
-            "l2_partial": list(deficiency.l2_cumulative),
-        }
-        return BoundaryReport(
-            spec.family, spec.M, spec.N,
-            1 if harm_ok else 0, True, harm.to_dict(),
-            def_dim, False, deficiency.to_dict(), curves)
-    raise ValueError(f"classification supports the geometric line models only, "
-                     f"not {spec.family!r}")
+        def_hard = False
+        extra = {"h": [float(harm.vector.values[harm.vector.graph.index_of(x)])
+                       for x in range(spec.N + 1)]}
+    else:
+        raise ValueError(f"classification supports the geometric line models only, "
+                         f"not {spec.family!r}")
+    curves = {
+        "coordinate": list(range(spec.N + 1)),
+        "u": list(deficiency.u_float),
+        "du": [0.0] + list(deficiency.du_float),
+        "energy_partial": list(deficiency.energy_cumulative),
+        "l2_partial": list(deficiency.l2_cumulative),
+        **extra,
+    }
+    return BoundaryReport(
+        spec.family, spec.M, spec.N,
+        harm_dim, True, harm.to_dict(),
+        def_dim, def_hard, deficiency.to_dict(), curves)
 
 
 def boundary_curves_csv(report: BoundaryReport) -> str:

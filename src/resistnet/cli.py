@@ -68,20 +68,30 @@ def _json_text(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _build_model(config):
-    family = _MODEL_NAMES.get(config["model"])
-    if family is None:
+def _model_spec(config):
+    """The ModelSpec named by the config's model keys; bad parameters are usage errors."""
+    if config["model"] not in _MODEL_NAMES:
         raise UsageError(f"unknown model {config['model']!r}")
     try:
-        if family == graphs.HALF_LINE_GEOM:
-            return graphs.build_half_line(config["M"], config["N"])
-        if family == graphs.LINE_GEOM_SYM:
-            return graphs.build_sym_line(config["M"], config["N"])
-        if family == graphs.LINE_AB:
-            return graphs.build_ab_line(config["A"], config["B"], config["N"])
-        return graphs.build_dyadic_tree(config["c_const"], config["N"])
+        return graphs.ModelSpec(_MODEL_NAMES[config["model"]], config["N"],
+                                M=config.get("M"), A=config.get("A"), B=config.get("B"),
+                                c_const=config.get("c_const"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _read_file(path, parse):
+    """parse(text) of a file named on the command line.
+
+    A missing, unreadable or malformed file is a usage error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 # -- polys --------------------------------------------------------------------
@@ -147,6 +157,10 @@ def run_polys(config):
             result = polynomials.q_limit(xi, tol=config["q_limit_tol"])
         except ValueError as exc:
             raise UsageError(f"--q-limit: {exc}") from exc
+        except polynomials.QLimitError as exc:
+            doc["q_limit"] = {"error": {"class": type(exc).__name__, "message": str(exc),
+                                        "n_reached": exc.n_reached}}
+            return CLAIM_EXIT, doc, files
         doc["q_limit"] = {
             "value": result.value,
             "n_terms": result.n_terms,
@@ -163,14 +177,9 @@ def run_polys(config):
 # -- classify ------------------------------------------------------------------
 
 def run_classify(config):
-    family = _MODEL_NAMES.get(config["model"])
-    if family not in (graphs.HALF_LINE_GEOM, graphs.LINE_GEOM_SYM):
+    if config["model"] not in ("half-line", "sym-line"):
         raise UsageError("classify supports --model half-line or sym-line")
-    try:
-        spec = graphs.ModelSpec(family, config["N"], M=config["M"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    report = boundary.classify_model(spec)
+    report = boundary.classify_model(_model_spec(config))
     doc = {"report": report.to_dict()}
     files = {"boundary_curves.csv": boundary.boundary_curves_csv(report)}
     return (0 if report.hard_expectations_ok else CLAIM_EXIT), doc, files
@@ -186,16 +195,16 @@ def _walk_csv(check):
 
 
 def run_walk(config):
-    graph = _build_model(config)
+    graph = _model_spec(config).build()
     kernel = walk.kernel_from_graph(graph)
-    if config["model"] in ("half-line", "sym-line", "ab-line"):
-        start = graph.index_of(config["start"])
-    else:
-        start = config["start"]
+    start = graph.index_of(config["start"])
     if not 0 <= start < graph.n_vertices:
         raise UsageError(f"start vertex {config['start']} is outside the truncation")
-    stats = walk.simulate(kernel, start, config["steps"], config["trials"],
-                          config["seed"])
+    try:
+        stats = walk.simulate(kernel, start, config["steps"], config["trials"],
+                              config["seed"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     check = walk.frequency_check(stats, kernel, sigma_band=config["sigma_band"],
                                  min_exits=config["min_exits"])
     doc = {
@@ -214,7 +223,10 @@ def run_walk(config):
 
 def run_embed(config):
     n = config["N"]
-    gmap = embedding.dyadic_pair(1.0, n, wrong_psi=config["wrong_psi"])
+    try:
+        gmap = embedding.dyadic_pair(1.0, n, wrong_psi=config["wrong_psi"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     cert = embedding.check_compatible(gmap, test_vectors=config["trials"],
                                       seed=config["seed"])
     doc = {"certificate": cert.to_dict()}
@@ -247,10 +259,8 @@ def run_embed(config):
 # -- energy ----------------------------------------------------------------------
 
 def run_energy(config):
-    with open(config["graph"], "r", encoding="utf-8") as fh:
-        graph = graphs.read_graph(fh.read())
-    with open(config["vector"], "r", encoding="utf-8") as fh:
-        u = read_vector(graph, fh.read())
+    graph = _read_file(config["graph"], graphs.read_graph)
+    u = _read_file(config["vector"], lambda text: read_vector(graph, text))
     lap = apply_laplacian(u)
     doc = {
         "energy": energy_of(u),
@@ -268,15 +278,11 @@ def run_energy(config):
 
 def run_resolvent(config):
     if config.get("graph"):
-        with open(config["graph"], "r", encoding="utf-8") as fh:
-            graph = graphs.read_graph(fh.read())
+        graph = _read_file(config["graph"], graphs.read_graph)
         x = config["x"]
     else:
-        graph = _build_model(config)
-        if config["model"] in ("half-line", "sym-line", "ab-line"):
-            x = graph.index_of(config["x"])
-        else:
-            x = config["x"]
+        graph = _model_spec(config).build()
+        x = graph.index_of(config["x"])
     if not 0 <= x < graph.n_vertices:
         raise UsageError(f"vertex {config['x']} is outside the truncation")
     try:
@@ -391,17 +397,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out_dir = args.out_dir
 
-    if args.command == "replay":
-        with open(args.config_file, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        config = loaded.get("config", loaded)
-        if "command" not in config or config["command"] not in _RUNNERS:
-            print("replay: file carries no runnable config", file=sys.stderr)
-            return USAGE_EXIT
-    else:
-        config = _config_from_args(args)
-
     try:
+        if args.command == "replay":
+            loaded = _read_file(args.config_file, json.loads)
+            config = loaded.get("config", loaded) if isinstance(loaded, dict) else None
+            if not isinstance(config, dict) or config.get("command") not in _RUNNERS:
+                print("replay: file carries no runnable config", file=sys.stderr)
+                return USAGE_EXIT
+        else:
+            config = _config_from_args(args)
         code, text, files = execute(config)
     except UsageError as exc:
         print(f"resistnet: error: {exc}", file=sys.stderr)

@@ -20,9 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy, random_interior_vector
-from .graphs import (
-    HALF_LINE_GEOM, TruncationInfo, WeightedGraph, build_dyadic_tree,
-)
+from .graphs import WeightedGraph, build_dyadic_tree, build_half_line
 from .linsolve import solve_reduced
 
 
@@ -194,24 +192,17 @@ def transport_monopole(gmap: GraphMap, w: EnergyVector):
 
 # -- the worked pair: binary tree onto the doubling half line -----------------
 
-def doubling_half_line(c_const: float, N: int) -> WeightedGraph:
-    """Half line 0..N with conductance c_const * 2^n on edge (n-1, n)."""
-    edges = tuple((n - 1, n, float(c_const) * 2.0 ** n) for n in range(1, N + 1))
-    info = TruncationInfo(HALF_LINE_GEOM, N, {"M": 2.0, "scale": float(c_const)},
-                          frontier=(N,))
-    return WeightedGraph(N + 1, edges, base_vertex=0, truncation=info)
-
-
 def dyadic_pair(c_const: float = 1.0, N: int = 8, wrong_psi: bool = False) -> GraphMap:
     """Tree-to-half-line map: phi = word depth, psi = 2^depth.
 
     Each tree level n holds 2^n vertices and 2^(n+1) edges down to level
-    n+1, so pulling back along depth matches the doubling conductances on
-    the half line edge for edge. wrong_psi swaps in psi = 1, a
-    deliberately broken weight for demonstrating certificate failure.
+    n+1, so pulling back along depth matches the half line with
+    conductance c_const * 2^n on edge (n-1, n), edge for edge. wrong_psi
+    swaps in psi = 1, a deliberately broken weight for demonstrating
+    certificate failure. N >= 2, the depth every line model needs.
     """
     tree = build_dyadic_tree(c_const, N)
-    line = doubling_half_line(c_const, N)
+    line = build_half_line(2, N, scale=c_const)
     depth = np.array([len(w) for w in tree.labels])
     psi = np.ones(tree.n_vertices) if wrong_psi else 2.0 ** depth
     return GraphMap(tree, line, depth, psi)

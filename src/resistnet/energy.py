@@ -236,6 +236,10 @@ def write_vector(u: EnergyVector) -> str:
 
 
 def read_vector(graph: WeightedGraph, text: str) -> EnergyVector:
+    """Inverse of write_vector.
+
+    A malformed row, or a vertex outside 0..V-1, raises ValueError.
+    """
     values = np.zeros(graph.n_vertices)
     rows = text.strip().splitlines()
     if rows and rows[0].strip().lower() == "vertex,value":
@@ -243,6 +247,13 @@ def read_vector(graph: WeightedGraph, text: str) -> EnergyVector:
     for row in rows:
         if not row.strip():
             continue
-        i_str, v_str = row.split(",", 1)
-        values[int(i_str)] = float(v_str)
+        try:
+            i_str, v_str = row.split(",", 1)
+            i, v = int(i_str), float(v_str)
+        except ValueError as exc:
+            raise ValueError(f"malformed vector row {row!r}") from exc
+        if not 0 <= i < graph.n_vertices:
+            raise ValueError(f"vector row {row!r}: vertex {i} is outside "
+                             f"0..{graph.n_vertices - 1}")
+        values[i] = v
     return EnergyVector(graph, values)

@@ -5,7 +5,8 @@ carrying strictly positive conductances, and a distinguished base vertex.
 The model constructors build finite truncations of one-sided and two-sided
 geometric lines, the A-B two-sided line, and the binary (dyadic) tree; each
 records which vertices sit on the truncation frontier so that analysis code
-can restrict identities to interior vertices.
+can restrict identities to interior vertices. `ModelSpec` is the model
+registry: the one place that turns a family and its parameters into a graph.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ HALF_LINE_GEOM = "HALF_LINE_GEOM"
 LINE_GEOM_SYM = "LINE_GEOM_SYM"
 LINE_AB = "LINE_AB"
 DYADIC_TREE = "DYADIC_TREE"
-CUSTOM = "CUSTOM"
-
-MODEL_FAMILIES = (HALF_LINE_GEOM, LINE_GEOM_SYM, LINE_AB, DYADIC_TREE, CUSTOM)
 
 
 class GraphStructureError(ValueError):
@@ -158,15 +156,10 @@ class WeightedGraph:
         return 0.0
 
     def index_of(self, position):
-        """Vertex index of a model coordinate (line models only)."""
+        """Vertex index of a model coordinate (the identity on the tree)."""
         if self.truncation is None:
             raise GraphStructureError("graph has no coordinate layout")
         return position + self.truncation.origin_offset
-
-    def position_of(self, index):
-        if self.truncation is None:
-            raise GraphStructureError("graph has no coordinate layout")
-        return index - self.truncation.origin_offset
 
     def laplacian_dense(self):
         """Dense matrix of the graph Laplacian (c(x) diagonal, -c(x,y) off)."""
@@ -197,10 +190,7 @@ def validate(graph: WeightedGraph) -> ValidationReport:
     """Check the weighted-graph axioms and report every violation.
 
     Reported codes: "self_loop", "positivity", "symmetry" (an unordered
-    pair stored more than once), "connectivity". Finite neighborhoods are
-    automatic on finite graphs but a "degree" record is emitted if an
-    adjacency list were somehow unbounded (it cannot be here; the code is
-    kept for schema stability).
+    pair stored more than once), "connectivity".
     """
     violations = []
     seen = {}
@@ -218,35 +208,22 @@ def validate(graph: WeightedGraph) -> ValidationReport:
         if not c > 0:
             violations.append(("positivity", f"edge {key} has conductance {c!r} <= 0"))
 
-    reached = _reachable_from(graph, graph.base_vertex)
-    if len(reached) != graph.n_vertices:
-        missing = sorted(set(range(graph.n_vertices)) - reached)
+    missing = np.flatnonzero(graph.depths < 0).tolist()
+    if missing:
         violations.append(
             ("connectivity", f"vertices {missing} unreachable from base {graph.base_vertex}")
         )
     return ValidationReport(tuple(violations))
 
 
-def _reachable_from(graph, start):
-    reached = {start}
-    queue = deque([start])
-    adj = [[] for _ in range(graph.n_vertices)]
-    for x, y, _ in graph.edges:
-        if x != y:
-            adj[x].append(y)
-            adj[y].append(x)
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    return reached
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative description of a model instance (family + parameters)."""
+    """A model instance (family + parameters) and the graph it builds.
+
+    This is the model registry. The graph is built once, at construction,
+    by the family's builder, whose checks are the parameter validation: an
+    unknown family or an invalid parameter raises ValueError.
+    """
 
     family: str
     N: int
@@ -254,33 +231,23 @@ class ModelSpec:
     A: Optional[float] = None
     B: Optional[float] = None
     c_const: Optional[float] = None
+    _graph: WeightedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in MODEL_FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        if self.family in (HALF_LINE_GEOM, LINE_GEOM_SYM):
-            _require_ratio(self.M, "M")
-            _require_depth(self.N)
+        if self.family == HALF_LINE_GEOM:
+            graph = build_half_line(self.M, self.N)
+        elif self.family == LINE_GEOM_SYM:
+            graph = build_sym_line(self.M, self.N)
         elif self.family == LINE_AB:
-            _require_ratio(self.A, "A")
-            _require_ratio(self.B, "B")
-            _require_depth(self.N)
+            graph = build_ab_line(self.A, self.B, self.N)
         elif self.family == DYADIC_TREE:
-            if self.c_const is None or not self.c_const > 0:
-                raise ValueError("dyadic tree needs c_const > 0")
-            if self.N < 1:
-                raise ValueError("dyadic tree needs N >= 1")
+            graph = build_dyadic_tree(self.c_const, self.N)
+        else:
+            raise ValueError(f"unknown model family {self.family!r}")
+        object.__setattr__(self, "_graph", graph)
 
     def build(self) -> WeightedGraph:
-        if self.family == HALF_LINE_GEOM:
-            return build_half_line(self.M, self.N)
-        if self.family == LINE_GEOM_SYM:
-            return build_sym_line(self.M, self.N)
-        if self.family == LINE_AB:
-            return build_ab_line(self.A, self.B, self.N)
-        if self.family == DYADIC_TREE:
-            return build_dyadic_tree(self.c_const, self.N)
-        raise ValueError("CUSTOM specs carry no constructor")
+        return self._graph
 
 
 def _require_ratio(value, name):
@@ -294,11 +261,13 @@ def _require_depth(n):
         raise ValueError(f"truncation depth N must be >= 2 (got {n})")
 
 
-def build_half_line(M: float, N: int) -> WeightedGraph:
-    """One-sided line 0--1--...--N with conductance M**n on edge (n-1, n)."""
+def build_half_line(M: float, N: int, scale: float = 1.0) -> WeightedGraph:
+    """One-sided line 0--1--...--N, conductance scale * M**n on edge (n-1, n)."""
     _require_ratio(M, "M")
     _require_depth(N)
-    edges = tuple((n - 1, n, float(M) ** n) for n in range(1, N + 1))
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0 (got {scale!r})")
+    edges = tuple((n - 1, n, float(scale) * float(M) ** n) for n in range(1, N + 1))
     info = TruncationInfo(HALF_LINE_GEOM, N, {"M": float(M)}, frontier=(N,))
     return WeightedGraph(N + 1, edges, base_vertex=0, truncation=info)
 
@@ -350,7 +319,7 @@ def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
     labeled ""); every word x is joined to x+"0" and x+"1". Words of
     length N form the truncation frontier.
     """
-    if not c_const > 0:
+    if c_const is None or not c_const > 0:
         raise ValueError("c_const must be > 0")
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -400,14 +369,17 @@ def read_graph(text: str) -> WeightedGraph:
             continue
         parts = line.split(None, 3)
         kind = parts[0]
-        if kind == "graph":
-            n_vertices, _n_edges, base = int(parts[1]), int(parts[2]), int(parts[3])
-        elif kind == "edge":
-            edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-        elif kind == "label":
-            labels[int(parts[1])] = parts[2] if len(parts) > 2 else ""
-        else:
+        if kind not in ("graph", "edge", "label"):
             raise GraphStructureError(f"line {lineno}: unknown record {kind!r}")
+        try:
+            if kind == "graph":
+                n_vertices, _n_edges, base = int(parts[1]), int(parts[2]), int(parts[3])
+            elif kind == "edge":
+                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            else:
+                labels[int(parts[1])] = parts[2] if len(parts) > 2 else ""
+        except (ValueError, IndexError) as exc:
+            raise GraphStructureError(f"line {lineno}: malformed {kind!r} record") from exc
     if n_vertices is None:
         raise GraphStructureError("missing 'graph' header line")
     label_tuple = None

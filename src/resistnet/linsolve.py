@@ -11,8 +11,8 @@ pivot not owed to its parent edge:
 
 Every update is a sum of positive terms (the idea of Grassmann, Taksar and
 Heyman's elimination), so pivots keep high relative accuracy however many
-orders of magnitude the conductances span. A CUSTOM graph whose unpinned
-part has a cycle falls back to one dense float solve. Either path reports
+orders of magnitude the conductances span. A graph read from a file whose
+unpinned part has a cycle falls back to one dense float solve. Either path reports
 the normwise backward residual over the unpinned rows,
 
     ||(shift I + Lap) u - rhs||_inf / (||shift I + Lap||_inf ||u||_inf + ||rhs||_inf),

@@ -587,11 +587,14 @@ def q_limit(xi, tol: float = 1e-12, max_n: int = 5000) -> QLimitResult:
     The increments q_n - q_(n-1) = xi^n p_n(xi) are positive, so the
     sequence increases; both that and q_n > 1 are asserted on every step
     rather than assumed, as identities of the scaled integers (q_n > q_(n-1)
-    is Q_n > b^n Q_(n-1) and q_n > 1 is Q_n > D_n).
+    is Q_n > b^n Q_(n-1) and q_n > 1 is Q_n > D_n). Since every increment
+    is positive, tol must be > 0 to be reachable.
     """
     xi = Fraction(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0 (got {tol!r}); the increments are positive")
     b = xi.denominator
     monotone_ok = True
     above_one_ok = True

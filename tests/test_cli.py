@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from resistnet import cli
+from resistnet import cli, polynomials
 from resistnet.energy import vector, write_vector
 from resistnet.graphs import path_graph, write_graph
 
@@ -228,14 +228,56 @@ def test_exit_codes_stable_contract(capsys):
     ["polys", "--xi", "3/2", "--q-limit"],
     ["polys", "--n-max", "5", "--xi", "1/2", "--growth"],
     ["classify", "--model", "half-line", "--M", "inf", "--N", "10"],
+    # {dir} is a scratch directory holding the files written below
+    ["energy", "--graph", "{dir}/missing.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/missing.csv"],
+    ["energy", "--graph", "{dir}/bad_header.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/bad_edge.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/bad_row.csv"],
+    ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/bad_value.csv"],
+    ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/vertex_7.csv"],
+    ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/vertex_neg.csv"],
+    ["resolvent", "--graph", "{dir}/missing.txt", "--x", "0"],
+    ["resolvent", "--graph", "{dir}/bad_edge.txt", "--x", "0"],
+    ["replay", "{dir}/missing.json"],
+    ["replay", "{dir}/bad.json"],
+    ["walk", "--model", "half-line", "--M", "2", "--N", "10", "--start", "2",
+     "--trials", "0"],
+    ["walk", "--model", "half-line", "--M", "2", "--N", "10", "--start", "2",
+     "--steps", "0"],
+    ["embed", "--N", "0"],
+    ["polys", "--xi", "1/2", "--q-limit", "--q-limit-tol", "0"],
 ])
-def test_bad_input_is_a_usage_error(argv, capsys):
-    code = cli.main(argv)
+def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
+    (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
+    (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n1,0.0\n")
+    (tmp_path / "bad_header.txt").write_text("graph 2\nedge 0 1 1.0\n")
+    (tmp_path / "bad_edge.txt").write_text("graph 2 1 0\nedge 0 one 1.0\n")
+    (tmp_path / "bad_row.csv").write_text("vertex,value\n0;1.0\n")
+    (tmp_path / "bad_value.csv").write_text("vertex,value\n0,one\n")
+    (tmp_path / "vertex_7.csv").write_text("vertex,value\n7,1.0\n")
+    (tmp_path / "vertex_neg.csv").write_text("vertex,value\n-1,1.0\n")
+    (tmp_path / "bad.json").write_text("{not json")
+    code = cli.main([arg.format(dir=tmp_path) for arg in argv])
     captured = capsys.readouterr()
     assert code == 64
     assert captured.out == ""
     assert captured.err.startswith("resistnet: error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_q_limit_non_convergence_is_structured(capsys, monkeypatch):
+    def no_convergence(xi, tol):
+        raise polynomials.QLimitError("no convergence", 5000, 1.5, 1e-3)
+
+    monkeypatch.setattr(polynomials, "q_limit", no_convergence)
+    code, out = run_cli(capsys, ["polys", "--xi", "1/2", "--q-limit"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["q_limit"] == {"error": {
+        "class": "QLimitError", "message": "no convergence", "n_reached": 5000}}
+    assert doc["exit_code"] == 2
 
 
 def test_classify_half_line_uncertified_window_exits_2(capsys):
@@ -247,8 +289,10 @@ def test_classify_half_line_uncertified_window_exits_2(capsys):
     assert report["def_hard"] is False
 
 
-# sha256 of stdout and of each CSV artifact, recorded from the Fraction-based
-# recursion this kernel replaced; any change to these outputs is deliberate
+# sha256 of stdout and of each CSV artifact; the classify and polys hashes were
+# recorded from the Fraction-based recursion the scaled-integer kernel
+# replaced, the walk, resolvent and embed hashes from the per-command model
+# dispatch that ModelSpec replaced. Any change to these outputs is deliberate.
 PINNED_OUTPUTS = [
     (["classify", "--model", "half-line", "--M", "2", "--N", "300"], {
         "stdout": "49631dcf05624c2f28bb50a87241db361ea88fb6e9548c541466eeed9641458d",
@@ -267,6 +311,37 @@ PINNED_OUTPUTS = [
             "ced3659e01e7786db1a449a064e7750e8ddd7dbe997b2f9684b0664bafcb3a0a",
         "polys_table.csv":
             "823a47491206deba588316a2b92da0ebcfcabb611186e04dc0601b0378081c34",
+    }),
+    (["walk", "--model", "half-line", "--M", "2", "--N", "30", "--start", "5",
+      "--steps", "1", "--trials", "100000", "--seed", "7"], {
+        "stdout": "79e1acd32d65c00d6f7d3301acd72e350b6073d395df2c32fb05374bbc4ff290",
+        "walk_frequencies.csv":
+            "a0640d37907a757d7b5a207e3b057bb21d9c31f71c7d49c4a88b56c910399638",
+    }),
+    (["walk", "--model", "ab-line", "--A", "2", "--B", "3", "--N", "10",
+      "--start", "0", "--steps", "1", "--trials", "50000", "--seed", "3"], {
+        "stdout": "82c97cb3546dd17e17d64e25b012af96e9200ff257a1fec3607deff02a3dc97b",
+        "walk_frequencies.csv":
+            "93d05ee6fb83dbb984ece74eab52d29794782e67605472486d03e802fea23bc3",
+    }),
+    (["walk", "--model", "tree", "--c-const", "1", "--N", "4", "--start", "0",
+      "--steps", "2", "--trials", "30000", "--seed", "5"], {
+        "stdout": "9e662cf22e1bdc51954ea9d654f4ef1d706c6c507c89bc4213419e2b26e1f67a",
+        "walk_frequencies.csv":
+            "8789a9b7e8ac4d89ce8099d5ffd4325d3c2c02cbb9da2db636e46ce581fb65e3",
+    }),
+    (["resolvent", "--model", "half-line", "--M", "2", "--N", "16", "--x", "3"], {
+        "stdout": "d0b9e4112773cd55f11de8f20eaa60acb1be7feddecc37c4f4096677aa51c16b",
+        "resolvent_u.csv":
+            "960308608541eaf11362623b2520babd3f9bd0d333a0c34910d938abe5291776",
+    }),
+    (["resolvent", "--model", "tree", "--N", "6", "--x", "5"], {
+        "stdout": "338574070057b61c40239ad64ce375234544e0d4640ba9cd312b6f7f92f8230a",
+        "resolvent_u.csv":
+            "398d31bb62f243c631d2bc2735f9af766460bc3eb388a9c27cbf171dcba775d5",
+    }),
+    (["embed", "--N", "6", "--trials", "30", "--seed", "1"], {
+        "stdout": "af262dedd4631c17d447f75e3ddea710986d85af5476179ddce248cd2e42973f",
     }),
 ]
 

@@ -3,9 +3,9 @@ import pytest
 
 from resistnet.embedding import (
     GraphMap, MissingCertificateError, check_compatible, compose_maps,
-    dirichlet_monopole, doubling_half_line, dyadic_pair, identity_map,
-    pullback, read_map, transport_harmonic, transport_monopole,
-    tree_harmonic_direct, tree_harmonic_energy_curve, write_map,
+    dirichlet_monopole, dyadic_pair, identity_map, pullback, read_map,
+    transport_harmonic, transport_monopole, tree_harmonic_direct,
+    tree_harmonic_energy_curve, write_map,
 )
 from resistnet.energy import (
     EnergyVector, apply_laplacian, constant, energy, vector,
@@ -31,7 +31,7 @@ def test_pullback_depth_function():
 
 def test_pullback_rejects_shallow_target():
     gmap = dyadic_pair(1.0, 5)
-    short = doubling_half_line(1.0, 3)
+    short = build_half_line(2, 3)
     u = constant(short, 1.0)
     with pytest.raises(ValueError):
         pullback(gmap, u)
@@ -182,7 +182,7 @@ def test_functoriality_identity_and_composition():
     u = vector(gmap.source, rng.standard_normal(gmap.source.n_vertices))
     assert np.array_equal(pullback(ident, u).values, u.values)
 
-    deeper = doubling_half_line(1.0, 9)
+    deeper = build_half_line(2, 9)
     inclusion = GraphMap(gmap.target, deeper,
                          np.arange(gmap.target.n_vertices),
                          np.ones(gmap.target.n_vertices))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from resistnet.graphs import (
-    GraphStructureError, ModelSpec, WeightedGraph, build_ab_line,
-    build_dyadic_tree, build_half_line, build_sym_line, path_graph,
-    read_graph, validate, write_graph,
+    DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM, GraphStructureError,
+    ModelSpec, WeightedGraph, build_ab_line, build_dyadic_tree,
+    build_half_line, build_sym_line, path_graph, read_graph, validate,
+    write_graph,
 )
 
 
@@ -19,7 +20,8 @@ def test_validate_disconnected_pair_of_edges():
     g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)), base_vertex=0)
     report = validate(g)
     assert not report.is_valid
-    assert "connectivity" in report.codes()
+    assert report.violations == (
+        ("connectivity", "vertices [2, 3] unreachable from base 0"),)
 
 
 def test_validate_zero_conductance():
@@ -46,6 +48,13 @@ def test_half_line_conductances():
     assert [e[2] for e in g.edges] == [2.0, 4.0, 8.0]
     assert g.base_vertex == 0
     assert validate(g).is_valid
+
+
+def test_half_line_scale():
+    g = build_half_line(2, 3, scale=0.5)
+    assert [e[2] for e in g.edges] == [1.0, 2.0, 4.0]
+    with pytest.raises(ValueError):
+        build_half_line(2, 3, scale=0.0)
 
 
 def test_half_line_vertex_weight():
@@ -151,6 +160,29 @@ def test_model_spec_validation():
         ModelSpec("LINE_AB", 5, A=2.0, B=1.0)
     spec = ModelSpec("DYADIC_TREE", 3, c_const=1.0)
     assert spec.build().n_vertices == 15
+
+
+@pytest.mark.parametrize("family,params,direct", [
+    (HALF_LINE_GEOM, {"M": 3.0}, lambda: build_half_line(3.0, 6)),
+    (LINE_GEOM_SYM, {"M": 3.0}, lambda: build_sym_line(3.0, 6)),
+    (LINE_AB, {"A": 2.0, "B": 3.0}, lambda: build_ab_line(2.0, 3.0, 6)),
+    (DYADIC_TREE, {"c_const": 0.5}, lambda: build_dyadic_tree(0.5, 6)),
+])
+def test_model_spec_builds_the_family_graph(family, params, direct):
+    spec = ModelSpec(family, 6, **params)
+    graph = spec.build()
+    assert graph == direct()
+    assert spec.build() is graph
+
+
+def test_model_spec_rejects_custom():
+    with pytest.raises(ValueError, match="unknown model family"):
+        ModelSpec("CUSTOM", 5)
+
+
+def test_index_of_is_the_identity_on_the_tree():
+    g = ModelSpec(DYADIC_TREE, 3, c_const=1.0).build()
+    assert [g.index_of(v) for v in range(g.n_vertices)] == list(range(g.n_vertices))
 
 
 def test_graph_serialization_roundtrip():
