@@ -41,6 +41,13 @@ class UsageError(ValueError):
     pass
 
 
+class _ReplayConfig(dict):
+    """A config read from a file: a key its command reads but it lacks is a usage error."""
+
+    def __missing__(self, key):
+        raise UsageError(f"replay: config lacks the key {key!r}")
+
+
 def _parse_fraction(text):
     text = str(text)
     try:
@@ -225,10 +232,10 @@ def run_embed(config):
     n = config["N"]
     try:
         gmap = embedding.dyadic_pair(1.0, n, wrong_psi=config["wrong_psi"])
+        cert = embedding.check_compatible(gmap, test_vectors=config["trials"],
+                                          seed=config["seed"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cert = embedding.check_compatible(gmap, test_vectors=config["trials"],
-                                      seed=config["seed"])
     doc = {"certificate": cert.to_dict()}
     warnings = []
     if n < 4:
@@ -404,6 +411,7 @@ def main(argv=None):
             if not isinstance(config, dict) or config.get("command") not in _RUNNERS:
                 print("replay: file carries no runnable config", file=sys.stderr)
                 return USAGE_EXIT
+            config = _ReplayConfig(config)
         else:
             config = _config_from_args(args)
         code, text, files = execute(config)

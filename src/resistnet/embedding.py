@@ -122,8 +122,11 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
 
     Both checks run on seeded random interior-supported vectors on the
     target; residuals are recorded in the certificate, and passed is the
-    conjunction at the given tolerance.
+    conjunction at the given tolerance; a certificate needs at least one
+    test vector.
     """
+    if test_vectors < 1:
+        raise ValueError(f"need at least one test vector (got {test_vectors})")
     rng = np.random.default_rng(seed)
     worst_iso = 0.0
     worst_int = 0.0

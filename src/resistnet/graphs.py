@@ -12,6 +12,7 @@ registry: the one place that turns a family and its parameters into a graph.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -261,13 +262,31 @@ def _require_depth(n):
         raise ValueError(f"truncation depth N must be >= 2 (got {n})")
 
 
+def _powers(ratio, N, name, scale=1.0):
+    """[scale * ratio**n for n = 1..N].
+
+    The largest vertex weight, the sum of the last two, must be a finite
+    float: past that limit the builder raises ValueError.
+    """
+    ratio, scale = float(ratio), float(scale)
+    try:
+        powers = [scale * ratio ** n for n in range(1, N + 1)]
+    except OverflowError:
+        powers = [math.inf]
+    if not math.isfinite(sum(powers[-2:])):
+        raise ValueError(f"conductances {name}**n overflow at {name} = {ratio!r}, "
+                         f"N = {N}: a vertex weight must stay below "
+                         f"{sys.float_info.max:.4g}; lower N or {name}")
+    return powers
+
+
 def build_half_line(M: float, N: int, scale: float = 1.0) -> WeightedGraph:
     """One-sided line 0--1--...--N, conductance scale * M**n on edge (n-1, n)."""
     _require_ratio(M, "M")
     _require_depth(N)
     if not scale > 0:
         raise ValueError(f"scale must be > 0 (got {scale!r})")
-    edges = tuple((n - 1, n, float(scale) * float(M) ** n) for n in range(1, N + 1))
+    edges = tuple((n - 1, n, c) for n, c in enumerate(_powers(M, N, "M", scale), 1))
     info = TruncationInfo(HALF_LINE_GEOM, N, {"M": float(M)}, frontier=(N,))
     return WeightedGraph(N + 1, edges, base_vertex=0, truncation=info)
 
@@ -282,8 +301,7 @@ def build_sym_line(M: float, N: int) -> WeightedGraph:
     _require_depth(N)
     M = float(M)
     edges = []
-    for x in range(1, N + 1):
-        c = M ** x
+    for x, c in enumerate(_powers(M, N, "M"), 1):
         edges.append((x - 1 + N, x + N, c))        # (x-1, x) on the right
         edges.append((-x + N, -x + 1 + N, c))      # (-x, -x+1) on the left
     info = TruncationInfo(
@@ -301,9 +319,9 @@ def build_ab_line(A: float, B: float, N: int) -> WeightedGraph:
     _require_depth(N)
     A, B = float(A), float(B)
     edges = []
-    for n in range(1, N + 1):
-        edges.append((n - 1 + N, n + N, A ** n))
-        edges.append((-n + N, -n + 1 + N, B ** n))
+    for n, (a, b) in enumerate(zip(_powers(A, N, "A"), _powers(B, N, "B")), 1):
+        edges.append((n - 1 + N, n + N, a))
+        edges.append((-n + N, -n + 1 + N, b))
     info = TruncationInfo(
         LINE_AB, N, {"A": A, "B": B}, frontier=(0, 2 * N), origin_offset=N
     )

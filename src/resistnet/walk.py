@@ -5,7 +5,8 @@ graph the frontier vertices renormalize over the edges that survived the
 cut, which keeps every row stochastic (a walker reaching the frontier
 reflects). Simulation draws its randomness from a stateless counter-based
 generator keyed by (seed, trial, step): trials are order-independent and
-runs are bit-reproducible.
+runs are bit-reproducible. It counts moves per slot of the kernel's padded
+(V, maxdeg) arrays, so its memory is O(V*maxdeg + trials).
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ _TWO53 = float(2 ** 53)
 
 
 def _mix(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, in place on the uint64 array z."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
 
 
 def counter_uniforms(seed: int, trials, step: int):
@@ -37,12 +41,14 @@ def counter_uniforms(seed: int, trials, step: int):
     trials may be an int array of trial indices or a scalar; the value at
     each position depends only on the triple, never on array layout.
     """
+    z = np.array(trials, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        t = np.asarray(trials, dtype=np.uint64)
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ (t * _GOLDEN)
-        z = _mix(z) ^ (np.uint64(step) * _STEP_SALT)
-        z = _mix(z)
-    return (z >> np.uint64(11)).astype(np.float64) / _TWO53
+        z *= _GOLDEN
+        z ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        _mix(z)
+        z ^= np.uint64(step) * _STEP_SALT
+        _mix(z)
+    return (z >> np.uint64(11)) / _TWO53
 
 
 @dataclass(frozen=True)
@@ -52,23 +58,17 @@ class TransitionKernel:
     graph: WeightedGraph
     neighbors: np.ndarray      # (V, maxdeg) int, padded with -1
     probs: np.ndarray          # (V, maxdeg) float, padded with 0
-    cumprobs: np.ndarray       # (V, maxdeg) float, padded with +inf
-    degrees: np.ndarray        # (V,) int
+    # (V, maxdeg-1) cumulative probs, +inf from the last real column on: u picks
+    # slot #{j : u >= cuts[x, j]}, inside the row even if its sum is an ulp short of 1
+    cuts: np.ndarray
 
     def row(self, x):
         """List of (neighbor, probability) at vertex x."""
-        out = []
-        for j in range(self.neighbors.shape[1]):
-            if self.neighbors[x, j] < 0:
-                break
-            out.append((int(self.neighbors[x, j]), float(self.probs[x, j])))
-        return out
+        return [(int(y), float(p))
+                for y, p in zip(self.neighbors[x], self.probs[x]) if y >= 0]
 
     def probability(self, x, y):
-        for nbr, p in self.row(x):
-            if nbr == y:
-                return p
-        return 0.0
+        return next((p for nbr, p in self.row(x) if nbr == y), 0.0)
 
 
 def kernel_from_graph(graph: WeightedGraph) -> TransitionKernel:
@@ -84,18 +84,34 @@ def kernel_from_graph(graph: WeightedGraph) -> TransitionKernel:
         for j, (y, c) in enumerate(sorted(adj)):
             nbrs[x, j] = y
             probs[x, j] = c / weights[x]
-    row_sums = probs.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-12:
+    _check_kernel(graph, nbrs, probs)
+    cuts = np.cumsum(probs[:, :-1], axis=1)
+    cuts[nbrs[:, 1:] < 0] = np.inf
+    return TransitionKernel(graph, nbrs, probs, cuts)
+
+
+def _check_kernel(graph: WeightedGraph, neighbors, probs):
+    """Raise ValueError unless the padded rows are stochastic and reversible.
+
+    Reversibility is c(x) p(x, y) = c(y) p(y, x) on every edge, read at the
+    first slot of y in row x and of x in row y (an edge missing from a row
+    fails); rows list their neighbors in increasing order.
+    """
+    if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("transition rows failed to normalize to 1")
-    for x, y, c in graph.edges:
-        flux_xy = weights[x] * (c / weights[x])
-        flux_yx = weights[y] * (c / weights[y])
-        if abs(flux_xy - flux_yx) > 1e-12 * max(flux_xy, 1.0):
-            raise ValueError(f"detailed balance broken on edge ({x},{y})")
-    cum = np.cumsum(probs, axis=1)
-    cum[nbrs < 0] = np.inf
-    degrees = np.sum(nbrs >= 0, axis=1)
-    return TransitionKernel(graph, nbrs, probs, cum, degrees)
+    n, maxdeg = neighbors.shape
+    slots = np.flatnonzero(neighbors >= 0)
+    keys = slots // maxdeg * n + neighbors.ravel()[slots]     # increasing
+    ex, ey, _c = graph.edge_arrays
+    flux = []
+    for a, b in ((ex, ey), (ey, ex)):
+        k = np.minimum(np.searchsorted(keys, a * n + b), len(keys) - 1)
+        flux_ab = graph.vertex_weights[a] * probs.ravel()[slots[k]]
+        flux.append(np.where(keys[k] == a * n + b, flux_ab, np.nan))
+    bad = ~(np.abs(flux[0] - flux[1]) <= 1e-12 * np.maximum(flux[0], 1.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(f"detailed balance broken on edge ({ex[k]},{ey[k]})")
 
 
 @dataclass(frozen=True)
@@ -130,23 +146,25 @@ def simulate(kernel: TransitionKernel, start: int, steps: int, trials: int,
     """Run `trials` independent walks of `steps` moves from `start`."""
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must both be >= 1")
-    g = kernel.graph
+    n_vertices, maxdeg = kernel.neighbors.shape
+    targets = kernel.neighbors.ravel()
     positions = np.full(trials, start, dtype=int)
     trial_idx = np.arange(trials, dtype=np.uint64)
-    counts = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
-    visits = np.zeros(g.n_vertices, dtype=np.int64)
+    counts = np.zeros(n_vertices * maxdeg, dtype=np.int64)    # moves per slot x*maxdeg + j
     for step in range(steps):
         u = counter_uniforms(seed, trial_idx, step)
-        rows = kernel.cumprobs[positions]
-        choice = np.sum(u[:, None] >= rows, axis=1)
-        # cumulative rows can fall an ulp short of 1; never step off the row
-        choice = np.minimum(choice, kernel.degrees[positions] - 1)
-        nxt = kernel.neighbors[positions, choice]
-        np.add.at(counts, (positions, nxt), 1)
-        np.add.at(visits, nxt, 1)
-        positions = nxt
-    edge_counts = {(int(x), int(y)): int(counts[x, y])
-                   for x, y in zip(*np.nonzero(counts))}
+        code = positions * maxdeg
+        for cut in kernel.cuts.T:
+            code += u >= cut[positions]
+        counts += np.bincount(code, minlength=counts.size)
+        positions = targets[code]
+    slots = np.flatnonzero(counts)
+    y, n = targets[slots], counts[slots]
+    edge_counts = {}
+    for a, b, k in zip((slots // maxdeg).tolist(), y.tolist(), n.tolist()):
+        edge_counts[a, b] = edge_counts.get((a, b), 0) + k    # parallel edges add up
+    # a visit at time t >= 1 is an arrival; float sums of integers below 2**53 are exact
+    visits = np.bincount(y, weights=n, minlength=n_vertices).astype(np.int64)
     return WalkStats(seed, start, steps, trials, edge_counts, visits)
 
 

@@ -212,6 +212,13 @@ def test_replay_rejects_non_config(tmp_path, capsys):
     assert code == 64
 
 
+def test_replay_names_the_missing_key(tmp_path, capsys):
+    partial = tmp_path / "walk.json"
+    partial.write_text(json.dumps({"command": "walk"}))
+    assert cli.main(["replay", str(partial)]) == 64
+    assert capsys.readouterr().err == "resistnet: error: replay: config lacks the key 'model'\n"
+
+
 def test_exit_codes_stable_contract(capsys):
     # 0 on success, 2 on claim failure, 64 on usage error
     assert run_cli(capsys, ["polys", "--n-max", "4"])[0] == 0
@@ -248,6 +255,13 @@ def test_exit_codes_stable_contract(capsys):
      "--steps", "0"],
     ["embed", "--N", "0"],
     ["polys", "--xi", "1/2", "--q-limit", "--q-limit-tol", "0"],
+    ["embed", "--N", "4", "--trials", "0"],
+    ["embed", "--N", "4", "--trials", "-1"],
+    ["replay", "{dir}/incomplete.json"],
+    # M**N past the float range
+    ["classify", "--model", "half-line", "--M", "2", "--N", "1100"],
+    ["walk", "--model", "half-line", "--M", "2", "--N", "3000", "--start", "2",
+     "--trials", "10"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
@@ -259,6 +273,7 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "vertex_7.csv").write_text("vertex,value\n7,1.0\n")
     (tmp_path / "vertex_neg.csv").write_text("vertex,value\n-1,1.0\n")
     (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "incomplete.json").write_text(json.dumps({"command": "walk"}))
     code = cli.main([arg.format(dir=tmp_path) for arg in argv])
     captured = capsys.readouterr()
     assert code == 64

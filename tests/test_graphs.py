@@ -57,6 +57,21 @@ def test_half_line_scale():
         build_half_line(2, 3, scale=0.0)
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda N: build_half_line(2, N), "M"),
+    (lambda N: build_sym_line(2, N), "M"),
+    (lambda N: build_ab_line(1.5, 2, N), "B"),
+])
+def test_line_conductances_stay_finite(build, name):
+    # 2**1022 + 2**1023 is the largest vertex weight below the float limit
+    g = build(1023)
+    assert np.all(np.isfinite(g.vertex_weights))
+    with pytest.raises(ValueError, match=f"conductances {name}\\*\\*n overflow"):
+        build(1024)
+    with pytest.raises(ValueError, match="overflow"):
+        build(3000)
+
+
 def test_half_line_vertex_weight():
     g = build_half_line(2, 2)
     # c(1) = c(0,1) + c(1,2) = 2 + 4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from resistnet.boundary import build_deficiency_zplus, build_harmonic_zline
 from resistnet.energy import apply_laplacian, constant, vector
 from resistnet.graphs import (
     build_ab_line, build_dyadic_tree, build_half_line, build_sym_line,
-    path_graph,
+    path_graph, read_graph,
 )
 from resistnet.walk import (
-    apply_transfer, counter_uniforms, frequency_check, kernel_from_graph,
-    simulate, transfer_iterate,
+    _check_kernel, apply_transfer, counter_uniforms, frequency_check,
+    kernel_from_graph, simulate, transfer_iterate,
 )
 
 
@@ -53,6 +55,18 @@ def test_kernel_rows_stochastic_and_reversible(graph_factory):
             < 1e-12 * max(w[x], w[y], 1.0)
 
 
+def test_reversibility_check_reads_the_sampled_probabilities():
+    g = build_half_line(2, 10)
+    k = kernel_from_graph(g)
+    _check_kernel(g, k.neighbors, k.probs)
+    # swapping p(1, 0) and p(1, 2) keeps row 1 stochastic but breaks
+    # c(1) p(1, 2) = c(2) p(2, 1)
+    tampered = k.probs.copy()
+    tampered[1, [0, 1]] = tampered[1, [1, 0]]
+    with pytest.raises(ValueError, match="detailed balance"):
+        _check_kernel(g, k.neighbors, tampered)
+
+
 def test_counter_uniforms_are_stateless_and_uniform():
     a = counter_uniforms(7, np.arange(1000), 0)
     b = counter_uniforms(7, np.arange(1000), 0)
@@ -87,6 +101,65 @@ def test_simulate_forced_move():
     k = kernel_from_graph(g)
     stats = simulate(k, 0, 1, 1000, seed=9)
     assert stats.edge_counts == {(0, 1): 1000}
+
+
+def _simulate_dense(kernel, start, steps, trials, seed):
+    """The V x V count-matrix loop simulate replaced, as the exact reference."""
+    n = kernel.graph.n_vertices
+    cumprobs = np.cumsum(kernel.probs, axis=1)
+    cumprobs[kernel.neighbors < 0] = np.inf
+    degrees = np.sum(kernel.neighbors >= 0, axis=1)
+    positions = np.full(trials, start, dtype=int)
+    trial_idx = np.arange(trials, dtype=np.uint64)
+    counts = np.zeros((n, n), dtype=np.int64)
+    visits = np.zeros(n, dtype=np.int64)
+    for step in range(steps):
+        u = counter_uniforms(seed, trial_idx, step)
+        choice = np.sum(u[:, None] >= cumprobs[positions], axis=1)
+        choice = np.minimum(choice, degrees[positions] - 1)
+        nxt = kernel.neighbors[positions, choice]
+        np.add.at(counts, (positions, nxt), 1)
+        np.add.at(visits, nxt, 1)
+        positions = nxt
+    edge_counts = {(int(x), int(y)): int(counts[x, y]) for x, y in zip(*np.nonzero(counts))}
+    return edge_counts, visits
+
+
+def _star(leaves):
+    text = f"graph {leaves + 1} {leaves} 0\n" + "".join(
+        f"edge 0 {i} {1.0 + 0.25 * i}\n" for i in range(1, leaves + 1))
+    return read_graph(text)
+
+
+@pytest.mark.parametrize("graph_factory,start", [
+    (lambda: build_dyadic_tree(1.0, 4), 0),
+    (lambda: build_half_line(2, 20), 5),
+    (lambda: build_sym_line(3, 8), 8),
+    (lambda: build_ab_line(2, 3, 8), 8),
+    (lambda: _star(40), 0),
+    (lambda: path_graph([2.7]), 1),
+], ids=["tree-N4", "half-line", "sym-line", "ab-line", "star", "two-vertex"])
+def test_simulate_matches_the_dense_reference(graph_factory, start):
+    k = kernel_from_graph(graph_factory())
+    for steps, trials, seed in [(1, 5000, 3), (7, 3000, 11)]:
+        stats = simulate(k, start, steps, trials, seed)
+        edge_counts, visits = _simulate_dense(k, start, steps, trials, seed)
+        assert stats.edge_counts == edge_counts
+        assert list(stats.edge_counts) == list(edge_counts)
+        assert stats.visit_counts.dtype == visits.dtype
+        assert np.array_equal(stats.visit_counts, visits)
+
+
+def test_simulate_memory_is_not_quadratic():
+    # 8,191 vertices: a V x V int64 count matrix alone would take 537 MB
+    k = kernel_from_graph(build_dyadic_tree(1.0, 12))
+    tracemalloc.start()
+    try:
+        simulate(k, 0, 2, 1000, seed=1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_single_step_frequencies_within_band():
