@@ -41,11 +41,11 @@ class UsageError(ValueError):
     pass
 
 
-class _ReplayConfig(dict):
-    """A config read from a file: a key its command reads but it lacks is a usage error."""
+class _ReplayParser(_Parser):
+    """A parser for replayed configs: a value it rejects is a usage error."""
 
-    def __missing__(self, key):
-        raise UsageError(f"replay: config lacks the key {key!r}")
+    def error(self, message):
+        raise UsageError(f"replay: {message}")
 
 
 def _parse_fraction(text):
@@ -123,6 +123,8 @@ def run_polys(config):
     code = 0
     doc = {}
     files = {}
+    if config["n_max"] < 0:
+        raise UsageError("--n-max must be >= 0")
     pairs = polynomials.pair_sequence(config["n_max"])
     files["polys_table.csv"] = _polys_table_csv(pairs)
     doc["table_rows"] = config["n_max"]
@@ -134,6 +136,8 @@ def run_polys(config):
 
     if config["check_identities"]:
         order = config["order"]
+        if order < 1:
+            raise UsageError("--order must be >= 1")
         identities = {
             "series_P": polynomials.check_identity_P(order),
             "series_Q": polynomials.check_identity_Q(order),
@@ -323,10 +327,11 @@ def execute(config):
     return code, _json_text(doc), files
 
 
-def _build_parser():
-    parser = _Parser(prog="resistnet",
+def _build_parser(parser_class=_Parser):
+    parser = parser_class(prog="resistnet",
                      description="energy-space analysis of weighted resistor networks")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices     # command name -> its parser
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out-dir", default=None,
                         help="also write CSV artifacts into this directory")
@@ -399,6 +404,40 @@ def _config_from_args(args):
     return config
 
 
+def _replay_config(config):
+    """Parse a config echo as the command line it was resolved from.
+
+    Every value goes through its option's own argparse type, choices and
+    checks, and must come out as the value it was: a config the echo of its
+    own run would not reproduce is a usage error, as are a key the command
+    reads but the config lacks and a key the command does not have.
+    """
+    command = config["command"]
+    parser = _build_parser(_ReplayParser)
+    options = {action.dest: action for action in parser.commands[command]._actions
+               if action.option_strings and action.dest not in ("help", "out_dir")}
+    unknown = sorted(set(config) - set(options) - {"command"})
+    if unknown:
+        raise UsageError(f"replay: {command} has no key {unknown[0]!r}")
+    argv = [command]
+    for key, action in options.items():
+        if key not in config:
+            raise UsageError(f"replay: config lacks the key {key!r}")
+        value = config[key]
+        if action.nargs == 0:                   # a store_true switch
+            if value is True:
+                argv.append(action.option_strings[0])
+        elif value is not None:
+            argv.append(f"{action.option_strings[0]}={value}")
+    parsed = _config_from_args(parser.parse_args(argv))
+    for key, value in config.items():
+        # "5" parses to 5: run only a config whose echo would read as it does
+        if json.dumps(value) != json.dumps(parsed[key]):
+            raise UsageError(f"replay: {key} is {json.dumps(value)}, but its option "
+                             f"reads it as {json.dumps(parsed[key])}")
+    return parsed
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -408,10 +447,11 @@ def main(argv=None):
         if args.command == "replay":
             loaded = _read_file(args.config_file, json.loads)
             config = loaded.get("config", loaded) if isinstance(loaded, dict) else None
-            if not isinstance(config, dict) or config.get("command") not in _RUNNERS:
+            if not (isinstance(config, dict) and isinstance(config.get("command"), str)
+                    and config["command"] in _RUNNERS):
                 print("replay: file carries no runnable config", file=sys.stderr)
                 return USAGE_EXIT
-            config = _ReplayConfig(config)
+            config = _replay_config(config)
         else:
             config = _config_from_args(args)
         code, text, files = execute(config)

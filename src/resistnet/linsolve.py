@@ -171,6 +171,10 @@ def _backward_residual(graph, shift, u, rhs, pinned):
     ex, ey, ec = graph.edge_arrays
     flow = ec * (u[ex] - u[ey])
     resid = shift * u + np.bincount(ex, flow, n) - np.bincount(ey, flow, n) - b
-    scale = (np.max(shift + 2 * graph.vertex_weights[rows]) * np.max(np.abs(u))
-             + np.max(np.abs(b[rows])))
-    return float(np.max(np.abs(resid[rows])) / scale) if scale > 0 else 0.0
+    # both sides halved, so 2 c(x) cannot overflow; halving is exact, so the
+    # quotient is the same float as the unhalved one
+    half_scale = (np.max(shift / 2 + graph.vertex_weights[rows]) * np.max(np.abs(u))
+                  + np.max(np.abs(b[rows])) / 2)
+    if not half_scale > 0:
+        return 0.0
+    return float(np.max(np.abs(resid[rows])) / 2 / half_scale)

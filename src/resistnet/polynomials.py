@@ -33,7 +33,12 @@ product representation
         = sum_{n>=1} xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2,
 
 obtained by eliminating the q-series and iterating the substitution
-X -> xi X.
+X -> xi X. The right-hand side is built without multiplying series:
+dividing by (1 - xi^k X) is one upward sweep c_m += xi^k c_(m-1) over the
+coefficients, each squared factor is two such sweeps on a running
+quotient, and each term xi^T X^n times that quotient is added straight
+into the coefficients from X^n on. The sum is then compared exactly,
+coefficient by coefficient, with the series of the pair itself.
 """
 
 from __future__ import annotations
@@ -60,12 +65,6 @@ __all__ = [
 CUBE_BOUND_RATIO_THRESHOLD = exp(sqrt(2.0 / 3.0) / exp(1.0))
 
 
-def _clean(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class XiPoly:
     """Dense univariate polynomial in xi with exact coefficients.
 
@@ -76,7 +75,10 @@ class XiPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [_clean(c) for c in coeffs]
+        # an exact type test: the isinstance check of the Fraction ABC costs
+        # about ten times as much, on every coefficient of every polynomial
+        coeffs = [int(c) if type(c) is Fraction and c.denominator == 1 else c
+                  for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -414,61 +416,82 @@ def check_identity_Q(order: int) -> bool:
     return identity_Q_holds(genfunc_P(order), genfunc_Q(order))
 
 
-def _inverse_square_factor(k: int, order: int) -> FormalSeries:
-    """1 / (1 - xi^k X)^2 as a truncated series."""
-    linear = FormalSeries.from_coeffs(
-        order, [XiPoly.one(), XiPoly.monomial(k, -1)])
-    inv = linear.reciprocal()
-    return inv * inv
+def _divide_linear(coeffs, k, top):
+    """Divide a series by (1 - xi^k X) in place, through coefficient top.
+
+    Multiplying the quotient back by (1 - xi^k X) must give the series, so
+    c_m becomes c_m + xi^k c_(m-1), sweeping m upward over the new values.
+    """
+    for m in range(1, top + 1):
+        coeffs[m] = coeffs[m] + coeffs[m - 1].shift(k)
 
 
-def check_repr_P(order: int, n_max: int) -> bool:
-    """Verify the product representation of the p-series, exactly.
+def _product_sum(order, n_max, first):
+    """Coefficients through X^order of the sum over n = 1 .. n_max of
 
-    Terms are xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2 for
-    n = 1 .. n_max. A term with n > order carries the factor X^n and so
-    cannot touch coefficients up to the truncation order; this is checked
-    on the first such term rather than assumed.
+        xi^T(k) X^n / prod_{j=first}^{k} (1 - xi^j X)^2,   k = n - 1 + first,
+
+    with T(k) = k(k+1)/2. The running quotient gains its two new linear
+    factors by two division sweeps, and each term is added straight into
+    the coefficients m >= n, so no series is ever multiplied. A term with
+    n > order starts past X^order and adds nothing, and the running
+    quotient is only kept through X^(order-n), the part term n reads.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if n_max < order:
         raise ValueError("n_max must be >= order so no contributing term is skipped")
-    total = FormalSeries.zero(order)
-    running = FormalSeries.one(order)     # prod over k < n of 1/(1 - xi^k X)^2
-    tri = 0                               # (n-1)n/2, updated incrementally
-    for n in range(1, min(n_max, order + 1) + 1):
-        running = running * _inverse_square_factor(n - 1, order)
-        tri += n - 1
-        term = running.mul_x(n).scale(XiPoly.monomial(tri))
-        if n > order:
-            # X^n factor pushes everything past the truncation order
-            assert term == FormalSeries.zero(order)
-            break
-        total = total + term
-    return total == genfunc_P(order)
+    total = [XiPoly.zero()] * (order + 1)
+    running = [XiPoly.one()] + [XiPoly.zero()] * order
+    tri = first * (first - 1) // 2
+    for n in range(1, order + 1):
+        k = n - 1 + first
+        top = order - n
+        _divide_linear(running, k, top)
+        _divide_linear(running, k, top)
+        tri += k
+        for m in range(top + 1):
+            total[n + m] = total[n + m] + running[m].shift(tri)
+    return total
+
+
+def _repr_series_P(order: int, n_max: int) -> FormalSeries:
+    """sum_{n=1}^{n_max} xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2."""
+    return FormalSeries(order, _product_sum(order, n_max, 0))
+
+
+def _repr_series_Q(order: int, n_max: int) -> FormalSeries:
+    """(1/(1-X)) (1 + sum_{n=1}^{n_max} xi^(n(n+1)/2) X^n / prod_{k=1}^{n} (1 - xi^k X)^2)."""
+    coeffs = _product_sum(order, n_max, 1)
+    coeffs[0] = XiPoly.one()
+    _divide_linear(coeffs, 0, order)      # 1/(1 - X): a prefix sum
+    return FormalSeries(order, coeffs)
+
+
+def check_repr_P(order: int, n_max: int) -> bool:
+    """Verify the product representation of the p-series, exactly.
+
+    The terms xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2 for
+    n = 1 .. n_max are built by dividing out one linear factor at a time,
+    each a single sweep c_m += xi^k c_(m-1) over the coefficients, and
+    their sum is compared with genfunc_P coefficient by coefficient.
+    n_max must reach order, so no term that touches a compared
+    coefficient is left out.
+    """
+    return _repr_series_P(order, n_max) == genfunc_P(order)
 
 
 def check_repr_Q(order: int, n_max: int) -> bool:
     """Verify the companion representation of the q-series, exactly.
 
     Q == (1/(1-X)) * (1 + sum_{n>=1} xi^(n(n+1)/2) X^n
-                           / prod_{k=1}^{n} (1 - xi^k X)^2).
+                           / prod_{k=1}^{n} (1 - xi^k X)^2),
+
+    built by the same division sweeps as check_repr_P; the final 1/(1-X)
+    is the sweep with k = 0, a prefix sum. The result is compared with
+    genfunc_Q coefficient by coefficient.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if n_max < order:
-        raise ValueError("n_max must be >= order so no contributing term is skipped")
-    inner = FormalSeries.one(order)
-    running = FormalSeries.one(order)
-    tri = 0
-    for n in range(1, min(n_max, order) + 1):
-        running = running * _inverse_square_factor(n, order)
-        tri += n
-        inner = inner + running.mul_x(n).scale(XiPoly.monomial(tri))
-    one_minus_x = FormalSeries.from_coeffs(
-        order, [XiPoly.one(), XiPoly.constant(-1)])
-    return one_minus_x.reciprocal() * inner == genfunc_Q(order)
+    return _repr_series_Q(order, n_max) == genfunc_Q(order)
 
 
 def product_exponential_discrepancy(xi: float, x: float, k_terms: int = 60):

@@ -8,6 +8,10 @@ from resistnet.energy import vector, write_vector
 from resistnet.graphs import path_graph, write_graph
 
 
+def _resolved(argv):
+    return cli._config_from_args(cli._build_parser().parse_args(argv))
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -258,6 +262,12 @@ def test_exit_codes_stable_contract(capsys):
     ["embed", "--N", "4", "--trials", "0"],
     ["embed", "--N", "4", "--trials", "-1"],
     ["replay", "{dir}/incomplete.json"],
+    # replayed values of the wrong type: n_max "5", N "x"
+    ["replay", "{dir}/polys_n_max_str.json"],
+    ["replay", "{dir}/walk_N_x.json"],
+    ["polys", "--check-identities", "--order", "0"],
+    ["polys", "--check-identities", "--order", "-3"],
+    ["polys", "--n-max", "-1"],
     # M**N past the float range
     ["classify", "--model", "half-line", "--M", "2", "--N", "1100"],
     ["walk", "--model", "half-line", "--M", "2", "--N", "3000", "--start", "2",
@@ -274,6 +284,10 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "vertex_neg.csv").write_text("vertex,value\n-1,1.0\n")
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "incomplete.json").write_text(json.dumps({"command": "walk"}))
+    polys = _resolved(["polys"])
+    walk = _resolved(["walk", "--model", "tree", "--start", "0", "--seed", "0"])
+    (tmp_path / "polys_n_max_str.json").write_text(json.dumps(dict(polys, n_max="5")))
+    (tmp_path / "walk_N_x.json").write_text(json.dumps(dict(walk, N="x")))
     code = cli.main([arg.format(dir=tmp_path) for arg in argv])
     captured = capsys.readouterr()
     assert code == 64
@@ -304,10 +318,12 @@ def test_classify_half_line_uncertified_window_exits_2(capsys):
     assert report["def_hard"] is False
 
 
-# sha256 of stdout and of each CSV artifact; the classify and polys hashes were
-# recorded from the Fraction-based recursion the scaled-integer kernel
-# replaced, the walk, resolvent and embed hashes from the per-command model
-# dispatch that ModelSpec replaced. Any change to these outputs is deliberate.
+# sha256 of stdout and of each CSV artifact; the classify and order-12 polys
+# hashes were recorded from the Fraction-based recursion the scaled-integer
+# kernel replaced, the order-20 polys hashes from the series products the
+# division sweeps replaced, and the walk, resolvent and embed hashes from the
+# per-command model dispatch that ModelSpec replaced. Any change to these
+# outputs is deliberate.
 PINNED_OUTPUTS = [
     (["classify", "--model", "half-line", "--M", "2", "--N", "300"], {
         "stdout": "49631dcf05624c2f28bb50a87241db361ea88fb6e9548c541466eeed9641458d",
@@ -322,6 +338,13 @@ PINNED_OUTPUTS = [
     (["polys", "--n-max", "40", "--xi", "1/2", "--check-identities", "--order", "12",
       "--growth", "--q-limit"], {
         "stdout": "3de4f1adf55f10ab585069d4fef0abffa35955f8963e9f3ece6afde134fc6958",
+        "polys_eval.csv":
+            "ced3659e01e7786db1a449a064e7750e8ddd7dbe997b2f9684b0664bafcb3a0a",
+        "polys_table.csv":
+            "823a47491206deba588316a2b92da0ebcfcabb611186e04dc0601b0378081c34",
+    }),
+    (["polys", "--n-max", "40", "--xi", "1/2", "--check-identities", "--order", "20"], {
+        "stdout": "d762097edc82e0fe7959a3ed7f9ac0d67485c42eb162f1b9303436e679d19615",
         "polys_eval.csv":
             "ced3659e01e7786db1a449a064e7750e8ddd7dbe997b2f9684b0664bafcb3a0a",
         "polys_table.csv":
@@ -363,9 +386,15 @@ PINNED_OUTPUTS = [
 
 @pytest.mark.parametrize("argv,hashes", PINNED_OUTPUTS)
 def test_pinned_outputs_are_byte_identical(argv, hashes):
-    config = cli._config_from_args(cli._build_parser().parse_args(argv))
+    config = _resolved(argv)
     _code, text, files = cli.execute(config)
     outputs = dict(files, stdout=text)
     assert sorted(outputs) == sorted(hashes)
     for name, digest in hashes.items():
         assert hashlib.sha256(outputs[name].encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _hashes in PINNED_OUTPUTS])
+def test_replay_parses_each_echo_back_to_itself(argv):
+    config = _resolved(argv)
+    assert cli._replay_config(json.loads(cli._json_text(config))) == config

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,27 @@ def test_former_resolvent_crashes_solve_backward_stably(graph, coordinate):
     assert result.diagnostics["residual"] <= 1e-15
     assert backward_residual(graph, 1.0, result.vector.values, rhs) <= 1e-15
     assert result.contractive_ok
+
+
+def test_backward_residual_scale_does_not_overflow():
+    # the largest vertex weight, about 1.3e308, is past half the float range,
+    # so 2 c(x) in the scale ||I + Lap||_inf would overflow to inf
+    graph = build_half_line(2.0, 1023)
+    x = graph.index_of(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, diag = solve_reduced(graph, 1.0, {x: 1.0}, {})
+    ex, ey, ec = graph.edge_arrays
+    n = graph.n_vertices
+    flow = ec * (u[ex] - u[ey])
+    rhs = np.zeros(n)
+    rhs[x] = 1.0
+    resid = u + np.bincount(ex, flow, n) - np.bincount(ey, flow, n) - rhs
+    scale = ((1 + 2 * Fraction(float(np.max(graph.vertex_weights))))
+             * Fraction(float(np.max(np.abs(u)))) + 1)
+    assert 0 < diag.residual < float("inf")
+    assert diag.residual == pytest.approx(float(Fraction(float(np.max(np.abs(resid)))) / scale),
+                                          rel=1e-12)
 
 
 def test_cyclic_graph_uses_dense_fallback():

@@ -5,8 +5,9 @@ from math import gcd
 
 import pytest
 
+from resistnet import polynomials
 from resistnet.polynomials import (
-    _float_quotient, _scaled_pairs,
+    _float_quotient, _repr_series_P, _repr_series_Q, _scaled_pairs,
     CUBE_BOUND_RATIO_THRESHOLD, FormalSeries, QLimitError, SEED_PAIR, XiPoly,
     check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
     genfunc_P, genfunc_Q, growth_bounds_report, identity_P_holds,
@@ -115,11 +116,51 @@ def test_product_representations():
     assert check_repr_P(12, 20)   # extra terms cannot touch low orders
     assert check_repr_Q(12, 12)
     assert check_repr_P(1, 1)     # degenerate single-coefficient comparison
+    assert check_repr_P(20, 20)
+    assert check_repr_Q(20, 20)
 
 
 def test_repr_requires_enough_terms():
     with pytest.raises(ValueError):
         check_repr_P(8, 5)
+
+
+def _inverse_linear(k, order):
+    """1 / (1 - xi^k X), by FormalSeries.reciprocal."""
+    return FormalSeries.from_coeffs(order, [XiPoly.one(), XiPoly.monomial(k, -1)]).reciprocal()
+
+
+def _product_oracle(order, first):
+    """The product-side sum, multiplied out term by term with FormalSeries.__mul__."""
+    total = FormalSeries.zero(order)
+    running = FormalSeries.one(order)
+    tri = first * (first - 1) // 2
+    for n in range(1, order + 1):
+        k = n - 1 + first
+        inv = _inverse_linear(k, order)
+        running = running * inv * inv
+        tri += k
+        total = total + running.mul_x(n).scale(XiPoly.monomial(tri))
+    return total
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_product_side_matches_series_products(order):
+    assert _repr_series_P(order, order) == _product_oracle(order, 0)
+    inner = FormalSeries.one(order) + _product_oracle(order, 1)
+    assert _repr_series_Q(order, order) == _inverse_linear(0, order) * inner
+
+
+@pytest.mark.parametrize("check,genfunc", [(check_repr_P, "genfunc_P"),
+                                           (check_repr_Q, "genfunc_Q")])
+@pytest.mark.parametrize("n", [1, 5, 9])
+def test_product_representations_are_falsifiable(check, genfunc, n, monkeypatch):
+    order = 9
+    target = getattr(polynomials, genfunc)(order)
+    coeffs = list(target.coeffs)
+    coeffs[n] = coeffs[n] + XiPoly.monomial(n)
+    monkeypatch.setattr(polynomials, genfunc, lambda _order: FormalSeries(order, coeffs))
+    assert not check(order, order)
 
 
 def test_series_mixed_orders_refused():
@@ -242,6 +283,8 @@ def test_xipoly_arithmetic_basics():
     assert a.shift(2).coeffs == (0, 0, 1, 2)
     assert XiPoly((0, 0)).is_zero()
     assert XiPoly((Fraction(2, 1),)).coeffs == (2,)   # cleaned to int
+    assert type(XiPoly((Fraction(2, 1),)).coeffs[0]) is int
+    assert XiPoly((Fraction(1, 2),)).coeffs == (Fraction(1, 2),)
     assert a(Fraction(1, 2)) == 2
 
 
