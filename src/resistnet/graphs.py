@@ -90,11 +90,11 @@ class WeightedGraph:
     @cached_property
     def vertex_weights(self):
         """c(x) = sum of conductances of edges at x, as a float array."""
-        w = np.zeros(self.n_vertices)
-        for x, y, c in self.edges:
-            w[x] += c
-            w[y] += c
-        return w
+        ex, ey, ec = self.edge_arrays
+        # endpoints interleaved x0, y0, x1, y1, ...: the additions of a loop
+        # over the edges, in the same order
+        return np.bincount(np.column_stack((ex, ey)).ravel(), weights=np.repeat(ec, 2),
+                           minlength=self.n_vertices)
 
     @cached_property
     def interior_mask(self):
@@ -342,14 +342,15 @@ def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
     if N < 1:
         raise ValueError("N must be >= 1")
     c_const = float(c_const)
-    words = [""]
-    for depth in range(1, N + 1):
-        words.extend([w + b for w in words if len(w) == depth - 1 for b in "01"])
-    index = {w: i for i, w in enumerate(words)}
-    edges = tuple(
-        (index[w[:-1]], index[w], c_const) for w in words if w
-    )
-    frontier = tuple(index[w] for w in words if len(w) == N)
+    # heap order: word i has children 2i+1 (w+"0") and 2i+2 (w+"1"), so its
+    # parent is (i-1)//2 and the words of length N are the last 2**N
+    words, level = [""], [""]
+    for _depth in range(N):
+        level = [w + b for w in level for b in "01"]
+        words.extend(level)
+    ids = list(range(len(words)))    # one int object per vertex, shared by its records
+    edges = tuple((ids[(i - 1) // 2], i, c_const) for i in ids[1:])
+    frontier = tuple(ids[-2 ** N:])
     info = TruncationInfo(DYADIC_TREE, N, {"c_const": c_const}, frontier=frontier)
     return WeightedGraph(len(words), edges, base_vertex=0, labels=tuple(words),
                          truncation=info)
@@ -373,33 +374,62 @@ def write_graph(graph: WeightedGraph) -> str:
     if graph.labels is not None:
         for i, lab in enumerate(graph.labels):
             lines.append(f"label {i} {lab}")
-    return "\n".join(lines) + "\n"
+    lines.append("")    # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def read_graph(text: str) -> WeightedGraph:
-    n_vertices = None
-    base = 0
+    """Parse the text format above; a label is the rest of its line, stripped.
+
+    The header is the first record and the only one, its edge count must
+    match the edge records, and every label must name a vertex of the
+    graph. Each violation raises GraphStructureError with its line number.
+    """
+    lines = enumerate(text.splitlines(), 1)
+    for header_line, raw in lines:
+        parts = raw.split(None, 3)
+        if parts and not parts[0].startswith("#"):
+            break
+    else:
+        raise GraphStructureError("missing 'graph' header line")
+    if parts[0] != "graph":
+        raise GraphStructureError(
+            f"line {header_line}: {parts[0]!r} record before the 'graph' header")
+    try:
+        n_vertices, n_edges, base = int(parts[1]), int(parts[2]), int(parts[3])
+    except (ValueError, IndexError) as exc:
+        raise GraphStructureError(f"line {header_line}: malformed 'graph' record") from exc
     edges = []
     labels = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in lines:
+        parts = raw.split(None, 3)
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split(None, 3)
         kind = parts[0]
-        if kind not in ("graph", "edge", "label"):
-            raise GraphStructureError(f"line {lineno}: unknown record {kind!r}")
         try:
-            if kind == "graph":
-                n_vertices, _n_edges, base = int(parts[1]), int(parts[2]), int(parts[3])
-            elif kind == "edge":
+            if kind == "edge":
                 edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            elif kind == "label":
+                vertex = int(parts[1])
+                if not 0 <= vertex < n_vertices:
+                    raise GraphStructureError(f"line {lineno}: label for vertex {vertex}, "
+                                              f"outside 0..{n_vertices - 1}")
+                label = parts[2] if len(parts) > 2 else ""
+                if len(parts) == 4:    # several words: the rest of the line
+                    label = raw.split(None, 2)[2].rstrip()
+                labels[vertex] = label
+            elif kind == "graph":
+                raise GraphStructureError(f"line {lineno}: second 'graph' header "
+                                          f"(the first is on line {header_line})")
             else:
-                labels[int(parts[1])] = parts[2] if len(parts) > 2 else ""
+                raise GraphStructureError(f"line {lineno}: unknown record {kind!r}")
+        except GraphStructureError:
+            raise
         except (ValueError, IndexError) as exc:
             raise GraphStructureError(f"line {lineno}: malformed {kind!r} record") from exc
-    if n_vertices is None:
-        raise GraphStructureError("missing 'graph' header line")
+    if n_edges != len(edges):
+        raise GraphStructureError(f"line {header_line}: header declares {n_edges} edges, "
+                                  f"the file has {len(edges)}")
     label_tuple = None
     if labels:
         label_tuple = tuple(labels.get(i, "") for i in range(n_vertices))

@@ -5,8 +5,11 @@ graph the frontier vertices renormalize over the edges that survived the
 cut, which keeps every row stochastic (a walker reaching the frontier
 reflects). Simulation draws its randomness from a stateless counter-based
 generator keyed by (seed, trial, step): trials are order-independent and
-runs are bit-reproducible. It counts moves per slot of the kernel's padded
-(V, maxdeg) arrays, so its memory is O(V*maxdeg + trials).
+runs are bit-reproducible. Each trial's key is hashed once per run, and
+each step costs one SplitMix round on it. Trials run in blocks of
+max(2**14, V*maxdeg), every step of one block before the next, so the
+per-step arrays stay cache-sized. Moves are counted per slot of the
+kernel's padded (V, maxdeg) arrays, so memory is O(V*maxdeg + block).
 """
 
 from __future__ import annotations
@@ -26,29 +29,48 @@ _STEP_SALT = np.uint64(0xD1B54A32D192ED03)
 _TWO53 = float(2 ** 53)
 
 
-def _mix(z):
-    """SplitMix64 finalizer, in place on the uint64 array z."""
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+def _mix(z, scratch):
+    """SplitMix64 finalizer, in place on the uint64 array z; scratch holds the shifts."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= mult
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
+
+
+def _trial_keys(seed: int, trials):
+    """The per-trial key mix(trial * GOLDEN ^ seed), as a uint64 array."""
+    z = np.array(trials, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z *= _GOLDEN
+    z ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    _mix(z, np.empty_like(z))
+    return z
+
+
+def _step_round(keys, salt, z, scratch):
+    """One SplitMix round mix(key ^ salt) into z; returns z >> 11, 53 random bits."""
+    np.bitwise_xor(keys, salt, out=z)
+    _mix(z, scratch)
+    z >>= np.uint64(11)
+    return z
 
 
 def counter_uniforms(seed: int, trials, step: int):
     """Uniforms in [0, 1) indexed by (seed, trial, step), order-independent.
 
     trials may be an int array of trial indices or a scalar; the value at
-    each position depends only on the triple, never on array layout.
+    each position depends only on the triple, never on array layout. The
+    value is a key hashed from (seed, trial) alone, mix(trial * GOLDEN ^
+    seed), followed by one SplitMix round that brings in the step,
+    mix(key ^ step * SALT); simulate hashes each key once and runs only
+    the round at every step.
     """
-    z = np.array(trials, dtype=np.uint64)
+    keys = _trial_keys(seed, trials)
     with np.errstate(over="ignore"):
-        z *= _GOLDEN
-        z ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        _mix(z)
-        z ^= np.uint64(step) * _STEP_SALT
-        _mix(z)
-    return (z >> np.uint64(11)) / _TWO53
+        salt = np.uint64(step) * _STEP_SALT
+    return _step_round(keys, salt, np.empty_like(keys), np.empty_like(keys)) / _TWO53
 
 
 @dataclass(frozen=True)
@@ -77,13 +99,16 @@ def kernel_from_graph(graph: WeightedGraph) -> TransitionKernel:
     if np.any(weights <= 0):
         bad = int(np.argmin(weights))
         raise ValueError(f"vertex {bad} has no edges; the walk is undefined there")
-    maxdeg = max(len(a) for a in graph.adjacency)
-    nbrs = np.full((graph.n_vertices, maxdeg), -1, dtype=int)
-    probs = np.zeros((graph.n_vertices, maxdeg))
-    for x, adj in enumerate(graph.adjacency):
-        for j, (y, c) in enumerate(sorted(adj)):
-            nbrs[x, j] = y
-            probs[x, j] = c / weights[x]
+    ex, ey, ec = graph.edge_arrays
+    src, dst, cond = np.r_[ex, ey], np.r_[ey, ex], np.r_[ec, ec]
+    order = np.lexsort((cond, dst, src))   # each row by neighbor, then conductance
+    src, dst, cond = src[order], dst[order], cond[order]
+    degrees = np.bincount(src, minlength=graph.n_vertices)
+    slot = np.arange(src.size) - (np.cumsum(degrees) - degrees)[src]    # rank in its row
+    nbrs = np.full((graph.n_vertices, int(degrees.max())), -1, dtype=int)
+    probs = np.zeros(nbrs.shape)
+    nbrs[src, slot] = dst
+    probs[src, slot] = cond / weights[src]
     _check_kernel(graph, nbrs, probs)
     cuts = np.cumsum(probs[:, :-1], axis=1)
     cuts[nbrs[:, 1:] < 0] = np.inf
@@ -148,16 +173,30 @@ def simulate(kernel: TransitionKernel, start: int, steps: int, trials: int,
         raise ValueError("steps and trials must both be >= 1")
     n_vertices, maxdeg = kernel.neighbors.shape
     targets = kernel.neighbors.ravel()
-    positions = np.full(trials, start, dtype=int)
-    trial_idx = np.arange(trials, dtype=np.uint64)
+    cuts = kernel.cuts.T
+    salts = np.arange(steps, dtype=np.uint64) * _STEP_SALT     # wraps modulo 2**64
     counts = np.zeros(n_vertices * maxdeg, dtype=np.int64)    # moves per slot x*maxdeg + j
-    for step in range(steps):
-        u = counter_uniforms(seed, trial_idx, step)
-        code = positions * maxdeg
-        for cut in kernel.cuts.T:
-            code += u >= cut[positions]
-        counts += np.bincount(code, minlength=counts.size)
-        positions = targets[code]
+    block = min(trials, max(2 ** 14, counts.size))
+    buffers = (np.empty(block, dtype=np.uint64), np.empty(block, dtype=np.uint64),
+               np.empty(block), np.empty(block, dtype=bool))
+    for lo in range(0, trials, block):
+        keys = _trial_keys(seed, np.arange(lo, min(lo + block, trials), dtype=np.uint64))
+        z, scratch, u, above = (b[:keys.size] for b in buffers)
+        positions = np.full(keys.size, start, dtype=int)
+        for salt in salts:
+            np.divide(_step_round(keys, salt, z, scratch), _TWO53, out=u)
+            code = positions * maxdeg
+            for cut in cuts:
+                np.greater_equal(u, cut[positions], out=above)
+                code += above
+            counts += np.bincount(code, minlength=counts.size)
+            positions = targets[code]
+    edge_counts, visits = _edge_stats(targets, counts, maxdeg, n_vertices)
+    return WalkStats(seed, start, steps, trials, edge_counts, visits)
+
+
+def _edge_stats(targets, counts, maxdeg, n_vertices):
+    """(edge_counts, visit_counts) from the moves per slot x*maxdeg + j."""
     slots = np.flatnonzero(counts)
     y, n = targets[slots], counts[slots]
     edge_counts = {}
@@ -165,7 +204,7 @@ def simulate(kernel: TransitionKernel, start: int, steps: int, trials: int,
         edge_counts[a, b] = edge_counts.get((a, b), 0) + k    # parallel edges add up
     # a visit at time t >= 1 is an arrival; float sums of integers below 2**53 are exact
     visits = np.bincount(y, weights=n, minlength=n_vertices).astype(np.int64)
-    return WalkStats(seed, start, steps, trials, edge_counts, visits)
+    return edge_counts, visits
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 
 from resistnet import cli, polynomials
 from resistnet.energy import vector, write_vector
-from resistnet.graphs import path_graph, write_graph
+from resistnet.graphs import build_dyadic_tree, path_graph, write_graph
 
 
 def _resolved(argv):
@@ -245,6 +245,10 @@ def test_exit_codes_stable_contract(capsys):
     ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/missing.csv"],
     ["energy", "--graph", "{dir}/bad_header.txt", "--vector", "{dir}/v.csv"],
     ["energy", "--graph", "{dir}/bad_edge.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/edge_count.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/two_headers.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/label_far.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/label_neg.txt", "--vector", "{dir}/v.csv"],
     ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/bad_row.csv"],
     ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/bad_value.csv"],
     ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/vertex_7.csv"],
@@ -278,6 +282,10 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n1,0.0\n")
     (tmp_path / "bad_header.txt").write_text("graph 2\nedge 0 1 1.0\n")
     (tmp_path / "bad_edge.txt").write_text("graph 2 1 0\nedge 0 one 1.0\n")
+    (tmp_path / "edge_count.txt").write_text("graph 3 7 0\nedge 0 1 1.0\nedge 1 2 1.0\n")
+    (tmp_path / "two_headers.txt").write_text("graph 2 1 0\nedge 0 1 1.0\ngraph 3 1 0\n")
+    (tmp_path / "label_far.txt").write_text("graph 2 1 0\nedge 0 1 1.0\nlabel 9 far\n")
+    (tmp_path / "label_neg.txt").write_text("graph 2 1 0\nedge 0 1 1.0\nlabel -1 neg\n")
     (tmp_path / "bad_row.csv").write_text("vertex,value\n0;1.0\n")
     (tmp_path / "bad_value.csv").write_text("vertex,value\n0,one\n")
     (tmp_path / "vertex_7.csv").write_text("vertex,value\n7,1.0\n")
@@ -381,11 +389,44 @@ PINNED_OUTPUTS = [
     (["embed", "--N", "6", "--trials", "30", "--seed", "1"], {
         "stdout": "af262dedd4631c17d447f75e3ddea710986d85af5476179ddce248cd2e42973f",
     }),
+    # recorded from the per-step rehash of (seed, trial) and the single
+    # all-trials pass that the trial blocks replaced; 50,000 trials span
+    # several blocks and the tree has degree-3 rows
+    (["walk", "--model", "tree", "--N", "9", "--start", "0", "--steps", "12",
+      "--trials", "50000", "--seed", "3"], {
+        "stdout": "45a02fc8da145e60954b09935a9f8e274c0ccfacafd2e2e01b7831a2d8045bff",
+        "walk_frequencies.csv":
+            "e919d450193ef18dfeac97f32911966cded222fea7a53a1e0ebd36688d77ce70",
+    }),
+    (["walk", "--model", "half-line", "--M", "2", "--N", "50", "--start", "5",
+      "--steps", "50", "--trials", "200000", "--seed", "11"], {
+        "stdout": "b4e13f394182481e670dcb961780c43de4a9f572f996d7494d58290573b0a956",
+        "walk_frequencies.csv":
+            "7d94ba64d77b4b004c61703a325322e3d8029b29be3cd1195e493389c116c9bb",
+    }),
+    # the files are written by _write_energy_inputs into the working directory;
+    # recorded from the string-word tree builder and the per-edge weight loop
+    (["energy", "--graph", "tree.txt", "--vector", "v.csv"], {
+        "stdout": "4dd9bcbdd9c5b64fa99a39e1fd8b81eed5cbcca8b37f6d5958a318fe3f8a9620",
+        "laplacian.csv":
+            "e65e0764336070d0a46262bf45c0f0550de274d812d7ef9df25b9ec3f38678f9",
+        "graph_echo.txt":
+            "463cfa39e92060dcd03ebaaf3536103a722cde5c5cf3932f20762c4a545d1376",
+    }),
 ]
 
 
+def _write_energy_inputs(directory):
+    g = build_dyadic_tree(0.5, 3)
+    (directory / "tree.txt").write_text(write_graph(g))
+    (directory / "v.csv").write_text(
+        write_vector(vector(g, [i / 4 for i in range(g.n_vertices)])))
+
+
 @pytest.mark.parametrize("argv,hashes", PINNED_OUTPUTS)
-def test_pinned_outputs_are_byte_identical(argv, hashes):
+def test_pinned_outputs_are_byte_identical(argv, hashes, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_energy_inputs(tmp_path)
     config = _resolved(argv)
     _code, text, files = cli.execute(config)
     outputs = dict(files, stdout=text)

@@ -218,3 +218,43 @@ def test_read_graph_rejects_garbage():
         read_graph("edge 0 1 1.0\n")
     with pytest.raises(GraphStructureError):
         read_graph("graph 2 1 0\nwible 0 1\n")
+
+
+def test_multi_word_labels_round_trip():
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 0.5)),
+                      labels=("", "left arm", "right  arm, far end"))
+    text = write_graph(g)
+    assert read_graph(text).labels == g.labels
+    assert write_graph(read_graph(text)) == text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("graph 3 7 0\nedge 0 1 1.0\nedge 1 2 1.0\n", "line 1: header declares 7 edges"),
+    ("graph 2 1 0\nedge 0 1 1.0\n\ngraph 3 1 0\n", "line 4: second 'graph' header"),
+    ("graph 2 1 0\nedge 0 1 1.0\nlabel 9 far\n", "line 3: label for vertex 9"),
+    ("graph 2 1 0\nlabel -1 neg\nedge 0 1 1.0\n", "line 2: label for vertex -1"),
+    ("# comment\nlabel 0 root\ngraph 1 0 0\n", "line 2: 'label' record before"),
+], ids=["edge-count", "second-header", "label-past-end", "negative-label",
+        "label-before-header"])
+def test_read_graph_rejects_inconsistent_records(text, message):
+    with pytest.raises(GraphStructureError, match=message):
+        read_graph(text)
+
+
+def _dyadic_tree_by_words(c_const, N):
+    """The word-scanning builder build_dyadic_tree replaced, as the exact reference."""
+    words = [""]
+    for depth in range(1, N + 1):
+        words.extend([w + b for w in words if len(w) == depth - 1 for b in "01"])
+    index = {w: i for i, w in enumerate(words)}
+    edges = tuple((index[w[:-1]], index[w], float(c_const)) for w in words if w)
+    frontier = tuple(index[w] for w in words if len(w) == N)
+    return len(words), edges, tuple(words), frontier
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dyadic_tree_matches_the_word_reference(n):
+    g = build_dyadic_tree(0.3, n)
+    assert (g.n_vertices, g.edges, g.labels, g.truncation.frontier) \
+        == _dyadic_tree_by_words(0.3, n)
+    assert g.base_vertex == 0

@@ -6,8 +6,8 @@ import pytest
 from resistnet.boundary import build_deficiency_zplus, build_harmonic_zline
 from resistnet.energy import apply_laplacian, constant, vector
 from resistnet.graphs import (
-    build_ab_line, build_dyadic_tree, build_half_line, build_sym_line,
-    path_graph, read_graph,
+    WeightedGraph, build_ab_line, build_dyadic_tree, build_half_line,
+    build_sym_line, path_graph, read_graph,
 )
 from resistnet.walk import (
     _check_kernel, apply_transfer, counter_uniforms, frequency_check,
@@ -131,6 +131,59 @@ def _star(leaves):
     return read_graph(text)
 
 
+def _random_multigraph(n=60, extra=150, seed=23):
+    """A connected multigraph with parallel edges, conductances 1e-8..1e8."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(extra)]
+    pairs += pairs[::7]                      # exact repeats: parallel edges
+    conds = 10.0 ** rng.uniform(-8, 8, len(pairs))
+    edges = tuple((x, y, float(c)) for (x, y), c in zip(pairs, conds))
+    return WeightedGraph(n, edges)
+
+
+def _weights_by_edges(graph):
+    """The per-edge loop vertex_weights replaced, as the exact reference."""
+    w = np.zeros(graph.n_vertices)
+    for x, y, c in graph.edges:
+        w[x] += c
+        w[y] += c
+    return w
+
+
+def _kernel_by_rows(graph):
+    """The per-vertex sorted-row loop kernel_from_graph replaced, as the exact reference."""
+    weights = _weights_by_edges(graph)
+    maxdeg = max(len(a) for a in graph.adjacency)
+    nbrs = np.full((graph.n_vertices, maxdeg), -1, dtype=int)
+    probs = np.zeros((graph.n_vertices, maxdeg))
+    for x, adj in enumerate(graph.adjacency):
+        for j, (y, c) in enumerate(sorted(adj)):
+            nbrs[x, j] = y
+            probs[x, j] = c / weights[x]
+    return nbrs, probs
+
+
+@pytest.mark.parametrize("graph_factory", [
+    *[lambda n=n: build_dyadic_tree(0.7, n) for n in range(1, 11)],
+    lambda: build_half_line(3, 40),
+    lambda: build_sym_line(1.7, 25),
+    lambda: build_ab_line(2, 5, 20),
+    lambda: _star(40),
+    _random_multigraph,
+], ids=[f"tree-N{n}" for n in range(1, 11)]
+    + ["half-line", "sym-line", "ab-line", "star", "multigraph"])
+def test_kernel_and_weights_match_the_loop_references(graph_factory):
+    g = graph_factory()
+    weights = _weights_by_edges(g)
+    assert g.vertex_weights.tobytes() == weights.tobytes()
+    k = kernel_from_graph(g)
+    nbrs, probs = _kernel_by_rows(g)
+    assert k.neighbors.dtype == nbrs.dtype
+    assert np.array_equal(k.neighbors, nbrs)
+    assert k.probs.tobytes() == probs.tobytes()
+
+
 @pytest.mark.parametrize("graph_factory,start", [
     (lambda: build_dyadic_tree(1.0, 4), 0),
     (lambda: build_half_line(2, 20), 5),
@@ -141,7 +194,9 @@ def _star(leaves):
 ], ids=["tree-N4", "half-line", "sym-line", "ab-line", "star", "two-vertex"])
 def test_simulate_matches_the_dense_reference(graph_factory, start):
     k = kernel_from_graph(graph_factory())
-    for steps, trials, seed in [(1, 5000, 3), (7, 3000, 11)]:
+    # 40,000 and 2**14 + 1 trials cross the boundaries of 2**14-trial blocks
+    for steps, trials, seed in [(1, 5000, 3), (7, 3000, 11), (3, 40000, 5),
+                                (2, 2 ** 14 + 1, 13)]:
         stats = simulate(k, start, steps, trials, seed)
         edge_counts, visits = _simulate_dense(k, start, steps, trials, seed)
         assert stats.edge_counts == edge_counts
