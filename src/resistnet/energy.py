@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, read_rows
 from .linsolve import solve_reduced
 
 
@@ -228,32 +228,43 @@ def random_interior_vector(graph: WeightedGraph, rng: np.random.Generator,
 
 # -- serialization: CSV with header vertex,value ----------------------------
 
+_VECTOR_ROW = np.dtype([("vertex", np.int64), ("value", np.float64)])
+
+
 def write_vector(u: EnergyVector) -> str:
-    lines = ["vertex,value"]
-    for i, v in enumerate(u.values):
-        lines.append(f"{i},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    values = np.asarray(u.values, dtype=float).tolist()
+    return "vertex,value\n" + "".join([f"{i},{v!r}\n" for i, v in enumerate(values)])
 
 
 def read_vector(graph: WeightedGraph, text: str) -> EnergyVector:
     """Inverse of write_vector.
 
-    A malformed row, or a vertex outside 0..V-1, raises ValueError.
+    The header is optional, blank rows are skipped, a vertex without a row
+    is 0 and the last row for a vertex wins. A malformed row, a vertex
+    outside 0..V-1 or a value that is not finite raises ValueError naming
+    the first such row. The numbers are read by numpy's text reader.
     """
-    values = np.zeros(graph.n_vertices)
+    n = graph.n_vertices
     rows = text.strip().splitlines()
     if rows and rows[0].strip().lower() == "vertex,value":
         rows = rows[1:]
-    for row in rows:
-        if not row.strip():
-            continue
-        try:
-            i_str, v_str = row.split(",", 1)
-            i, v = int(i_str), float(v_str)
-        except ValueError as exc:
-            raise ValueError(f"malformed vector row {row!r}") from exc
-        if not 0 <= i < graph.n_vertices:
-            raise ValueError(f"vector row {row!r}: vertex {i} is outside "
-                             f"0..{graph.n_vertices - 1}")
-        values[i] = v
-    return EnergyVector(graph, values)
+    rows = [row for row in rows if row.strip()]
+    table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
+    vertices, values = table["vertex"], table["value"]
+    marked = np.flatnonzero((vertices < 0) | (vertices >= n) | ~np.isfinite(values))
+    first = int(marked[0]) if marked.size else failed
+    if first is not None:
+        row = rows[first]
+        if first == failed:
+            raise ValueError(f"malformed vector row {row!r}")
+        i, v = table[first].tolist()
+        if not 0 <= i < n:
+            raise ValueError(f"vector row {row!r}: vertex {i} is outside 0..{n - 1}")
+        raise ValueError(f"vector row {row!r}: value {v!r} is not finite")
+    # each vertex's last row: np.unique gives first occurrences, so it runs
+    # over the rows reversed
+    _, from_end = np.unique(vertices[::-1], return_index=True)
+    last = len(vertices) - 1 - from_end
+    result = np.zeros(n)
+    result[vertices[last]] = values[last]
+    return EnergyVector(graph, result)

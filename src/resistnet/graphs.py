@@ -48,7 +48,6 @@ class TruncationInfo:
     boundary_policy: str = "free"
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
     """Finite weighted graph: vertices 0..n_vertices-1, unordered edges.
 
@@ -56,27 +55,63 @@ class WeightedGraph:
     normalization by the constructors in this module; validate() checks the
     axioms (positivity, no self-loops, single storage per pair,
     connectivity from the base vertex) without assuming them.
+
+    The edge list has two forms that hold the same values: `edges`, a
+    tuple of (x, y, c) records, and `edge_arrays`, its three columns as
+    numpy arrays. A graph is given one of them, `edges` positionally or
+    `edge_arrays` by keyword, and builds the other when it is first read.
+    Graphs are immutable and compare equal when their vertex counts, edge
+    records, base vertices, labels and truncations are equal.
     """
 
-    n_vertices: int
-    edges: tuple
-    base_vertex: int = 0
-    labels: Optional[tuple] = None
-    truncation: Optional[TruncationInfo] = None
-
-    def __post_init__(self):
-        if self.n_vertices < 1:
+    def __init__(self, n_vertices: int, edges: Optional[tuple] = None, base_vertex: int = 0,
+                 labels: Optional[tuple] = None, truncation: Optional[TruncationInfo] = None,
+                 *, edge_arrays: Optional[tuple] = None):
+        if (edges is None) == (edge_arrays is None):
+            raise TypeError("give the edges either as records or as edge_arrays")
+        self.__dict__.update(n_vertices=n_vertices, base_vertex=base_vertex, labels=labels,
+                             truncation=truncation)
+        if n_vertices < 1:
             raise GraphStructureError("graph needs at least one vertex")
-        for e in self.edges:
-            if len(e) != 3:
-                raise GraphStructureError(f"edge record {e!r} is not (x, y, c)")
-            x, y, _ = e
-            if not (0 <= x < self.n_vertices and 0 <= y < self.n_vertices):
-                raise GraphStructureError(f"edge {e!r} has vertex out of range")
-        if not 0 <= self.base_vertex < self.n_vertices:
+        if edges is not None:
+            self.__dict__["edges"] = edges
+            for e in edges:
+                if len(e) != 3:
+                    raise GraphStructureError(f"edge record {e!r} is not (x, y, c)")
+                x, y, _ = e
+                if not (0 <= x < n_vertices and 0 <= y < n_vertices):
+                    raise GraphStructureError(f"edge {e!r} has vertex out of range")
+        else:
+            self.__dict__["edge_arrays"] = edge_arrays
+            ex, ey, ec = edge_arrays
+            if ex.ndim != 1 or not ex.shape == ey.shape == ec.shape:
+                raise GraphStructureError("edge arrays must be three 1-D arrays of one length")
+            outside = (ex < 0) | (ex >= n_vertices) | (ey < 0) | (ey >= n_vertices)
+            if outside.any():
+                k = int(np.argmax(outside))
+                raise GraphStructureError(f"edge {self.edges[k]!r} has vertex out of range")
+        if not 0 <= base_vertex < n_vertices:
             raise GraphStructureError("base vertex out of range")
-        if self.labels is not None and len(self.labels) != self.n_vertices:
+        if labels is not None and len(labels) != n_vertices:
             raise GraphStructureError("labels length must match vertex count")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeightedGraph is immutable (cannot set {name!r})")
+
+    def _key(self):
+        return (self.n_vertices, self.edges, self.base_vertex, self.labels, self.truncation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges}, "
+                f"base_vertex={self.base_vertex})")
 
     @cached_property
     def adjacency(self):
@@ -115,6 +150,16 @@ class WeightedGraph:
         ey = np.array([e[1] for e in self.edges], dtype=int)
         ec = np.array([e[2] for e in self.edges], dtype=float)
         return ex, ey, ec
+
+    @cached_property
+    def edges(self):
+        """(x, y, c) records, built from edge_arrays when the graph was given those."""
+        ex, ey, ec = self.edge_arrays
+        return tuple(zip(ex.tolist(), ey.tolist(), ec.tolist()))
+
+    @property
+    def n_edges(self):
+        return len(self.edge_arrays[0])
 
     @cached_property
     def frontier_distance(self):
@@ -368,69 +413,147 @@ def path_graph(conductances: Sequence[float], base_vertex: int = 0) -> WeightedG
 #    label <x> <string>
 
 def write_graph(graph: WeightedGraph) -> str:
-    lines = [f"graph {graph.n_vertices} {len(graph.edges)} {graph.base_vertex}"]
-    for x, y, c in graph.edges:
-        lines.append(f"edge {x} {y} {float(c)!r}")
+    ex, ey, ec = graph.edge_arrays
+    lines = [f"graph {graph.n_vertices} {len(ec)} {graph.base_vertex}"]
+    lines += [f"edge {x} {y} {c!r}" for x, y, c in zip(ex.tolist(), ey.tolist(), ec.tolist())]
     if graph.labels is not None:
-        for i, lab in enumerate(graph.labels):
-            lines.append(f"label {i} {lab}")
+        lines += [f"label {i} {lab}" for i, lab in enumerate(graph.labels)]
     lines.append("")    # the final newline, without a second copy of the text
     return "\n".join(lines)
+
+
+def read_rows(rows, dtype, delimiter=None, usecols=None):
+    """Parse text rows into a structured array with numpy's text reader.
+
+    Returns (table, failed). When every row parses, table holds them all
+    and failed is None. Otherwise failed is the index of the first row the
+    reader rejects and table holds the rows before it: the one bulk parse
+    raised, and a bisection over row prefixes located that row. Fields are
+    split at the delimiter (whitespace when None); no comment or quote
+    syntax is recognized.
+    """
+    def parse(part):
+        if not part:    # loadtxt warns on empty input
+            return np.zeros(0, dtype)
+        return np.loadtxt(part, dtype=dtype, delimiter=delimiter, usecols=usecols,
+                          comments=None, ndmin=1)
+
+    try:
+        return parse(rows), None
+    except ValueError:
+        pass
+    table, good, bad = parse([]), 0, len(rows)     # rows[:good] parse, rows[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            table, good = parse(rows[:mid]), mid
+        except ValueError:
+            bad = mid
+    return table, good
+
+
+# Each record keeps its kind word as a column, so loadtxt checks the number
+# of fields; the word is compared after the parse. A field one character
+# wider than the kind means a longer word never compares equal.
+_HEADER_ROW = np.dtype([("kind", "U5"), ("V", np.int64), ("E", np.int64), ("base", np.int64)])
+_EDGE_ROW = np.dtype([("kind", "U5"), ("x", np.int64), ("y", np.int64), ("c", np.float64)])
+_LABEL_ROW = np.dtype([("kind", "U6"), ("vertex", np.int64)])
+
+
+def _kind(line):
+    return line.split(None, 1)[0]
+
+
+def _outside(vertices, n_vertices):
+    return (vertices < 0) | (vertices >= n_vertices)
+
+
+def _first_fault(lines, heads, head, kind, table, failed, bad, describe):
+    """(line index, message) of the first faulty record of one group, or None.
+
+    The group is the lines whose first character is `head`, parsed into
+    `table` by read_rows. A record is faulty when its kind is not `kind`,
+    the reader rejected it (row `failed`), or the mask `bad` marks it;
+    describe(record) words the last case.
+    """
+    marked = np.flatnonzero(bad | (table["kind"] != kind))
+    row = int(marked[0]) if marked.size else failed
+    if row is None:
+        return None
+    i = [i for i, h in enumerate(heads) if h == head][row]
+    found = _kind(lines[i])
+    if found != kind:
+        return i, f"unknown record {found!r}"
+    if row == failed:
+        return i, f"malformed {kind!r} record"
+    return i, describe(table[row].tolist())
 
 
 def read_graph(text: str) -> WeightedGraph:
     """Parse the text format above; a label is the rest of its line, stripped.
 
     The header is the first record and the only one, its edge count must
-    match the edge records, and every label must name a vertex of the
-    graph. Each violation raises GraphStructureError with its line number.
+    match the edge records, every edge joins two vertices of the graph with
+    a finite conductance, and every label names a vertex of the graph.
+    Each violation raises GraphStructureError with its line number. The
+    numbers of all records are read by numpy's text reader.
     """
-    lines = enumerate(text.splitlines(), 1)
-    for header_line, raw in lines:
-        parts = raw.split(None, 3)
-        if parts and not parts[0].startswith("#"):
-            break
-    else:
+    lines = text.splitlines()
+    # Records are grouped by the first character of their kind. Each group
+    # is parsed in bulk with its kind word as a column, so a line such as
+    # "eggs 1 2 3" in the edge group is still reported as an unknown record.
+    heads = [raw.lstrip()[:1] for raw in lines]
+    header = next((i for i, h in enumerate(heads) if h not in ("", "#")), None)
+    if header is None:
         raise GraphStructureError("missing 'graph' header line")
-    if parts[0] != "graph":
+    kind = _kind(lines[header])
+    if kind != "graph":
         raise GraphStructureError(
-            f"line {header_line}: {parts[0]!r} record before the 'graph' header")
-    try:
-        n_vertices, n_edges, base = int(parts[1]), int(parts[2]), int(parts[3])
-    except (ValueError, IndexError) as exc:
-        raise GraphStructureError(f"line {header_line}: malformed 'graph' record") from exc
-    edges = []
-    labels = {}
-    for lineno, raw in lines:
-        parts = raw.split(None, 3)
-        if not parts or parts[0].startswith("#"):
-            continue
-        kind = parts[0]
-        try:
-            if kind == "edge":
-                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-            elif kind == "label":
-                vertex = int(parts[1])
-                if not 0 <= vertex < n_vertices:
-                    raise GraphStructureError(f"line {lineno}: label for vertex {vertex}, "
-                                              f"outside 0..{n_vertices - 1}")
-                label = parts[2] if len(parts) > 2 else ""
-                if len(parts) == 4:    # several words: the rest of the line
-                    label = raw.split(None, 2)[2].rstrip()
-                labels[vertex] = label
-            elif kind == "graph":
-                raise GraphStructureError(f"line {lineno}: second 'graph' header "
-                                          f"(the first is on line {header_line})")
-            else:
-                raise GraphStructureError(f"line {lineno}: unknown record {kind!r}")
-        except GraphStructureError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise GraphStructureError(f"line {lineno}: malformed {kind!r} record") from exc
-    if n_edges != len(edges):
-        raise GraphStructureError(f"line {header_line}: header declares {n_edges} edges, "
-                                  f"the file has {len(edges)}")
-    label_tuple = None
-    if labels:
-        label_tuple = tuple(labels.get(i, "") for i in range(n_vertices))
-    return WeightedGraph(n_vertices, tuple(edges), base_vertex=base, labels=label_tuple)
+            f"line {header + 1}: {kind!r} record before the 'graph' header")
+    table, failed = read_rows(lines[header:header + 1], _HEADER_ROW)
+    if failed is not None:
+        raise GraphStructureError(f"line {header + 1}: malformed 'graph' record")
+    _, n_vertices, n_edges, base = table[0].tolist()
+
+    faults = []
+    others = [i for i, h in enumerate(heads) if h not in {"", "#", "e", "l"}]
+    if len(others) > 1:    # others[0] is the header
+        i = others[1]
+        kind = _kind(lines[i])
+        faults.append((i, f"second 'graph' header (the first is on line {header + 1})"
+                       if kind == "graph" else f"unknown record {kind!r}"))
+
+    def edge_fault(record):
+        _, x, y, c = record
+        if not math.isfinite(c):
+            return f"conductance {c!r} is not finite"
+        return f"edge ({x}, {y}) has a vertex outside 0..{n_vertices - 1}"
+
+    edge_rows = [raw for raw, h in zip(lines, heads) if h == "e"]
+    edge_table, failed = read_rows(edge_rows, _EDGE_ROW)
+    ex, ey, ec = (np.ascontiguousarray(edge_table[name]) for name in ("x", "y", "c"))
+    bad = _outside(ex, n_vertices) | _outside(ey, n_vertices) | ~np.isfinite(ec)
+    faults.append(_first_fault(lines, heads, "e", "edge", edge_table, failed, bad, edge_fault))
+
+    label_rows = [raw for raw, h in zip(lines, heads) if h == "l"]
+    label_table, failed = read_rows(label_rows, _LABEL_ROW, usecols=(0, 1))
+    label_vertices = label_table["vertex"]
+    faults.append(_first_fault(
+        lines, heads, "l", "label", label_table, failed, _outside(label_vertices, n_vertices),
+        lambda record: f"label for vertex {record[1]}, outside 0..{n_vertices - 1}"))
+
+    faults = [fault for fault in faults if fault is not None]
+    if faults:
+        i, message = min(faults)
+        raise GraphStructureError(f"line {i + 1}: {message}")
+    if n_edges != len(edge_rows):
+        raise GraphStructureError(f"line {header + 1}: header declares {n_edges} edges, "
+                                  f"the file has {len(edge_rows)}")
+    labels = None
+    if label_rows:
+        texts = [w[2].rstrip() if len(w := raw.split(None, 2)) > 2 else "" for raw in label_rows]
+        labels = [""] * n_vertices
+        for vertex, label in zip(label_vertices.tolist(), texts):
+            labels[vertex] = label
+        labels = tuple(labels)
+    return WeightedGraph(n_vertices, edge_arrays=(ex, ey, ec), base_vertex=base, labels=labels)

@@ -276,6 +276,13 @@ def test_exit_codes_stable_contract(capsys):
     ["classify", "--model", "half-line", "--M", "2", "--N", "1100"],
     ["walk", "--model", "half-line", "--M", "2", "--N", "3000", "--start", "2",
      "--trials", "10"],
+    # non-finite numbers: JSON has no NaN or Infinity
+    ["energy", "--graph", "{dir}/nan_edge.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/inf_edge.txt", "--vector", "{dir}/v.csv"],
+    ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/nan_value.csv"],
+    ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/inf_value.csv"],
+    # the coefficient table grows like n_max**4
+    ["polys", "--n-max", "101"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
@@ -290,6 +297,10 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "bad_value.csv").write_text("vertex,value\n0,one\n")
     (tmp_path / "vertex_7.csv").write_text("vertex,value\n7,1.0\n")
     (tmp_path / "vertex_neg.csv").write_text("vertex,value\n-1,1.0\n")
+    (tmp_path / "nan_edge.txt").write_text("graph 2 1 0\nedge 0 1 nan\n")
+    (tmp_path / "inf_edge.txt").write_text("graph 2 1 0\nedge 0 1 -inf\n")
+    (tmp_path / "nan_value.csv").write_text("vertex,value\n0,nan\n")
+    (tmp_path / "inf_value.csv").write_text("vertex,value\n0,1.0\n1,inf\n")
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "incomplete.json").write_text(json.dumps({"command": "walk"}))
     polys = _resolved(["polys"])
@@ -413,7 +424,45 @@ PINNED_OUTPUTS = [
         "graph_echo.txt":
             "463cfa39e92060dcd03ebaaf3536103a722cde5c5cf3932f20762c4a545d1376",
     }),
+    # hand-written files in the many spellings the readers accept; recorded
+    # from the per-line int()/float() readers the bulk numpy parse replaced
+    (["energy", "--graph", "messy.txt", "--vector", "messy.csv"], {
+        "stdout": "834b1b1bbc1effac8e98992c2ee2446aee739c821551e56f627451f6ccc7faff",
+        "laplacian.csv":
+            "d390e705dc2a48cba90aae6d8a3413cdeded0a64f901ef255e9065ea83c42dcb",
+        "graph_echo.txt":
+            "2b6330f04b6c67f95dde7ca65d7600af0b1ae1dae71c7842f296239e6dc78353",
+    }),
 ]
+
+# comments, blank lines, tabs, CRLF, a leading '+', exponents, -0.0, a
+# subnormal, a 17-digit repr, multi-word, empty and missing labels, a
+# duplicate and missing vector rows and an upper-case header
+MESSY_GRAPH = (
+    "# hand-written: comments, blank lines, tabs and CRLF\r\n"
+    "\n"
+    "   graph 6 6 +0\r\n"
+    "edge 0 1 1e0\n"
+    "\tedge\t1\t2\t2.5E-3\n"
+    "edge 2 3 0.30000000000000004\r\n"
+    " edge 3 4 +7\n"
+    "  # an indented comment\n"
+    "edge 4 5 4.9406564584124654e-324\n"
+    "edge +0 5 -0.0\n"
+    "label 0 root vertex\n"
+    "label 2\n"
+    "label\t5   far   end   \n"
+)
+MESSY_VECTOR = (
+    "\n"
+    "VERTEX,Value\r\n"
+    "0,1.5\n"
+    " 1 , -2e-3\n"
+    "\n"
+    "2,+0.1\n"
+    "5\t,\t1e-310\n"
+    "2,0.30000000000000004\n"
+)
 
 
 def _write_energy_inputs(directory):
@@ -421,6 +470,8 @@ def _write_energy_inputs(directory):
     (directory / "tree.txt").write_text(write_graph(g))
     (directory / "v.csv").write_text(
         write_vector(vector(g, [i / 4 for i in range(g.n_vertices)])))
+    (directory / "messy.txt").write_text(MESSY_GRAPH)
+    (directory / "messy.csv").write_text(MESSY_VECTOR)
 
 
 @pytest.mark.parametrize("argv,hashes", PINNED_OUTPUTS)

@@ -41,6 +41,12 @@ def test_structural_errors_raise_not_report():
         WeightedGraph(2, ((0, 5, 1.0),))
     with pytest.raises(GraphStructureError):
         WeightedGraph(2, ((0, 1, 1.0),), base_vertex=9)
+    with pytest.raises(GraphStructureError, match=r"edge \(0, 5, 1.0\) has vertex out of range"):
+        WeightedGraph(2, edge_arrays=(np.array([0]), np.array([5]), np.array([1.0])))
+    with pytest.raises(GraphStructureError):
+        WeightedGraph(2, edge_arrays=(np.array([0]), np.array([1, 0]), np.array([1.0])))
+    with pytest.raises(TypeError):
+        WeightedGraph(2)
 
 
 def test_half_line_conductances():
@@ -234,8 +240,10 @@ def test_multi_word_labels_round_trip():
     ("graph 2 1 0\nedge 0 1 1.0\nlabel 9 far\n", "line 3: label for vertex 9"),
     ("graph 2 1 0\nlabel -1 neg\nedge 0 1 1.0\n", "line 2: label for vertex -1"),
     ("# comment\nlabel 0 root\ngraph 1 0 0\n", "line 2: 'label' record before"),
+    ("graph 2 1 0\n\nedge 0 5 1.0\n", r"line 3: edge \(0, 5\) has a vertex outside 0\.\.1"),
+    ("graph 2 1 0\nedge 0 1 nan\n", "line 2: conductance nan is not finite"),
 ], ids=["edge-count", "second-header", "label-past-end", "negative-label",
-        "label-before-header"])
+        "label-before-header", "edge-vertex-out-of-range", "nan-conductance"])
 def test_read_graph_rejects_inconsistent_records(text, message):
     with pytest.raises(GraphStructureError, match=message):
         read_graph(text)
