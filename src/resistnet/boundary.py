@@ -74,16 +74,11 @@ def _backward_residual(graph, u_values, rhs_values):
     plus the right-hand-side magnitude, which keeps the measure meaningful
     when conductances span many orders of magnitude.
     """
-    vec = EnergyVector(graph, u_values)
-    lap = apply_laplacian(vec).values
+    lap = apply_laplacian(EnergyVector(graph, u_values)).values
     max_u = float(np.max(np.abs(u_values))) if len(u_values) else 0.0
-    worst = 0.0
-    for x in range(graph.n_vertices):
-        if not graph.interior_mask[x]:
-            continue
-        scale = graph.vertex_weights[x] * (abs(u_values[x]) + max_u) + abs(rhs_values[x]) + 1e-300
-        worst = max(worst, abs(lap[x] + rhs_values[x]) / scale)
-    return worst
+    scale = graph.vertex_weights * (np.abs(u_values) + max_u) + np.abs(rhs_values) + 1e-300
+    ratios = np.abs(lap + rhs_values) / scale
+    return float(np.max(ratios[graph.interior_mask], initial=0.0))
 
 
 # -- harmonic constructions -------------------------------------------------
@@ -172,15 +167,15 @@ def build_harmonic_zline(M: float, t: float, N: int) -> HarmonicLineResult:
         raise ValueError("M must be > 1")
     if t == 0:
         raise ValueError("t must be nonzero")
-    graph = build_sym_line(M, N)
+    return _harmonic_zline(build_sym_line(M, N), M, t, N)
+
+
+def _harmonic_zline(graph, M, t, N):
     M = float(M)
     xi = 1.0 / M
-    values = np.zeros(2 * N + 1)
-    acc = 0.0
-    for x in range(1, N + 1):
-        acc += xi ** x
-        values[graph.index_of(x)] = t * acc
-        values[graph.index_of(-x)] = -t * acc
+    # h(x) = t (xi + ... + xi^x), summed in order; coordinate x is index x + N
+    half = np.concatenate([[0.0], t * np.cumsum([xi ** x for x in range(1, N + 1)])])
+    values = np.concatenate([-half[:0:-1], half])
     h = EnergyVector(graph, values, normalized=True)
 
     # Harmonicity in flux form: every signed flux mu(x) * (t xi^x) equals t,
@@ -193,8 +188,7 @@ def build_harmonic_zline(M: float, t: float, N: int) -> HarmonicLineResult:
     lap = apply_laplacian(h).values
     value_residual = float(np.max(np.abs(lap[graph.interior_mask])))
 
-    anti_ok = all(values[graph.index_of(-x)] == -values[graph.index_of(x)]
-                  for x in range(N + 1))
+    anti_ok = bool(np.array_equal(values[::-1], -values))
     partial_closed = 2.0 * t * t * xi * (1.0 - xi ** N) / (1.0 - xi)
     return HarmonicLineResult(h, M, float(t), N, flux_residual, value_residual,
                               energy(h), partial_closed,
@@ -278,10 +272,24 @@ class DeficiencySolution:
         }
 
 
-def _kernel_rows(ratio, N, seed=(0, 1)):
-    """xi = 1/ratio exactly, and the scaled pair rows for n = 0..N."""
+def _side(ratio, N, lam):
+    """xi = 1/ratio exactly and the scaled pair rows for n = 0..N of one side.
+
+    The seed (p_0, q_0) = (lam - 1, 1) gives (p_1, q_1) = (lam, 1 + lam xi):
+    the side takes the share lam of the vertex-0 row (1 on the half line,
+    1/2 per side on the symmetric line). With lam = n/d the seed check is
+    d R_1 == n a Q_0 and d Q_1 == (d b + n a) Q_0, and the vertex-0 row
+    (1/lam) mu(1) (u(0) - u(1)) + u(0) = 0 times n a D_1 / b is
+    d (b Q_0 - Q_1) + n a Q_0 == 0. Returns (xi, rows, seed_ok, zero_row_ok).
+    """
     xi = 1 / Fraction(float(ratio))
-    return xi, list(islice(_scaled_pairs(xi, seed), N + 1))
+    rows = list(islice(_scaled_pairs(xi, (lam - 1, 1)), N + 1))
+    a, b = xi.numerator, xi.denominator
+    n, d = lam.numerator, lam.denominator
+    (_, Q0, _, _), (_, Q1, R1, _) = rows[:2]
+    seed_ok = d * R1 == n * a * Q0 and d * Q1 == (d * b + n * a) * Q0
+    zero_row_ok = d * (b * Q0 - Q1) + n * a * Q0 == 0
+    return xi, rows, seed_ok, zero_row_ok
 
 
 def _q_values(rows):
@@ -294,6 +302,11 @@ def _energy_terms(rows):
                      for (_, _, _, D_prev), (P, _, R, D) in zip(rows, rows[1:])])
 
 
+def _energy_cumulative(terms, sides=1):
+    """Energy partial sums through depth 0..N of a line whose sides all carry terms."""
+    return np.concatenate([[0.0], np.cumsum(sides * terms)])
+
+
 def _exact_rows_zero(Q, a, b):
     """Flux recursion and interior rows of Lap u = -u as integer identities.
 
@@ -304,8 +317,8 @@ def _exact_rows_zero(Q, a, b):
         Q_(x+1) - b^(x+1) Q_x = a b^x (Q_x - b^x Q_(x-1)) + a^(x+1) Q_x.
 
     The interior row mu(x) du(x) + mu(x+1) (u(x) - u(x+1)) + u(x) = 0 is
-    checked in the same scaled form, for x = 1 .. N-1; the vertex-0 row is
-    checked by the callers because the two models seed it differently.
+    checked in the same scaled form, for x = 1 .. N-1; the vertex-0 row
+    depends on the seed and is checked by _side.
     Returns (flux_ok, interior_ok).
     """
     flux_ok = interior_ok = True
@@ -331,23 +344,23 @@ def _l2_flag_for(u_floats, depths):
     return (DIVERGENT if divergent else INCONCLUSIVE), marks
 
 
-def _deficiency_solution(family, M, N, graph, xi, rows, seed_ok, zero_row_ok):
-    """Checks, floats and growth evidence shared by the two line models."""
+def _deficiency_solution(graph, M, N):
+    """Defect candidate u(x) = u(|x|) on a line graph, each side with share 1/sides."""
+    sides = (graph.n_vertices - 1) // N
+    xi, rows, seed_ok, zero_row_ok = _side(M, N, Fraction(1, sides))
     a, b = xi.numerator, xi.denominator
     flux_ok, interior_ok = _exact_rows_zero([Q for _, Q, _, _ in rows], a, b)
     u = [Q / D for _P, Q, _R, D in rows]
     du = [R / D for _P, _Q, R, D in rows[1:]]
     half = np.array(u)
-    sides = 2 if family == LINE_GEOM_SYM else 1
-    values = np.zeros(graph.n_vertices)
-    for x in range(-N if sides == 2 else 0, N + 1):
-        values[graph.index_of(x)] = half[abs(x)]
+    # coordinate x is stored at index x + origin_offset
+    values = half[np.abs(np.arange(graph.n_vertices) - graph.truncation.origin_offset)]
     vector = EnergyVector(graph, values)
-    float_rel = _backward_residual(graph, values, values.copy())
+    float_rel = _backward_residual(graph, values, values)
 
     depths = _dyadic_depths(N)
     terms = _energy_terms(rows)
-    cumulative = np.concatenate([[0.0], np.cumsum(sides * terms)])
+    cumulative = _energy_cumulative(terms, sides)
     energy_flag, energy_marks = tail_flag(cumulative, depths)
     l2_flag, l2_marks = _l2_flag_for(half, depths)
 
@@ -355,7 +368,7 @@ def _deficiency_solution(family, M, N, graph, xi, rows, seed_ok, zero_row_ok):
     a_obs = float(np.max(terms))
     bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
     return DeficiencySolution(
-        family, float(M), xi, N, graph, vector, rows,
+        graph.truncation.family, float(M), xi, N, graph, vector, rows,
         seed_ok, flux_ok, zero_row_ok and interior_ok, float_rel, monotone,
         tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
         bound, u[-1] <= bound + 1e-12,
@@ -375,18 +388,7 @@ def build_deficiency_zplus(M: float, N: int) -> DeficiencySolution:
     Energy partial sums are expected CONVERGENT and square-sum partials
     DIVERGENT.
     """
-    if not M > 1:
-        raise ValueError("M must be > 1")
-    graph = build_half_line(M, N)
-    xi, rows = _kernel_rows(M, N)
-    a, b = xi.numerator, xi.denominator
-    (_, Q0, _, _), (_, Q1, R1, _) = rows[:2]
-    # u(1) = (1 + xi) u(0) times D_1, and mu(1) du(1) = u(0) times a D_1 / b
-    seed_ok = Q1 == (b + a) * Q0 and R1 == a * Q0
-    # vertex-0 row mu(1) (u(0) - u(1)) + u(0) = 0, times a D_1 / b
-    zero_row_ok = b * Q0 - Q1 + a * Q0 == 0
-    return _deficiency_solution(HALF_LINE_GEOM, M, N, graph, xi, rows,
-                                seed_ok, zero_row_ok)
+    return _deficiency_solution(build_half_line(M, N), M, N)
 
 
 def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
@@ -399,18 +401,7 @@ def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
     energy verdict (FINITE, INFINITE or INCONCLUSIVE) is reported as
     evidence, never asserted.
     """
-    if not M > 1:
-        raise ValueError("M must be > 1")
-    graph = build_sym_line(M, N)
-    xi, rows = _kernel_rows(M, N, (Fraction(-1, 2), 1))
-    a, b = xi.numerator, xi.denominator
-    (_, Q0, _, _), (_, Q1, R1, _) = rows[:2]
-    # du(1) = (xi/2) u(0) and u(1) = (1 + xi/2) u(0), both times 2 D_1
-    seed_ok = 2 * R1 == a * Q0 and 2 * Q1 == (2 * b + a) * Q0
-    # vertex-0 row M (2 u(0) - 2 u(1)) + u(0) = 0, times a D_1 / b
-    zero_row_ok = 2 * b * Q0 - 2 * Q1 + a * Q0 == 0
-    return _deficiency_solution(LINE_GEOM_SYM, M, N, graph, xi, rows,
-                                seed_ok, zero_row_ok)
+    return _deficiency_solution(build_sym_line(M, N), M, N)
 
 
 # -- the A-B two-sided model -------------------------------------------------
@@ -476,19 +467,17 @@ class ABDeficiencyReport:
 
 
 def _two_sided_energy_partials(pos_rows, neg_rows, depths):
-    marks = []
-    for rows in (pos_rows, neg_rows):
-        cumulative = np.concatenate([[0.0], np.cumsum(_energy_terms(rows))])
-        marks.append([float(cumulative[d]) for d in depths])
-    return tuple((d, pa + pb) for d, pa, pb in zip(depths, *marks))
+    pos, neg = (_energy_cumulative(_energy_terms(rows)) for rows in (pos_rows, neg_rows))
+    return tuple((d, float(pos[d]) + float(neg[d])) for d in depths)
 
 
 def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
     """Analyze the defect system on the line with ratios A right, B left."""
     if not (A > 1 and B > 1):
         raise ValueError("A and B must both be > 1")
-    alpha, pos = _kernel_rows(A, N)
-    beta, neg = _kernel_rows(B, N)
+    # the literal candidate runs each side with the whole vertex-0 row
+    alpha, pos, _, _ = _side(A, N, Fraction(1))
+    beta, neg, _, _ = _side(B, N, Fraction(1))
     a_f, b_f = 1 / alpha, 1 / beta
 
     (u0, u1), (_, um1) = _q_values(pos[:2]), _q_values(neg[:2])
@@ -497,12 +486,11 @@ def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
     norm_sum = Fraction(pos[1][0], pos[0][3]) + Fraction(neg[1][0], neg[0][3])
     norm_flag = "CONSISTENT" if norm_sum == 1 else "INCONSISTENT_AS_WRITTEN"
 
-    # per-side scale lambda: (p_1, q_1) = (lambda, 1 + lambda xi), i.e. the
-    # seed (p_0, q_0) = (lambda - 1, 1)
+    # the repaired candidate gives the sides shares summing to 1
     lam_p = Fraction(1, 2)
     lam_m = 1 - lam_p
-    _, rep_pos = _kernel_rows(A, N, (lam_p - 1, 1))
-    _, rep_neg = _kernel_rows(B, N, (lam_m - 1, 1))
+    _, rep_pos, _, _ = _side(A, N, lam_p)
+    _, rep_neg, _, _ = _side(B, N, lam_m)
     (_, rep_u1), (_, rep_um1) = _q_values(rep_pos[:2]), _q_values(rep_neg[:2])
     rep_res = (a_f + b_f + 1) * u0 - a_f * rep_u1 - b_f * rep_um1
 
@@ -684,9 +672,10 @@ class BoundaryReport:
 
 def classify_model(spec: ModelSpec) -> BoundaryReport:
     """Assemble harmonic/defect evidence for the geometric line models."""
+    graph = spec.build()
     if spec.family == HALF_LINE_GEOM:
         harm = build_harmonic_zplus(spec.M, spec.N)
-        deficiency = build_deficiency_zplus(spec.M, spec.N)
+        deficiency = _deficiency_solution(graph, spec.M, spec.N)
         harm_dim = 0 if harm.verdict == HARM_TRIVIAL else 1
         # The paper gives the half line one defect vector for every M > 1.
         # The energy and square-sum flags read a finite window, so when one
@@ -699,8 +688,8 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
             def_dim, def_hard = (1, True) if flags_ok else (None, False)
         extra = {}
     elif spec.family == LINE_GEOM_SYM:
-        harm = build_harmonic_zline(spec.M, 1.0, spec.N)
-        deficiency = build_deficiency_zline(spec.M, spec.N)
+        harm = _harmonic_zline(graph, spec.M, 1.0, spec.N)
+        deficiency = _deficiency_solution(graph, spec.M, spec.N)
         harm_ok = (harm.interior_residual <= 1e-12
                    and harm.energy_partial > 0
                    and abs(harm.energy_partial - harm.energy_partial_closed)
@@ -708,8 +697,7 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
         harm_dim = 1 if harm_ok else 0
         def_dim = {"FINITE": 1, "INFINITE": 0}.get(deficiency.classification)
         def_hard = False
-        extra = {"h": [float(harm.vector.values[harm.vector.graph.index_of(x)])
-                       for x in range(spec.N + 1)]}
+        extra = {"h": harm.vector.values[graph.index_of(0):].tolist()}
     else:
         raise ValueError(f"classification supports the geometric line models only, "
                          f"not {spec.family!r}")

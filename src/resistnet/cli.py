@@ -94,7 +94,9 @@ def _model_spec(config):
 def _read_file(path, parse):
     """parse(text) of a file named on the command line.
 
-    A missing, unreadable or malformed file is a usage error.
+    A missing, unreadable or malformed file is a usage error, and so is one
+    whose counts ask for more memory than there is (a graph header's vertex
+    count far beyond the file's records).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,6 +105,9 @@ def _read_file(path, parse):
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        raise UsageError(f"{path}: out of memory while loading it"
+                         + (f" ({exc})" if str(exc) else "")) from exc
 
 
 # -- polys --------------------------------------------------------------------

@@ -20,7 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy, random_interior_vector
-from .graphs import WeightedGraph, build_dyadic_tree, build_half_line
+from .graphs import (
+    WeightedGraph, _first_fault, _outside, build_dyadic_tree, build_half_line, read_rows,
+)
 from .linsolve import solve_reduced
 
 
@@ -67,7 +69,7 @@ class GraphMap:
             raise ValueError("phi must assign a target vertex to every source vertex")
         if np.any(phi < 0) or np.any(phi >= self.target.n_vertices):
             raise ValueError("phi maps outside the target vertex set")
-        if psi.shape != (self.source.n_vertices,) or np.any(psi <= 0):
+        if psi.shape != (self.source.n_vertices,) or not np.all(psi > 0):
             raise ValueError("psi must be positive on every source vertex")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
@@ -295,16 +297,36 @@ def write_map(gmap: GraphMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MAP_ROW = np.dtype([("kind", "U4"), ("x", np.int64), ("y", np.int64), ("psi", np.float64)])
+
+
 def read_map(source: WeightedGraph, target: WeightedGraph, text: str) -> GraphMap:
-    phi = np.zeros(source.n_vertices, dtype=int)
-    psi = np.ones(source.n_vertices)
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "map":
-            raise ValueError(f"unknown record {parts[0]!r} in map data")
-        phi[int(parts[1])] = int(parts[2])
-        psi[int(parts[1])] = float(parts[3])
-    return GraphMap(source, target, phi, psi)
+    """Inverse of write_map; blank and '#' lines and fields past the fourth are skipped.
+
+    A source vertex without a record maps to target vertex 0 with psi 1.
+    An unknown or malformed record, a vertex outside its graph or a psi that
+    is not finite raises ValueError naming its line.
+    """
+    lines = text.splitlines()
+    heads = ["" if raw.lstrip()[:1] in ("", "#") else "m" for raw in lines]
+    rows = [raw for raw, h in zip(lines, heads) if h]
+    table, failed = read_rows(rows, _MAP_ROW, usecols=(0, 1, 2, 3))
+    x, y, psi = table["x"], table["y"], table["psi"]
+    n_source, n_target = source.n_vertices, target.n_vertices
+
+    def describe(record):
+        _, vx, vy, value = record
+        if not 0 <= vx < n_source:
+            return f"source vertex {vx} is outside 0..{n_source - 1}"
+        if not 0 <= vy < n_target:
+            return f"target vertex {vy} is outside 0..{n_target - 1}"
+        return f"psi {value!r} is not finite"
+
+    bad = _outside(x, n_source) | _outside(y, n_target) | ~np.isfinite(psi)
+    fault = _first_fault(lines, heads, "m", "map", table, failed, bad, describe)
+    if fault is not None:
+        raise ValueError(f"line {fault[0] + 1}: {fault[1]}")
+    phi_values, psi_values = np.zeros(n_source, dtype=int), np.ones(n_source)
+    for vx, vy, value in zip(x.tolist(), y.tolist(), psi.tolist()):    # the last one wins
+        phi_values[vx], psi_values[vx] = vy, value
+    return GraphMap(source, target, phi_values, psi_values)

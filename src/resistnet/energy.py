@@ -51,9 +51,6 @@ class EnergyVector:
         shifted = self.values - self.values[self.graph.base_vertex]
         return EnergyVector(self.graph, shifted, normalized=True)
 
-    def copy_with(self, values) -> "EnergyVector":
-        return EnergyVector(self.graph, np.asarray(values))
-
 
 def vector(graph, values) -> EnergyVector:
     return EnergyVector(graph, np.asarray(values, dtype=float))

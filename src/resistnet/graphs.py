@@ -45,7 +45,6 @@ class TruncationInfo:
     # index of the vertex at model coordinate 0 (lines store coordinate
     # x at index x + offset)
     origin_offset: int = 0
-    boundary_policy: str = "free"
 
 
 class WeightedGraph:
@@ -207,16 +206,6 @@ class WeightedGraph:
             raise GraphStructureError("graph has no coordinate layout")
         return position + self.truncation.origin_offset
 
-    def laplacian_dense(self):
-        """Dense matrix of the graph Laplacian (c(x) diagonal, -c(x,y) off)."""
-        m = np.zeros((self.n_vertices, self.n_vertices))
-        for x, y, c in self.edges:
-            m[x, x] += c
-            m[y, y] += c
-            m[x, y] -= c
-            m[y, x] -= c
-        return m
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -340,36 +329,32 @@ def build_sym_line(M: float, N: int) -> WeightedGraph:
     """Two-sided line -N..N, conductance M**|x| between |x|-1 and |x|.
 
     Vertex at coordinate x is stored at index x + N; the base vertex is
-    coordinate 0.
+    coordinate 0. This is the A-B line with A = B = M.
     """
-    _require_ratio(M, "M")
-    _require_depth(N)
-    M = float(M)
-    edges = []
-    for x, c in enumerate(_powers(M, N, "M"), 1):
-        edges.append((x - 1 + N, x + N, c))        # (x-1, x) on the right
-        edges.append((-x + N, -x + 1 + N, c))      # (-x, -x+1) on the left
-    info = TruncationInfo(
-        LINE_GEOM_SYM, N, {"M": M}, frontier=(0, 2 * N), origin_offset=N
-    )
-    labels = tuple(str(i - N) for i in range(2 * N + 1))
-    return WeightedGraph(2 * N + 1, tuple(edges), base_vertex=N, labels=labels,
-                         truncation=info)
+    return _two_sided_line(LINE_GEOM_SYM, N, ("M", M), ("M", M))
 
 
 def build_ab_line(A: float, B: float, N: int) -> WeightedGraph:
     """Two-sided line with ratio A on the right half and B on the left."""
-    _require_ratio(A, "A")
-    _require_ratio(B, "B")
+    return _two_sided_line(LINE_AB, N, ("A", A), ("B", B))
+
+
+def _two_sided_line(family, N, right, left):
+    """Line -N..N from the (name, ratio) of each side.
+
+    Edge (x-1, x) on the right has conductance right**x, edge (-x, -x+1)
+    on the left left**x; coordinate x is stored at index x + N.
+    """
+    sides = (right, left)
+    for name, ratio in sides:
+        _require_ratio(ratio, name)
     _require_depth(N)
-    A, B = float(A), float(B)
     edges = []
-    for n, (a, b) in enumerate(zip(_powers(A, N, "A"), _powers(B, N, "B")), 1):
+    for n, (a, b) in enumerate(zip(*(_powers(ratio, N, name) for name, ratio in sides)), 1):
         edges.append((n - 1 + N, n + N, a))
         edges.append((-n + N, -n + 1 + N, b))
-    info = TruncationInfo(
-        LINE_AB, N, {"A": A, "B": B}, frontier=(0, 2 * N), origin_offset=N
-    )
+    params = {name: float(ratio) for name, ratio in sides}
+    info = TruncationInfo(family, N, params, frontier=(0, 2 * N), origin_offset=N)
     labels = tuple(str(i - N) for i in range(2 * N + 1))
     return WeightedGraph(2 * N + 1, tuple(edges), base_vertex=N, labels=labels,
                          truncation=info)

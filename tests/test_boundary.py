@@ -1,10 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from resistnet.boundary import (
-    build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
+    _side, build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
     build_harmonic_zplus, classify_model, resolvent_delta,
     solve_ab_deficiency, space_decomposition_check, tail_flag,
 )
@@ -12,7 +14,7 @@ from resistnet.energy import (
     EnergyVector, apply_laplacian, energy, random_interior_vector, vector,
 )
 from resistnet.graphs import (
-    ModelSpec, build_dyadic_tree, build_half_line, build_sym_line, path_graph,
+    ModelSpec, WeightedGraph, build_dyadic_tree, build_half_line, build_sym_line, path_graph,
 )
 
 
@@ -138,6 +140,16 @@ def test_sym_line_deficiency_matrix_product_oracle():
         assert sol.u_exact[x] == vec[1]
 
 
+@pytest.mark.parametrize("ratio", [2, 1.5, 3])
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 2)])
+def test_side_kernel_checks_hold_for_any_share(ratio, lam):
+    xi, rows, seed_ok, zero_row_ok = _side(ratio, 10, lam)
+    assert seed_ok and zero_row_ok
+    u0, u1 = (Fraction(Q, D) for _P, Q, _R, D in rows[:2])
+    assert u1 == (1 + lam * xi) * u0
+    assert (1 / lam) * (1 / xi) * (u0 - u1) + u0 == 0
+
+
 # -- two-ratio model -------------------------------------------------------------
 
 def test_ab_deficiency_reports_inconsistency():
@@ -165,6 +177,73 @@ def test_ab_symmetric_case_reduces_to_sym_line():
     assert rep.repaired_values_pos == sol.u_exact
     assert rep.repaired_values_neg == sol.u_exact
     assert rep.repaired_vertex0_residual == 0
+
+
+# -- pinned reports ------------------------------------------------------------------
+
+def _digest(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of json.dumps(to_dict(), sort_keys=True); the half line at M = 1.1
+# is the uncertified window of test_classify_half_line_uncertified_window_is_inconclusive
+PINNED_REPORTS = [
+    (lambda: build_deficiency_zplus(1.5, 40),
+     "d4d7a189f9e4a11b42db4fcbca7020cffa4edabc920185319346fcbe09677d4f"),
+    (lambda: build_deficiency_zline(1.5, 40),
+     "fc6ff3b18a577eeeebdfa005113e1b55ebf48ddf4658e4a8b6a9c8900f16506a"),
+    (lambda: build_deficiency_zplus(1.1, 60),
+     "9b0088ec44aee8223a9f42c14b7a36bde9cdb8ded042bfc6c4f76ebedf2bfe77"),
+    (lambda: solve_ab_deficiency(2, 3, 60),
+     "f4c21d31e8a6943b49e82b9741bef0e988dda8f75fcc5416aef48a60cd0459a6"),
+]
+
+
+@pytest.mark.parametrize("build,digest", PINNED_REPORTS)
+def test_defect_reports_are_pinned(build, digest):
+    assert _digest(build().to_dict()) == digest
+
+
+# (family, M, N): sha256 of the report's to_dict() and of its curves
+PINNED_CLASSIFY = [
+    ("HALF_LINE_GEOM", 1.5, 40,
+     "ae3197377ccb0de9b6b42cf7b71a8a468c28c42a26a49c4605cc34d688f22157",
+     "a0b8c42b767a9bc7f3acb875845f6c37bc0185fa1cb5dc37ccb709bacc397f19"),
+    ("HALF_LINE_GEOM", 1.1, 60,
+     "6877595bdaf1ea6971bfc5125598f5a7fc2dd066222eace439ce310a89dde6b9",
+     "49e0696847f0900555917af7715c3b85815b011a64b6665d1ca24f03123a303d"),
+    ("LINE_GEOM_SYM", 1.5, 40,
+     "162a8f2685801a3ab511cba510b585f991aee48b360a1c0b91231bb52ef9aab5",
+     "2116787d5e5dfb2edfce94b184b5004c561d9c3c3d75d6f61ce3fadf5f01f14b"),
+    ("LINE_GEOM_SYM", 1.1, 60,
+     "fc795932690c8cc991d1583bab07e04e55ff8748ec73241aa3e92690c4073192",
+     "fc430410babb6fedd343c9a29794221388e65ce2fc72603c8d29b68894fce529"),
+]
+
+
+@pytest.mark.parametrize("family,M,N,report_digest,curves_digest", PINNED_CLASSIFY)
+def test_classify_reports_are_pinned(family, M, N, report_digest, curves_digest):
+    report = classify_model(ModelSpec(family, N, M=M))
+    assert _digest(report.to_dict()) == report_digest
+    assert _digest(report.curves) == curves_digest
+
+
+@pytest.mark.parametrize("family", ["HALF_LINE_GEOM", "LINE_GEOM_SYM"])
+def test_classify_builds_its_graph_once(family, monkeypatch):
+    # every model builder constructs exactly one WeightedGraph, so counting
+    # constructions counts builder calls
+    built = []
+    init = WeightedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
+    spec = ModelSpec(family, 30, M=2.0)
+    assert len(built) == 1
+    classify_model(spec)
+    assert len(built) == 1
 
 
 # -- resolvent ----------------------------------------------------------------------

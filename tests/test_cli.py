@@ -315,6 +315,21 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("labels,named", [("label 0 x\n", "huge.txt"), ("", "v.csv")])
+def test_huge_header_vertex_count_is_a_usage_error(labels, named, capsys, tmp_path):
+    # 10**15 vertices: with a label the label list cannot be allocated,
+    # without one read_vector's value array cannot
+    (tmp_path / "huge.txt").write_text("graph 1000000000000000 0 0\n" + labels)
+    (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n")
+    code = cli.main(["energy", "--graph", str(tmp_path / "huge.txt"),
+                     "--vector", str(tmp_path / "v.csv")])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith(f"resistnet: error: {tmp_path / named}: out of memory")
+    assert captured.err.count("\n") == 1
+
+
 def test_q_limit_non_convergence_is_structured(capsys, monkeypatch):
     def no_convergence(xi, tol):
         raise polynomials.QLimitError("no convergence", 5000, 1.5, 1e-3)

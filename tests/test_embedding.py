@@ -10,7 +10,7 @@ from resistnet.embedding import (
 from resistnet.energy import (
     EnergyVector, apply_laplacian, constant, energy, vector,
 )
-from resistnet.graphs import build_dyadic_tree, build_half_line
+from resistnet.graphs import build_dyadic_tree, build_half_line, path_graph
 
 
 def test_pullback_constant():
@@ -206,3 +206,37 @@ def test_map_serialization_roundtrip():
     back = read_map(gmap.source, gmap.target, text)
     assert np.array_equal(back.phi, gmap.phi)
     assert np.array_equal(back.psi, gmap.psi)
+
+
+def test_map_round_trip_keeps_every_float():
+    source, target = path_graph([1.0, 2.0, 3.0]), path_graph([1.0] * 5)
+    gmap = GraphMap(source, target, [4, 0, 2, 2], [0.1, 5e-324, 1.7976931348623157e308, 1 / 3])
+    back = read_map(source, target, write_map(gmap))
+    assert back.phi.tolist() == [4, 0, 2, 2]
+    assert back.psi.tobytes() == gmap.psi.tobytes()
+    # comments and blank lines are skipped, and the last record wins
+    back = read_map(source, target, "# header\n\nmap 1 3 2.5\nmap 1 4 0.5\n")
+    assert back.phi.tolist() == [0, 4, 0, 0]
+    assert back.psi.tolist() == [1.0, 0.5, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("map -1 2 nan", "line 1: source vertex -1 is outside 0..2"),
+    ("map 0 1 1.0\nmap 5 0 1.0", "line 2: source vertex 5 is outside 0..2"),
+    ("map 0 3 1.0", "line 1: target vertex 3 is outside 0..2"),
+    ("# psi\nmap 0 1 nan", "line 2: psi nan is not finite"),
+    ("map 0 1 -inf", "line 1: psi -inf is not finite"),
+    ("map 0 1", "line 1: malformed 'map' record"),
+    ("edge 0 1 1.0", "line 1: unknown record 'edge'"),
+])
+def test_read_map_names_the_bad_line(text, message):
+    g = path_graph([1.0, 1.0])
+    with pytest.raises(ValueError) as info:
+        read_map(g, g, text)
+    assert str(info.value) == message
+
+
+def test_graph_map_rejects_nan_psi():
+    g = path_graph([1.0, 1.0])
+    with pytest.raises(ValueError, match="psi must be positive"):
+        GraphMap(g, g, [0, 1, 2], [1.0, np.nan, 1.0])

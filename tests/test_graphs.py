@@ -116,6 +116,22 @@ def test_ab_line_degenerates_to_sym_line():
     assert sorted(gab.edges) == sorted(gs.edges)
 
 
+@pytest.mark.parametrize("M,N", [(2, 300), (1.1, 60), (1.5, 7)])
+def test_sym_line_is_the_ab_line_with_equal_ratios(M, N):
+    gs, gab = build_sym_line(M, N), build_ab_line(M, M, N)
+    for column_s, column_ab in zip(gs.edge_arrays, gab.edge_arrays):
+        assert column_s.dtype == column_ab.dtype
+        assert column_s.tobytes() == column_ab.tobytes()
+    assert gs.edges == gab.edges
+    assert gs.labels == gab.labels
+    assert gs.truncation.frontier == gab.truncation.frontier
+    assert gs.truncation.origin_offset == gab.truncation.origin_offset
+    assert gs.base_vertex == gab.base_vertex
+    assert gs.truncation.family == "LINE_GEOM_SYM"
+    assert gs.truncation.params == {"M": float(M)}
+    assert gab.truncation.params == {"A": float(M), "B": float(M)}
+
+
 def test_dyadic_tree_counts_and_neighborhoods():
     g = build_dyadic_tree(1.0, 2)
     assert g.n_vertices == 7
