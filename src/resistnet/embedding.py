@@ -63,7 +63,10 @@ class GraphMap:
     certificate: Optional[CompatibilityCertificate] = None
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=int)
+        phi = np.asarray(self.phi)
+        if phi.dtype.kind == "f" and not np.all(np.isfinite(phi) & (np.floor(phi) == phi)):
+            raise ValueError("phi must map to integer vertex indices")
+        phi = phi.astype(int)
         psi = np.asarray(self.psi, dtype=float)
         if phi.shape != (self.source.n_vertices,):
             raise ValueError("phi must assign a target vertex to every source vertex")

@@ -14,13 +14,14 @@ up to rounding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import sqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph, read_rows
+from .graphs import WeightedGraph, read_chunks, read_rows, write_chunks
 from .linsolve import solve_reduced
 
 
@@ -226,11 +227,25 @@ def random_interior_vector(graph: WeightedGraph, rng: np.random.Generator,
 # -- serialization: CSV with header vertex,value ----------------------------
 
 _VECTOR_ROW = np.dtype([("vertex", np.int64), ("value", np.float64)])
+_NON_SPACE = re.compile(r"\S")
 
 
 def write_vector(u: EnergyVector) -> str:
-    values = np.asarray(u.values, dtype=float).tolist()
-    return "vertex,value\n" + "".join([f"{i},{v!r}\n" for i, v in enumerate(values)])
+    values = np.asarray(u.values, dtype=float)
+    return "".join(["vertex,value\n"] + [
+        "".join([f"{i},{v!r}\n" for i, v in enumerate(values[rows].tolist(), rows.start)])
+        for rows in write_chunks(len(values))])
+
+
+def _stripped_span(text):
+    """(start, end) with text[start:end] == text.strip(), without copying text."""
+    first = _NON_SPACE.search(text)
+    if first is None:
+        return 0, 0
+    size = 64
+    while not (tail := text[-size:]).rstrip():    # whitespace only: look further back
+        size *= 4
+    return first.start(), len(text) - len(tail) + len(tail.rstrip())
 
 
 def read_vector(graph: WeightedGraph, text: str) -> EnergyVector:
@@ -239,25 +254,30 @@ def read_vector(graph: WeightedGraph, text: str) -> EnergyVector:
     The header is optional, blank rows are skipped, a vertex without a row
     is 0 and the last row for a vertex wins. A malformed row, a vertex
     outside 0..V-1 or a value that is not finite raises ValueError naming
-    the first such row. The numbers are read by numpy's text reader.
+    the first such row. The numbers are read by numpy's text reader, one
+    chunk of lines at a time.
     """
     n = graph.n_vertices
-    rows = text.strip().splitlines()
-    if rows and rows[0].strip().lower() == "vertex,value":
-        rows = rows[1:]
-    rows = [row for row in rows if row.strip()]
-    table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
+    tables = [np.zeros(0, _VECTOR_ROW)]
+    for first, rows in read_chunks(text, *_stripped_span(text)):
+        if first == 0 and rows[0].strip().lower() == "vertex,value":
+            rows = rows[1:]
+        rows = [row for row in rows if row.strip()]
+        table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
+        vertices, values = table["vertex"], table["value"]
+        marked = np.flatnonzero((vertices < 0) | (vertices >= n) | ~np.isfinite(values))
+        bad = int(marked[0]) if marked.size else failed
+        if bad is not None:
+            row = rows[bad]
+            if bad == failed:
+                raise ValueError(f"malformed vector row {row!r}")
+            i, v = table[bad].tolist()
+            if not 0 <= i < n:
+                raise ValueError(f"vector row {row!r}: vertex {i} is outside 0..{n - 1}")
+            raise ValueError(f"vector row {row!r}: value {v!r} is not finite")
+        tables.append(table)
+    table = np.concatenate(tables)
     vertices, values = table["vertex"], table["value"]
-    marked = np.flatnonzero((vertices < 0) | (vertices >= n) | ~np.isfinite(values))
-    first = int(marked[0]) if marked.size else failed
-    if first is not None:
-        row = rows[first]
-        if first == failed:
-            raise ValueError(f"malformed vector row {row!r}")
-        i, v = table[first].tolist()
-        if not 0 <= i < n:
-            raise ValueError(f"vector row {row!r}: vertex {i} is outside 0..{n - 1}")
-        raise ValueError(f"vector row {row!r}: value {v!r} is not finite")
     # each vertex's last row: np.unique gives first occurrences, so it runs
     # over the rows reversed
     _, from_end = np.unique(vertices[::-1], return_index=True)

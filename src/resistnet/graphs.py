@@ -396,15 +396,48 @@ def path_graph(conductances: Sequence[float], base_vertex: int = 0) -> WeightedG
 #    graph <V> <E> <base>
 #    edge <x> <y> <c>      (c in round-trip decimal)
 #    label <x> <string>
+#
+# Files are read and written in chunks of lines: a reader holds the graph
+# plus one chunk of lines, a writer the text formatted so far plus one
+# chunk of records, never the whole file split into lines.
+
+READ_CHUNK_CHARS = 2 ** 20    # a read chunk ends at the first "\n" this far in
+WRITE_CHUNK_ROWS = 2 ** 14    # records formatted per write chunk
+
+
+def read_chunks(text, start=0, end=None):
+    """(index of its first line, its lines) for successive pieces of text[start:end].
+
+    A piece ends right after the first "\n" at least READ_CHUNK_CHARS
+    characters in. No line break is cut ("\r\n" ends at its "\n"), so the
+    pieces' lines are exactly the lines of text[start:end].splitlines().
+    """
+    end = len(text) if end is None else end
+    first = 0
+    while start < end:
+        cut = text.find("\n", start + READ_CHUNK_CHARS - 1, end)
+        cut = end if cut < 0 else cut + 1
+        lines = text[start:cut].splitlines()
+        first, start = first + len(lines), cut
+        yield first - len(lines), lines
+
+
+def write_chunks(n_rows):
+    """Slices of WRITE_CHUNK_ROWS rows covering rows 0..n_rows-1."""
+    return [slice(k, k + WRITE_CHUNK_ROWS) for k in range(0, n_rows, WRITE_CHUNK_ROWS)]
+
 
 def write_graph(graph: WeightedGraph) -> str:
     ex, ey, ec = graph.edge_arrays
-    lines = [f"graph {graph.n_vertices} {len(ec)} {graph.base_vertex}"]
-    lines += [f"edge {x} {y} {c!r}" for x, y, c in zip(ex.tolist(), ey.tolist(), ec.tolist())]
+    parts = [f"graph {graph.n_vertices} {len(ec)} {graph.base_vertex}\n"]
+    for rows in write_chunks(len(ec)):
+        parts.append("".join([f"edge {x} {y} {c!r}\n" for x, y, c
+                              in zip(ex[rows].tolist(), ey[rows].tolist(), ec[rows].tolist())]))
     if graph.labels is not None:
-        lines += [f"label {i} {lab}" for i, lab in enumerate(graph.labels)]
-    lines.append("")    # the final newline, without a second copy of the text
-    return "\n".join(lines)
+        for rows in write_chunks(graph.n_vertices):
+            parts.append("".join([f"label {i} {lab}\n"
+                                  for i, lab in enumerate(graph.labels[rows], rows.start)]))
+    return "".join(parts)
 
 
 def read_rows(rows, dtype, delimiter=None, usecols=None):
@@ -481,29 +514,65 @@ def read_graph(text: str) -> WeightedGraph:
     match the edge records, every edge joins two vertices of the graph with
     a finite conductance, and every label names a vertex of the graph.
     Each violation raises GraphStructureError with its line number. The
-    numbers of all records are read by numpy's text reader.
+    numbers of all records are read by numpy's text reader, one chunk of
+    lines at a time. The vertex weights are computed here, so a vertex
+    count too large for memory fails while the graph is read.
     """
-    lines = text.splitlines()
+    header, columns, labels = None, [], None
+    for first, lines in read_chunks(text):
+        if header is None:
+            at = next((i for i, raw in enumerate(lines) if raw.lstrip()[:1] not in ("", "#")),
+                      None)
+            if at is None:
+                continue
+            header = first + at
+            n_vertices, n_edges, base = _read_header(lines[at], header)
+            lines[:at + 1] = [""] * (at + 1)    # blank the header and the lines before it
+        ex, ey, ec, label_vertices, texts = _read_records(first, lines, n_vertices, header)
+        columns.append((ex, ey, ec))
+        if texts:
+            if labels is None:
+                labels = [""] * n_vertices
+            for vertex, label in zip(label_vertices.tolist(), texts):
+                labels[vertex] = label
+    if header is None:
+        raise GraphStructureError("missing 'graph' header line")
+    ex, ey, ec = (np.concatenate(column) for column in zip(*columns))
+    if n_edges != len(ec):
+        raise GraphStructureError(f"line {header + 1}: header declares {n_edges} edges, "
+                                  f"the file has {len(ec)}")
+    graph = WeightedGraph(n_vertices, edge_arrays=(ex, ey, ec), base_vertex=base,
+                          labels=None if labels is None else tuple(labels))
+    graph.vertex_weights    # the per-vertex array, allocated while this file is read
+    return graph
+
+
+def _read_header(line, header):
+    """(V, E, base) of the header record, which is line index `header`."""
+    kind = _kind(line)
+    if kind != "graph":
+        raise GraphStructureError(
+            f"line {header + 1}: {kind!r} record before the 'graph' header")
+    table, failed = read_rows([line], _HEADER_ROW)
+    if failed is not None:
+        raise GraphStructureError(f"line {header + 1}: malformed 'graph' record")
+    return table[0].tolist()[1:]
+
+
+def _read_records(first, lines, n_vertices, header):
+    """Edge columns, label vertices and label texts of one chunk of lines.
+
+    lines[0] is line index `first` of the file, and no line is the header.
+    The first faulty record raises GraphStructureError.
+    """
     # Records are grouped by the first character of their kind. Each group
     # is parsed in bulk with its kind word as a column, so a line such as
     # "eggs 1 2 3" in the edge group is still reported as an unknown record.
     heads = [raw.lstrip()[:1] for raw in lines]
-    header = next((i for i, h in enumerate(heads) if h not in ("", "#")), None)
-    if header is None:
-        raise GraphStructureError("missing 'graph' header line")
-    kind = _kind(lines[header])
-    if kind != "graph":
-        raise GraphStructureError(
-            f"line {header + 1}: {kind!r} record before the 'graph' header")
-    table, failed = read_rows(lines[header:header + 1], _HEADER_ROW)
-    if failed is not None:
-        raise GraphStructureError(f"line {header + 1}: malformed 'graph' record")
-    _, n_vertices, n_edges, base = table[0].tolist()
-
     faults = []
     others = [i for i, h in enumerate(heads) if h not in {"", "#", "e", "l"}]
-    if len(others) > 1:    # others[0] is the header
-        i = others[1]
+    if others:
+        i = others[0]
         kind = _kind(lines[i])
         faults.append((i, f"second 'graph' header (the first is on line {header + 1})"
                        if kind == "graph" else f"unknown record {kind!r}"))
@@ -514,8 +583,7 @@ def read_graph(text: str) -> WeightedGraph:
             return f"conductance {c!r} is not finite"
         return f"edge ({x}, {y}) has a vertex outside 0..{n_vertices - 1}"
 
-    edge_rows = [raw for raw, h in zip(lines, heads) if h == "e"]
-    edge_table, failed = read_rows(edge_rows, _EDGE_ROW)
+    edge_table, failed = read_rows([raw for raw, h in zip(lines, heads) if h == "e"], _EDGE_ROW)
     ex, ey, ec = (np.ascontiguousarray(edge_table[name]) for name in ("x", "y", "c"))
     bad = _outside(ex, n_vertices) | _outside(ey, n_vertices) | ~np.isfinite(ec)
     faults.append(_first_fault(lines, heads, "e", "edge", edge_table, failed, bad, edge_fault))
@@ -530,15 +598,6 @@ def read_graph(text: str) -> WeightedGraph:
     faults = [fault for fault in faults if fault is not None]
     if faults:
         i, message = min(faults)
-        raise GraphStructureError(f"line {i + 1}: {message}")
-    if n_edges != len(edge_rows):
-        raise GraphStructureError(f"line {header + 1}: header declares {n_edges} edges, "
-                                  f"the file has {len(edge_rows)}")
-    labels = None
-    if label_rows:
-        texts = [w[2].rstrip() if len(w := raw.split(None, 2)) > 2 else "" for raw in label_rows]
-        labels = [""] * n_vertices
-        for vertex, label in zip(label_vertices.tolist(), texts):
-            labels[vertex] = label
-        labels = tuple(labels)
-    return WeightedGraph(n_vertices, edge_arrays=(ex, ey, ec), base_vertex=base, labels=labels)
+        raise GraphStructureError(f"line {first + i + 1}: {message}")
+    texts = [w[2].rstrip() if len(w := raw.split(None, 2)) > 2 else "" for raw in label_rows]
+    return ex, ey, ec, label_vertices, texts

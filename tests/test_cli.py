@@ -315,10 +315,10 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("labels,named", [("label 0 x\n", "huge.txt"), ("", "v.csv")])
+@pytest.mark.parametrize("labels,named", [("label 0 x\n", "huge.txt"), ("", "huge.txt")])
 def test_huge_header_vertex_count_is_a_usage_error(labels, named, capsys, tmp_path):
-    # 10**15 vertices: with a label the label list cannot be allocated,
-    # without one read_vector's value array cannot
+    # 10**15 vertices: the label list or the vertex weights cannot be
+    # allocated, so the graph file is named, not the vector file read after it
     (tmp_path / "huge.txt").write_text("graph 1000000000000000 0 0\n" + labels)
     (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n")
     code = cli.main(["energy", "--graph", str(tmp_path / "huge.txt"),

@@ -240,3 +240,18 @@ def test_graph_map_rejects_nan_psi():
     g = path_graph([1.0, 1.0])
     with pytest.raises(ValueError, match="psi must be positive"):
         GraphMap(g, g, [0, 1, 2], [1.0, np.nan, 1.0])
+
+
+@pytest.mark.parametrize("phi", [[0.0, 1.7, 2.9], [0, 1, 0.5], [0.0, np.nan, 1.0],
+                                 [0.0, 1.0, np.inf]])
+def test_graph_map_rejects_phi_that_is_not_an_integer(phi):
+    g = path_graph([1.0, 1.0])
+    with pytest.raises(ValueError, match="phi must map to integer vertex indices"):
+        GraphMap(g, g, phi, [1, 1, 1])
+
+
+def test_graph_map_accepts_integral_float_phi():
+    g = path_graph([1.0, 1.0])
+    gmap = GraphMap(g, g, [2.0, 0.0, -0.0], [1, 1, 1])
+    assert gmap.phi.tolist() == [2, 0, 0]
+    assert gmap.phi.dtype.kind == "i"

@@ -7,15 +7,35 @@ on every input they reject, the readers must reject it too, naming the
 same line or row. Inputs whose numbers only Python's `int`/`float`
 accept (digit-group underscores, non-ASCII digits) and non-finite
 numbers are rejected on purpose, naming their line.
+
+Files are read and written in chunks of lines. Each check also runs with
+chunks a few characters or rows long, so that records sit at every cut.
 """
 
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from resistnet.energy import read_vector
-from resistnet.graphs import GraphStructureError, WeightedGraph, path_graph, read_graph
+from resistnet import graphs
+from resistnet.energy import EnergyVector, read_vector, write_vector
+from resistnet.graphs import (GraphStructureError, WeightedGraph, build_dyadic_tree, path_graph,
+                              read_chunks, read_graph, write_graph)
+
+TINY_READ_CHUNKS = (1, 2, 3, 5, 13)
+TINY_WRITE_CHUNKS = (1, 2, 3)
+
+
+@pytest.fixture
+def in_tiny_chunks(monkeypatch):
+    """Run check(*args) once for each tiny read chunk size."""
+    def run(check, *args):
+        for chars in TINY_READ_CHUNKS:
+            monkeypatch.setattr(graphs, "READ_CHUNK_CHARS", chars)
+            check(*args)
+    return run
 
 
 def reference_read_graph(text):
@@ -104,6 +124,9 @@ GRAPHS_ACCEPTED = {
         "   edge 0 1 1.0\n\t# tabbed comment\n\nedge 1 2 2.0   \n"),
     "tabs": "graph\t3\t2\t0\nedge\t0\t1\t1.0\n\tedge 1\t\t2 \t 3.0\t\n",
     "crlf": "graph 3 2 0\r\nedge 0 1 1.0\r\nedge 1 2 2.0\r\nlabel 1 mid\r\n",
+    "crlf-no-final-newline": (
+        "\r\n# c\r\ngraph 3 2 0\r\nedge 0 1 1.0\r\nedge 1 2 2.0\r\nlabel 1 mid"),
+    "no-final-newline": "graph 3 2 0\nlabel 2 end\nedge 0 1 1.0\nedge 1 2 2.0",
     "lone-cr-and-form-feed": "graph 3 2 0\redge 0 1 1.0\x0cedge 1 2 2.0\n",
     "unicode-whitespace": "graph\xa02 1 0\nedge 0\u30001\x1f1.0\nlabel 1 x\xa0\n",
     "numbers": (
@@ -161,22 +184,22 @@ GRAPHS_REJECTED = {
     "edge-fault-before-label-fault": (
         "graph 2 2 0\nedge 0 x 1.0\nlabel 9 far\nedge 0 1 1.0\n"),
     "unknown-before-label-fault": "graph 2 1 0\nedge 0 1 1.0\nnode 3\nlabel 9 far\n",
+    "crlf-fault-on-last-line": "graph 2 1 0\r\nedge 0 1 1.0\r\n\r\nlabel 9 far",
+    "crlf-edge-count": "graph 3 7 0\r\nedge 0 1 1.0\r\nedge 1 2 1.0",
     "fault-deep-in-many-edges": (
         "graph 50 49 0\n" + "".join(f"edge {i} {i + 1} 1.0\n" for i in range(30))
         + "edge 30 31 1.0.0\n" + "".join(f"edge {i} {i + 1} 1.0\n" for i in range(31, 49))),
 }
 
 
-@pytest.mark.parametrize("text", GRAPHS_ACCEPTED.values(), ids=GRAPHS_ACCEPTED.keys())
-def test_read_graph_matches_the_reference(text):
+def _graph_matches(text):
     expected = reference_read_graph(text)
     got = read_graph(text)
     assert _bits(got) == _bits(expected)
     assert got == expected
 
 
-@pytest.mark.parametrize("text", GRAPHS_REJECTED.values(), ids=GRAPHS_REJECTED.keys())
-def test_read_graph_rejects_what_the_reference_rejects(text):
+def _graph_rejected(text):
     with pytest.raises(GraphStructureError) as expected:
         reference_read_graph(text)
     with pytest.raises(GraphStructureError) as got:
@@ -185,6 +208,26 @@ def test_read_graph_rejects_what_the_reference_rejects(text):
     if named:
         # the same line and, for the faults the reference knows, the same words
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("text", GRAPHS_ACCEPTED.values(), ids=GRAPHS_ACCEPTED.keys())
+def test_read_graph_matches_the_reference(text):
+    _graph_matches(text)
+
+
+@pytest.mark.parametrize("text", GRAPHS_ACCEPTED.values(), ids=GRAPHS_ACCEPTED.keys())
+def test_read_graph_in_tiny_chunks_matches_the_reference(text, in_tiny_chunks):
+    in_tiny_chunks(_graph_matches, text)
+
+
+@pytest.mark.parametrize("text", GRAPHS_REJECTED.values(), ids=GRAPHS_REJECTED.keys())
+def test_read_graph_rejects_what_the_reference_rejects(text):
+    _graph_rejected(text)
+
+
+@pytest.mark.parametrize("text", GRAPHS_REJECTED.values(), ids=GRAPHS_REJECTED.keys())
+def test_read_graph_in_tiny_chunks_rejects_what_the_reference_rejects(text, in_tiny_chunks):
+    in_tiny_chunks(_graph_rejected, text)
 
 
 @pytest.mark.parametrize("text,lineno", [
@@ -243,6 +286,12 @@ def test_read_graph_matches_the_reference_on_random_spellings(seed):
     assert _bits(read_graph(text)) == _bits(reference_read_graph(text))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_read_graph_in_tiny_chunks_matches_the_reference_on_random_spellings(
+        seed, in_tiny_chunks):
+    in_tiny_chunks(_graph_matches, _random_graph_text(np.random.default_rng(seed)))
+
+
 VECTORS_ACCEPTED = {
     "plain": "vertex,value\n0,1.0\n1,2.0\n2,3.0\n",
     "no-header": "0,1.0\n2,3.0\n",
@@ -250,6 +299,8 @@ VECTORS_ACCEPTED = {
     "blank-rows": "vertex,value\n\n0,1.0\n   \n\t\n1,2.0\n\n",
     "whitespace-and-tabs": "vertex,value\n 0 , 1.0 \n1\t,\t2.0\n\t2,3.0\t\n",
     "crlf": "vertex,value\r\n0,1.0\r\n1,2.0\r\n",
+    "crlf-no-final-newline": "\r\n \r\n vertex,value\r\n0,1.0\r\n\r\n1,2.0",
+    "no-final-newline": "0,1.0\n1,2.0",
     "unicode-whitespace": "vertex,value\n0,\xa01.5\n\u30001\u3000,2.0\n",
     "numbers": ("vertex,value\n0,+1e0\n1,-0.0\n2,4.9406564584124654e-324\n"
                 "3,0.30000000000000004\n4,2.5E-3\n5,.5\n6,1.7976931348623157e308\n"),
@@ -273,24 +324,46 @@ VECTORS_REJECTED = {
     "range-before-malformed": "vertex,value\n0,1.0\n9,1.0\n1;2\n",
     "malformed-before-range": "vertex,value\n0,1.0\n1;2\n9,1.0\n",
     "header-twice": "vertex,value\nvertex,value\n0,1.0\n",
+    # text.strip() takes the spaces around the first and the last row
+    "spaces-before-first-row": "\n  \n \t0;1.0\n1,2.0\n",
+    "spaces-after-last-row": "vertex,value\r\n0,1.0\r\n1;2 \t\r\n \r\n",
+    "crlf-fault-on-last-line": "vertex,value\r\n0,1.0\r\n9,1.0",
 }
 
 
-@pytest.mark.parametrize("text", VECTORS_ACCEPTED.values(), ids=VECTORS_ACCEPTED.keys())
-def test_read_vector_matches_the_reference(text):
-    graph = path_graph([1.0] * 6)
+def _vector_matches(text, n=7):
+    graph = path_graph([1.0] * (n - 1))
     expected = reference_read_vector(graph.n_vertices, text)
     assert read_vector(graph, text).values.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("text", VECTORS_REJECTED.values(), ids=VECTORS_REJECTED.keys())
-def test_read_vector_rejects_what_the_reference_rejects(text):
+def _vector_rejected(text):
     graph = path_graph([1.0] * 6)
     with pytest.raises(ValueError) as expected:
         reference_read_vector(graph.n_vertices, text)
     with pytest.raises(ValueError) as got:
         read_vector(graph, text)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("text", VECTORS_ACCEPTED.values(), ids=VECTORS_ACCEPTED.keys())
+def test_read_vector_matches_the_reference(text):
+    _vector_matches(text)
+
+
+@pytest.mark.parametrize("text", VECTORS_ACCEPTED.values(), ids=VECTORS_ACCEPTED.keys())
+def test_read_vector_in_tiny_chunks_matches_the_reference(text, in_tiny_chunks):
+    in_tiny_chunks(_vector_matches, text)
+
+
+@pytest.mark.parametrize("text", VECTORS_REJECTED.values(), ids=VECTORS_REJECTED.keys())
+def test_read_vector_rejects_what_the_reference_rejects(text):
+    _vector_rejected(text)
+
+
+@pytest.mark.parametrize("text", VECTORS_REJECTED.values(), ids=VECTORS_REJECTED.keys())
+def test_read_vector_in_tiny_chunks_rejects_what_the_reference_rejects(text, in_tiny_chunks):
+    in_tiny_chunks(_vector_rejected, text)
 
 
 @pytest.mark.parametrize("row", [
@@ -304,10 +377,8 @@ def test_read_vector_rejects_numbers_python_alone_accepts(row):
         read_vector(graph, text)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_read_vector_matches_the_reference_on_random_spellings(seed):
-    rng = np.random.default_rng(seed)
-    n = 9
+def _random_vector_text(rng, n):
+    """A vector file for n vertices in one of the spellings the reader accepts."""
     rows = []
     for _ in range(int(rng.integers(0, 20))):
         i, v = int(rng.integers(n)), float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
@@ -316,10 +387,18 @@ def test_read_vector_matches_the_reference_on_random_spellings(seed):
         if rng.random() < 0.2:
             rows.append(["", "  ", "\t"][int(rng.integers(3))])
     header = ["vertex,value", "Vertex,Value", ""][int(rng.integers(3))]
-    text = ["\n", "\r\n"][int(rng.integers(2))].join([header, *rows]) + "\n"
-    graph = path_graph([1.0] * (n - 1))
-    expected = reference_read_vector(n, text)
-    assert read_vector(graph, text).values.tobytes() == expected.tobytes()
+    return ["\n", "\r\n"][int(rng.integers(2))].join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_read_vector_matches_the_reference_on_random_spellings(seed):
+    _vector_matches(_random_vector_text(np.random.default_rng(seed), 9), 9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_read_vector_in_tiny_chunks_matches_the_reference_on_random_spellings(
+        seed, in_tiny_chunks):
+    in_tiny_chunks(_vector_matches, _random_vector_text(np.random.default_rng(seed), 9), 9)
 
 
 def test_edges_built_from_arrays_keep_their_record_form():
@@ -329,3 +408,78 @@ def test_edges_built_from_arrays_keep_their_record_form():
     assert [type(v) for e in graph.edges for v in e] == [int, int, float] * 2
     assert graph == WeightedGraph(3, ((0, 1, 1.5), (2, 1, 0.0)))
     assert graph.n_edges == 2
+
+
+@pytest.mark.parametrize("chars", TINY_READ_CHUNKS + (64,))
+def test_read_chunks_cut_only_after_a_newline(chars, monkeypatch):
+    monkeypatch.setattr(graphs, "READ_CHUNK_CHARS", chars)
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ", "\n\n", "\r\n\r\n"]
+    rng = np.random.default_rng(chars)
+    for _ in range(50):
+        words = ["".join(rng.choice(list("ab \t"), int(rng.integers(0, 6))))
+                 for _ in range(int(rng.integers(0, 12)))]
+        text = "".join(w + breaks[int(rng.integers(len(breaks)))] for w in words)
+        text += "tail" if rng.random() < 0.5 else ""
+        for start, end in [(0, None), (1, len(text) - 1)]:
+            chunks = list(read_chunks(text, start, end))
+            assert [line for _, lines in chunks for line in lines] == \
+                text[start:end].splitlines()
+            ends = np.cumsum([len(lines) for _, lines in chunks], dtype=int).tolist()
+            assert [first for first, _ in chunks] == ([0] + ends)[:len(chunks)]
+    assert len(list(read_chunks("a\nb\nc\n"))) == (3 if chars <= 2 else 2 if chars <= 4 else 1)
+
+
+def reference_write_graph(graph):
+    lines = [f"graph {graph.n_vertices} {len(graph.edges)} {graph.base_vertex}"]
+    lines += [f"edge {x} {y} {c!r}" for x, y, c in graph.edges]
+    if graph.labels is not None:
+        lines += [f"label {i} {lab}" for i, lab in enumerate(graph.labels)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_vector(values):
+    return "vertex,value\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("rows", TINY_WRITE_CHUNKS)
+def test_writers_in_tiny_chunks_match_the_reference(rows, monkeypatch):
+    monkeypatch.setattr(graphs, "WRITE_CHUNK_ROWS", rows)
+    for graph in [build_dyadic_tree(0.5, 3), path_graph([1.0, -0.0, 5e-324, 0.1 + 0.2]),
+                  read_graph("graph 1 0 0\n"),
+                  read_graph("graph 3 1 2\nedge 2 0 1e300\nlabel 1 a b\n")]:
+        assert write_graph(graph) == reference_write_graph(graph)
+        values = np.linspace(-1.0, 2.0, graph.n_vertices) ** 3
+        assert write_vector(EnergyVector(graph, values)) == reference_write_vector(values)
+
+
+def test_files_of_a_large_tree_round_trip_across_chunks():
+    tree = build_dyadic_tree(1.0, 16)    # 2**17 - 1 vertices
+    text = write_graph(tree)
+    assert len(text) > 4 * graphs.READ_CHUNK_CHARS
+    assert tree.n_edges > 4 * graphs.WRITE_CHUNK_ROWS
+    assert text == reference_write_graph(tree)
+    assert write_graph(read_graph(text)) == text
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(tree.n_vertices) * 10.0 ** rng.integers(-300, 300, tree.n_vertices)
+    csv = write_vector(EnergyVector(tree, values))
+    assert len(csv) > 2 * graphs.READ_CHUNK_CHARS
+    assert csv == reference_write_vector(values)
+    assert write_vector(read_vector(tree, csv)) == csv
+
+
+def test_reading_and_writing_a_graph_hold_one_chunk_not_the_whole_file():
+    text = write_graph(build_dyadic_tree(1.0, 14))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        graph = read_graph(text)
+        kept, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = write_graph(graph)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == text
+    # the file split into lines costs several times what the graph keeps
+    assert read_peak - start <= 3 * (kept - start)
+    assert write_peak - kept <= 3 * sys.getsizeof(out)
