@@ -25,7 +25,7 @@ from .graphs import (
     build_half_line, build_sym_line,
 )
 from .linsolve import solve_reduced
-from .polynomials import _float_quotient, _scaled_pairs
+from .polynomials import _float_quotient, _scaled_pairs, _split_two, _times
 
 HARM_TRIVIAL = "HARM_TRIVIAL"
 CONVERGENT = "CONVERGENT"
@@ -314,24 +314,34 @@ def _exact_rows_zero(Q, a, b):
     the flux recursion mu(x+1) du(x+1) = mu(x) du(x) + u(x) by
     a^(x+1) D_(x+1) / b^(x+1) clears every denominator:
 
-        Q_(x+1) - b^(x+1) Q_x = a b^x (Q_x - b^x Q_(x-1)) + a^(x+1) Q_x.
+        outflow_x = inflow_x + source_x,   with
+        outflow_x = Q_(x+1) - b^(x+1) Q_x           (mu(x+1) du(x+1)),
+        inflow_x  = a b^x outflow_(x-1)             (mu(x) du(x)),
+        source_x  = a^(x+1) Q_x                     (u(x)),
 
-    The interior row mu(x) du(x) + mu(x+1) (u(x) - u(x+1)) + u(x) = 0 is
-    checked in the same scaled form, for x = 1 .. N-1; the vertex-0 row
-    depends on the seed and is checked by _side.
-    Returns (flux_ok, interior_ok).
+    so each step forms one product b^(x+1) Q_x and reuses its outflow as
+    the next inflow. The interior row mu(x) du(x) + mu(x+1) (u(x) - u(x+1))
+    + u(x) = 0, scaled the same way, is inflow - outflow + source = 0: the
+    same identity rearranged, so one comparison decides both, for
+    x = 1 .. N-1. The vertex-0 row depends on the seed and is checked by
+    _side. The powers of two in a = a_odd 2^sa and b = b_odd 2^sb are
+    applied as shifts, so only the odd parts are multiplied: a is a power
+    of two for every float M, and when b is one too (M = 2) the check
+    costs O(N^3) word operations, as the kernel does, not O(N^4).
+    Returns (flux_ok, interior_ok), which are equal.
     """
-    flux_ok = interior_ok = True
-    a_next, b_x = a, 1
+    a_odd, sa = _split_two(a)
+    b_odd, sb = _split_two(b)
+    a_x, b_x = a_odd, b_odd         # odd parts of a^x and b^x
+    outflow = Q[1] - _times(Q[0], b_x, sb)
     for x in range(1, len(Q) - 1):
-        a_next *= a
-        b_x *= b
-        inflow = a * b_x * (Q[x] - b_x * Q[x - 1])      # mu(x) du(x)
-        outflow = Q[x + 1] - b * b_x * Q[x]             # mu(x+1) du(x+1)
-        source = a_next * Q[x]                          # u(x)
-        flux_ok = flux_ok and outflow == inflow + source
-        interior_ok = interior_ok and inflow - outflow + source == 0
-    return flux_ok, interior_ok
+        inflow = _times(outflow, a_odd * b_x, sa + sb * x)
+        a_x *= a_odd
+        b_x *= b_odd
+        outflow = Q[x + 1] - _times(Q[x], b_x, sb * (x + 1))
+        if outflow != inflow + _times(Q[x], a_x, sa * (x + 1)):
+            return False, False
+    return True, True
 
 
 def _l2_flag_for(u_floats, depths):
@@ -350,8 +360,8 @@ def _deficiency_solution(graph, M, N):
     xi, rows, seed_ok, zero_row_ok = _side(M, N, Fraction(1, sides))
     a, b = xi.numerator, xi.denominator
     flux_ok, interior_ok = _exact_rows_zero([Q for _, Q, _, _ in rows], a, b)
-    u = [Q / D for _P, Q, _R, D in rows]
-    du = [R / D for _P, _Q, R, D in rows[1:]]
+    u = [_float_quotient(Q, 1, D, 1) for _P, Q, _R, D in rows]
+    du = [_float_quotient(R, 1, D, 1) for _P, _Q, R, D in rows[1:]]
     half = np.array(u)
     # coordinate x is stored at index x + origin_offset
     values = half[np.abs(np.arange(graph.n_vertices) - graph.truncation.origin_offset)]

@@ -115,8 +115,8 @@ def _read_file(path, parse):
 def _polys_table_csv(pairs):
     lines = ["n,p_coeffs,q_coeffs"]
     for pair in pairs[1:]:
-        p = ";".join(str(c) for c in pair.p.coeffs)
-        q = ";".join(str(c) for c in pair.q.coeffs)
+        p = ";".join(map(str, pair.p.coeffs))
+        q = ";".join(map(str, pair.q.coeffs))
         lines.append(f"{pair.n},{p},{q}")
     return "\n".join(lines) + "\n"
 
@@ -161,7 +161,7 @@ def run_polys(config):
         if xi is None:
             raise UsageError("--growth needs --xi")
         try:
-            report = polynomials.growth_bounds_report(xi, config["n_max"])
+            report = polynomials.growth_bounds_report(xi, config["n_max"], pairs)
         except ValueError as exc:
             raise UsageError(f"--growth: {exc}") from exc
         doc["growth"] = report.to_dict()

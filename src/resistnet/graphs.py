@@ -126,9 +126,11 @@ class WeightedGraph:
         """c(x) = sum of conductances of edges at x, as a float array."""
         ex, ey, ec = self.edge_arrays
         # endpoints interleaved x0, y0, x1, y1, ...: the additions of a loop
-        # over the edges, in the same order
-        return np.bincount(np.column_stack((ex, ey)).ravel(), weights=np.repeat(ec, 2),
-                           minlength=self.n_vertices)
+        # over the edges, in the same order; with no edges bincount ignores
+        # the weights and counts in int64, hence the cast
+        weights = np.bincount(np.column_stack((ex, ey)).ravel(), weights=np.repeat(ec, 2),
+                              minlength=self.n_vertices)
+        return weights.astype(np.float64, copy=False)
 
     @cached_property
     def interior_mask(self):

@@ -17,9 +17,17 @@ integers rather than Fractions. With T(n) = n(n+1)/2,
 
 are integers obeying P_{n+1} = b^n P_n + Q_n and
 Q_{n+1} = b^(n+1) Q_n + a^(n+1) P_{n+1}, so no step takes a gcd (the
-fraction-free idea of Bareiss, Math. Comp. 22, 1968). For n >= 1 both
-P_n and Q_n are coprime to b: P_1 = 1 and Q_1 = a + b, and modulo every
-prime factor of b, P_{n+1} = Q_n and Q_{n+1} = a^(n+1) P_{n+1}. So
+fraction-free idea of Bareiss, Math. Comp. 22, 1968). The powers of two
+are split off once, a = a_odd 2^sa and b = b_odd 2^sb: only a_odd^n and
+b_odd^n are ever multiplied, and each 2^(s n) is a shift, which costs
+O(size) where a product with an O(n)-word power costs O(n size) (Brent &
+Zimmermann, Modern Computer Arithmetic, 2010, section 1.3). Every float
+--M is m / 2^k in lowest terms, so xi = 1/M = 2^k / m has a = 2^k, a
+power of two. When b is one too (M = 2, 4, 8, ...), step n is shifts and
+additions of O(n^2)-bit numbers, and N steps cost O(N^3) word operations,
+not O(N^4). For n >= 1 both P_n and Q_n are coprime to b: P_1 = 1 and
+Q_1 = a + b, and modulo every prime factor of b, P_{n+1} = Q_n and
+Q_{n+1} = a^(n+1) P_{n+1}. So
 p_n = P_n / b^T(n-1) and q_n = Q_n / b^T(n) are already in lowest terms,
 and a float of either is one correctly rounded int / int division,
 exactly as Fraction.__float__ computes it.
@@ -188,6 +196,19 @@ def pair_sequence(n_max: int) -> list:
     return out
 
 
+def _split_two(v):
+    """(odd, s) with v = odd * 2^s and odd of the sign of v; (0, 0) for v = 0."""
+    s = (v & -v).bit_length() - 1 if v else 0
+    return v >> s, s
+
+
+def _times(x, odd, shift):
+    """x * odd * 2^shift: the power of two as a shift, no multiply by 1."""
+    if odd != 1:
+        x *= odd
+    return x << shift if shift else x
+
+
 def _scaled_pairs(xi, seed=(0, 1)):
     """Run the pair recursion on plain ints at rational xi = a/b.
 
@@ -203,22 +224,31 @@ def _scaled_pairs(xi, seed=(0, 1)):
         P_(n+1) = b^n P_n + Q_n,   Q_(n+1) = b^(n+1) Q_n + a^(n+1) P_(n+1),
 
     which multiplies only by small powers of a and b and never takes a gcd.
+    With a = a_odd 2^sa and b = b_odd 2^sb, only the odd parts a_odd^n and
+    b_odd^n are carried as multipliers and the 2^(sa n), 2^(sb n) parts
+    are shifts; a = 0 splits as (0, 0) and a negative a keeps its sign in
+    a_odd. A float ratio M gives xi = 1/M with a a power of two, and when
+    b is one too (M = 2) the N steps cost O(N^3) word operations.
     """
     xi = Fraction(xi)
-    a, b = xi.numerator, xi.denominator
+    a_odd, sa = _split_two(xi.numerator)
+    b_odd, sb = _split_two(xi.denominator)
     p0, q0 = Fraction(seed[0]), Fraction(seed[1])
     d = lcm(p0.denominator, q0.denominator)
     P, Q, D = int(p0 * d), int(q0 * d), d
     R = P
-    a_n = b_n = 1
+    a_n = b_n = 1       # odd parts: a^n = a_n << sa_n, b^n = b_n << sb_n
+    sa_n = sb_n = 0
     while True:
         yield P, Q, R, D
-        P = b_n * P + Q
-        a_n *= a
-        b_n *= b
-        R = a_n * P
-        Q = b_n * Q + R
-        D *= b_n
+        P = _times(P, b_n, sb_n) + Q
+        a_n *= a_odd
+        b_n *= b_odd
+        sa_n += sa
+        sb_n += sb
+        R = _times(P, a_n, sa_n)
+        Q = _times(Q, b_n, sb_n) + R
+        D = _times(D, b_n, sb_n)
 
 
 def _float_quotient(n1, n2, d1, d2):
@@ -534,7 +564,7 @@ class GrowthReport:
         }
 
 
-def growth_bounds_report(xi, n_max: int) -> GrowthReport:
+def growth_bounds_report(xi, n_max: int, pairs=None) -> GrowthReport:
     """Exact growth checks for p_n, q_n at one rational xi.
 
     Checks n <= p_n(xi) for every n; the cubic upper bound whenever the
@@ -543,14 +573,16 @@ def growth_bounds_report(xi, n_max: int) -> GrowthReport:
     hold is searched and reported); and the telescoped cumulative-sum
     identity p_n = 1 + q_1 + ... + q_{n-1} at the polynomial level. The
     slope fields are diagnostics: the linear-growth constant is
-    existential, so no pass/fail is attached.
+    existential, so no pass/fail is attached. pairs, if given, is
+    pair_sequence(n_max), already built by the caller.
     """
     xi = Fraction(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
-    pairs = pair_sequence(n_max)
+    if pairs is None:
+        pairs = pair_sequence(n_max)
     values = pair_values_sequence(xi, n_max)
 
     lower_ok = all(values[n][0] >= n for n in range(1, n_max + 1))
@@ -618,16 +650,16 @@ def q_limit(xi, tol: float = 1e-12, max_n: int = 5000) -> QLimitResult:
         raise ValueError("xi must lie in (0, 1)")
     if not tol > 0:
         raise ValueError(f"tol must be > 0 (got {tol!r}); the increments are positive")
-    b = xi.denominator
+    b_odd, sb = _split_two(xi.denominator)
     monotone_ok = True
     above_one_ok = True
     a_max = 0.0
     pairs = _scaled_pairs(xi)
     _, Q_prev, _, D_prev = next(pairs)
-    b_n = 1
+    b_n = 1             # odd part of b^n
     for n, (P, Q, R, D) in enumerate(pairs, 1):
-        b_n *= b
-        if R <= 0 or Q <= b_n * Q_prev:
+        b_n *= b_odd
+        if R <= 0 or Q <= _times(Q_prev, b_n, sb * n):
             monotone_ok = False
         if Q <= D:
             above_one_ok = False

@@ -1,12 +1,13 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from resistnet.boundary import (
-    _side, build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
+    _exact_rows_zero, _side, build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
     build_harmonic_zplus, classify_model, resolvent_delta,
     solve_ab_deficiency, space_decomposition_check, tail_flag,
 )
@@ -16,6 +17,7 @@ from resistnet.energy import (
 from resistnet.graphs import (
     ModelSpec, WeightedGraph, build_dyadic_tree, build_half_line, build_sym_line, path_graph,
 )
+from resistnet.polynomials import _scaled_pairs
 
 
 # -- harmonic vectors ---------------------------------------------------------
@@ -148,6 +150,34 @@ def test_side_kernel_checks_hold_for_any_share(ratio, lam):
     u0, u1 = (Fraction(Q, D) for _P, Q, _R, D in rows[:2])
     assert u1 == (1 + lam * xi) * u0
     assert (1 / lam) * (1 / xi) * (u0 - u1) + u0 == 0
+
+
+ROW_CHECK_XIS = [Fraction(1, 2), Fraction(2, 3), 1 / Fraction(1.1), Fraction(5, 12)]
+
+
+@pytest.mark.parametrize("xi", ROW_CHECK_XIS)
+@pytest.mark.parametrize("seed", [(0, 1), (Fraction(-1, 2), 1)])
+def test_exact_rows_zero_agrees_with_the_rational_rows(xi, seed):
+    # the interior rows of Lap u = -u with mu(x) = xi^-x, on Fractions, hold
+    # for the kernel's rows and fail once any one Q_x is off by one
+    N = 30
+    rows = list(islice(_scaled_pairs(xi, seed), N + 1))
+    Q = [Q for _P, Q, _R, _D in rows]
+    a, b = xi.numerator, xi.denominator
+
+    def rational_rows_hold(Q):
+        u = [Fraction(q, D) for q, (_P, _Q, _R, D) in zip(Q, rows)]
+        return all((u[x] - u[x - 1]) / xi ** x + (u[x] - u[x + 1]) / xi ** (x + 1) + u[x] == 0
+                   for x in range(1, N))
+
+    assert rational_rows_hold(Q)
+    assert _exact_rows_zero(Q, a, b) == (True, True)
+    for x in (0, N // 2, N):
+        for delta in (1, -1):
+            bad = list(Q)
+            bad[x] += delta
+            assert not rational_rows_hold(bad)
+            assert _exact_rows_zero(bad, a, b) == (False, False), (x, delta)
 
 
 # -- two-ratio model -------------------------------------------------------------
@@ -377,7 +407,8 @@ def test_classify_half_line_uncertified_window_is_inconclusive():
 
 
 def test_deficiency_float_curves_round_the_exact_values():
-    for sol in (build_deficiency_zplus(1.5, 40), build_deficiency_zline(1.5, 40)):
+    for sol in (build_deficiency_zplus(1.5, 40), build_deficiency_zline(1.5, 40),
+                build_deficiency_zplus(2, 300), build_deficiency_zline(1.1, 60)):
         assert sol.u_float == tuple(float(v) for v in sol.u_exact)
         assert sol.du_float == tuple(float(v) for v in sol.du_exact)
         assert sol.to_dict()["u_head"] == list(sol.u_float[:8])

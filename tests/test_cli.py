@@ -57,6 +57,22 @@ def test_polys_q_limit_run(capsys):
     assert doc["growth"]["lower_linear_ok"]
 
 
+def test_polys_builds_the_pair_list_once(capsys, monkeypatch):
+    # the table and the growth report share one pair_sequence(n_max)
+    calls = []
+    real = polynomials.pair_sequence
+
+    def counted(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(polynomials, "pair_sequence", counted)
+    code, out = run_cli(capsys, ["polys", "--n-max", "40", "--xi", "1/2", "--growth"])
+    assert code == 0
+    assert json.loads(out)["growth"]["cumulative_identity_ok"]
+    assert calls == [40]
+
+
 def test_classify_half_line(capsys):
     code, out = run_cli(capsys, ["classify", "--model", "half-line",
                                  "--M", "2", "--N", "60"])

@@ -174,6 +174,16 @@ def test_vertex_weight_two_computations_agree():
     assert np.array_equal(by_scan, g.vertex_weights)
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("graph 3 0 0\n", [0.0, 0.0, 0.0]),          # bincount of no endpoints is int64
+    ("graph 3 1 0\nedge 0 1 2.0\n", [2.0, 2.0, 0.0]),
+])
+def test_vertex_weights_are_float_with_or_without_edges(text, expected):
+    weights = read_graph(text).vertex_weights
+    assert weights.dtype == np.float64
+    assert weights.tolist() == expected
+
+
 def test_truncation_monotonicity():
     shallow = build_half_line(2, 5)
     deep = build_half_line(2, 6)

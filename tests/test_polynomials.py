@@ -7,7 +7,7 @@ import pytest
 
 from resistnet import polynomials
 from resistnet.polynomials import (
-    _float_quotient, _repr_series_P, _repr_series_Q, _scaled_pairs,
+    _float_quotient, _repr_series_P, _repr_series_Q, _scaled_pairs, _split_two, _times,
     CUBE_BOUND_RATIO_THRESHOLD, FormalSeries, QLimitError, SEED_PAIR, XiPoly,
     check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
     genfunc_P, genfunc_Q, growth_bounds_report, identity_P_holds,
@@ -290,10 +290,26 @@ def test_xipoly_arithmetic_basics():
 
 # -- the scaled-integer pair kernel ----------------------------------------------
 
-# n_max is smaller at 1/1.1 because the Fraction oracle carries a 2^51-scale
+# a = 1 over a power of two, b = 4, b odd, the float ratio 1/1.1 (a a power
+# of two over an odd b), a even over b odd, and a odd over b = 3 * 4. n_max
+# is smaller at 1/1.1 because the Fraction oracle carries a 2^51-scale
 # denominator and takes seconds per step pair beyond n ~ 60
 KERNEL_CASES = [(HALF, 120), (Fraction(3, 4), 120), (Fraction(1, 3), 120),
-                (1 / Fraction(1.1), 50)]
+                (1 / Fraction(1.1), 50), (Fraction(2, 3), 80), (Fraction(5, 12), 60)]
+# a = 0 has no power-of-two split, and a < 0 keeps its sign in the odd part
+NONPOSITIVE_CASES = [(Fraction(0), 30), (Fraction(-1, 2), 30), (Fraction(-3, 4), 30),
+                     (Fraction(-5, 12), 30)]
+
+
+def test_split_two_and_times():
+    for v in range(-70, 71):
+        odd, s = _split_two(v)
+        assert s >= 0 and odd << s == v
+        assert odd % 2 == 1 or v == 0
+        for x in (-5, 0, 7, 3 ** 40):
+            assert _times(x, odd, s) == x * v
+    assert _split_two(0) == (0, 0)
+    assert _split_two(-(3 << 70)) == (-3, 70)
 
 
 def _fraction_pairs(xi, n_max, p1=1, q1=None):
@@ -307,7 +323,7 @@ def _fraction_pairs(xi, n_max, p1=1, q1=None):
     return out
 
 
-@pytest.mark.parametrize("xi,n_max", KERNEL_CASES)
+@pytest.mark.parametrize("xi,n_max", KERNEL_CASES + NONPOSITIVE_CASES)
 def test_scaled_kernel_matches_fraction_recursion(xi, n_max):
     rows = list(islice(_scaled_pairs(xi), n_max + 1))
     assert rows[0] == (0, 1, 0, 1)
