@@ -44,9 +44,7 @@ from .walk import (
 from .embedding import (
     CompatibilityCertificate, GraphMap, MissingCertificateError,
     TreeHarmonicResult, check_compatible, compose_maps, dirichlet_monopole,
-    dyadic_pair, identity_map, pullback, read_map, transport_harmonic,
-    transport_monopole, tree_harmonic_direct, tree_harmonic_energy_curve,
-    write_map,
+    dyadic_pair, pullback, transport_monopole, tree_harmonic_direct,
 )
 
 __version__ = "0.1.0"

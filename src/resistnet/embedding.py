@@ -7,7 +7,7 @@ Laplacians intertwine through psi,
 
     (T Lap_H u)(x) = psi(x) (Lap_G T u)(x),
 
-and a verified map transports harmonic vectors and monopoles from H to G.
+and a verified map transports monopoles from H to G.
 The worked pair maps the constant-conductance binary tree onto the
 geometric half line with doubling conductances, psi = 2^depth.
 """
@@ -15,14 +15,12 @@ geometric half line with doubling conductances, psi = 2^depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy, random_interior_vector
-from .graphs import (
-    WeightedGraph, _first_fault, _outside, build_dyadic_tree, build_half_line, read_rows,
-)
+from .graphs import WeightedGraph, build_dyadic_tree, build_half_line
 from .linsolve import solve_reduced
 
 
@@ -91,11 +89,6 @@ def pullback(gmap: GraphMap, u: EnergyVector) -> EnergyVector:
     return EnergyVector(gmap.source, u.values[gmap.phi])
 
 
-def identity_map(graph: WeightedGraph) -> GraphMap:
-    return GraphMap(graph, graph, np.arange(graph.n_vertices),
-                    np.ones(graph.n_vertices))
-
-
 def compose_maps(first: GraphMap, second: GraphMap) -> GraphMap:
     """Map G -> K from G -> H and H -> K; pullbacks compose contravariantly.
 
@@ -151,25 +144,6 @@ def _require_certificate(gmap):
     if gmap.certificate is None or not gmap.certificate.passed:
         raise MissingCertificateError(
             "run check_compatible and attach a passing certificate first")
-
-
-def transport_harmonic(gmap: GraphMap, u: EnergyVector):
-    """Pull a harmonic vector back through a certified map.
-
-    Returns (Tu, interior harmonicity residual on the source); the
-    intertwining identity bounds the source residual by max(1/psi) times
-    the target residual plus rounding.
-    """
-    _require_certificate(gmap)
-    lap_u = apply_laplacian(u).values
-    target_resid = float(np.max(np.abs(lap_u[u.graph.interior_mask])))
-    if target_resid > 1e-9:
-        raise ValueError(f"input is not harmonic on the target interior "
-                         f"(residual {target_resid:g})")
-    tu = pullback(gmap, u)
-    lap_tu = apply_laplacian(tu).values
-    source_resid = float(np.max(np.abs(lap_tu[gmap.source.interior_mask])))
-    return tu, source_resid
 
 
 def transport_monopole(gmap: GraphMap, w: EnergyVector):
@@ -280,56 +254,3 @@ def tree_harmonic_direct(c_const: float, N: int, tol: float = 1e-10) -> TreeHarm
     return TreeHarmonicResult(h, N, float(c_const), interior_residual,
                               float(values[graph.base_vertex]), anti_ok,
                               energy(h))
-
-
-def tree_harmonic_energy_curve(c_const: float, n_values: Sequence[int]):
-    """Energies of the Dirichlet tree solutions over a range of depths."""
-    out = []
-    for n in n_values:
-        res = tree_harmonic_direct(c_const, n)
-        out.append((n, res.energy_value))
-    return out
-
-
-# -- serialization: lines `map <g_vertex> <h_vertex> <psi>` -------------------
-
-def write_map(gmap: GraphMap) -> str:
-    lines = []
-    for x in range(gmap.source.n_vertices):
-        lines.append(f"map {x} {int(gmap.phi[x])} {float(gmap.psi[x])!r}")
-    return "\n".join(lines) + "\n"
-
-
-_MAP_ROW = np.dtype([("kind", "U4"), ("x", np.int64), ("y", np.int64), ("psi", np.float64)])
-
-
-def read_map(source: WeightedGraph, target: WeightedGraph, text: str) -> GraphMap:
-    """Inverse of write_map; blank and '#' lines and fields past the fourth are skipped.
-
-    A source vertex without a record maps to target vertex 0 with psi 1.
-    An unknown or malformed record, a vertex outside its graph or a psi that
-    is not finite raises ValueError naming its line.
-    """
-    lines = text.splitlines()
-    heads = ["" if raw.lstrip()[:1] in ("", "#") else "m" for raw in lines]
-    rows = [raw for raw, h in zip(lines, heads) if h]
-    table, failed = read_rows(rows, _MAP_ROW, usecols=(0, 1, 2, 3))
-    x, y, psi = table["x"], table["y"], table["psi"]
-    n_source, n_target = source.n_vertices, target.n_vertices
-
-    def describe(record):
-        _, vx, vy, value = record
-        if not 0 <= vx < n_source:
-            return f"source vertex {vx} is outside 0..{n_source - 1}"
-        if not 0 <= vy < n_target:
-            return f"target vertex {vy} is outside 0..{n_target - 1}"
-        return f"psi {value!r} is not finite"
-
-    bad = _outside(x, n_source) | _outside(y, n_target) | ~np.isfinite(psi)
-    fault = _first_fault(lines, heads, "m", "map", table, failed, bad, describe)
-    if fault is not None:
-        raise ValueError(f"line {fault[0] + 1}: {fault[1]}")
-    phi_values, psi_values = np.zeros(n_source, dtype=int), np.ones(n_source)
-    for vx, vy, value in zip(x.tolist(), y.tolist(), psi.tolist()):    # the last one wins
-        phi_values[vx], psi_values[vx] = vy, value
-    return GraphMap(source, target, phi_values, psi_values)

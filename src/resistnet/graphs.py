@@ -7,6 +7,10 @@ geometric lines, the A-B two-sided line, and the binary (dyadic) tree; each
 records which vertices sit on the truncation frontier so that analysis code
 can restrict identities to interior vertices. `ModelSpec` is the model
 registry: the one place that turns a family and its parameters into a graph.
+
+A graph holds its edges once, as three arrays (endpoints x, endpoints y,
+conductances). Solvers and searches read its CSR view, each vertex's
+neighbours in edge order; the (x, y, c) records are built on demand.
 """
 
 from __future__ import annotations
@@ -50,45 +54,38 @@ class TruncationInfo:
 class WeightedGraph:
     """Finite weighted graph: vertices 0..n_vertices-1, unordered edges.
 
-    Edges are stored once per unordered pair as (x, y, c) with x < y after
-    normalization by the constructors in this module; validate() checks the
+    The edges are three columns of one length, `edge_arrays` = (x, y, c):
+    integer endpoints and float conductances, one entry per unordered pair
+    as the constructors in this module build them. validate() checks the
     axioms (positivity, no self-loops, single storage per pair,
     connectivity from the base vertex) without assuming them.
 
-    The edge list has two forms that hold the same values: `edges`, a
-    tuple of (x, y, c) records, and `edge_arrays`, its three columns as
-    numpy arrays. A graph is given one of them, `edges` positionally or
-    `edge_arrays` by keyword, and builds the other when it is first read.
-    Graphs are immutable and compare equal when their vertex counts, edge
-    records, base vertices, labels and truncations are equal.
+    Two views are built from the columns when first read: `csr`, each
+    vertex's neighbours and conductances in edge order, and `edges`, the
+    (x, y, c) records as Python ints and floats. Graphs are immutable and
+    compare equal when their vertex counts, edge records, base vertices,
+    labels and truncations are equal.
     """
 
-    def __init__(self, n_vertices: int, edges: Optional[tuple] = None, base_vertex: int = 0,
-                 labels: Optional[tuple] = None, truncation: Optional[TruncationInfo] = None,
-                 *, edge_arrays: Optional[tuple] = None):
-        if (edges is None) == (edge_arrays is None):
-            raise TypeError("give the edges either as records or as edge_arrays")
-        self.__dict__.update(n_vertices=n_vertices, base_vertex=base_vertex, labels=labels,
-                             truncation=truncation)
+    def __init__(self, n_vertices: int, edge_arrays: tuple, base_vertex: int = 0,
+                 labels: Optional[tuple] = None, truncation: Optional[TruncationInfo] = None):
         if n_vertices < 1:
             raise GraphStructureError("graph needs at least one vertex")
-        if edges is not None:
-            self.__dict__["edges"] = edges
-            for e in edges:
-                if len(e) != 3:
-                    raise GraphStructureError(f"edge record {e!r} is not (x, y, c)")
-                x, y, _ = e
-                if not (0 <= x < n_vertices and 0 <= y < n_vertices):
-                    raise GraphStructureError(f"edge {e!r} has vertex out of range")
-        else:
-            self.__dict__["edge_arrays"] = edge_arrays
-            ex, ey, ec = edge_arrays
-            if ex.ndim != 1 or not ex.shape == ey.shape == ec.shape:
-                raise GraphStructureError("edge arrays must be three 1-D arrays of one length")
-            outside = (ex < 0) | (ex >= n_vertices) | (ey < 0) | (ey >= n_vertices)
-            if outside.any():
-                k = int(np.argmax(outside))
-                raise GraphStructureError(f"edge {self.edges[k]!r} has vertex out of range")
+        if len(edge_arrays) != 3:
+            raise GraphStructureError("edge arrays must be the three columns (x, y, c)")
+        ex, ey, ec = edge_arrays = tuple(np.asarray(column) for column in edge_arrays)
+        if ex.ndim != 1 or not ex.shape == ey.shape == ec.shape:
+            raise GraphStructureError("edge arrays must be three 1-D arrays of one length")
+        # three (x, y, c) records would otherwise pass as three columns
+        if ex.dtype.kind not in "iu" or ey.dtype.kind not in "iu" or ec.dtype.kind != "f":
+            raise GraphStructureError("edge arrays must hold integer endpoints and "
+                                      "float conductances")
+        self.__dict__.update(n_vertices=n_vertices, edge_arrays=edge_arrays,
+                             base_vertex=base_vertex, labels=labels, truncation=truncation)
+        outside = (ex < 0) | (ex >= n_vertices) | (ey < 0) | (ey >= n_vertices)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise GraphStructureError(f"edge {self.edges[k]!r} has vertex out of range")
         if not 0 <= base_vertex < n_vertices:
             raise GraphStructureError("base vertex out of range")
         if labels is not None and len(labels) != n_vertices:
@@ -113,13 +110,21 @@ class WeightedGraph:
                 f"base_vertex={self.base_vertex})")
 
     @cached_property
-    def adjacency(self):
-        """Per-vertex list of (neighbor, conductance)."""
-        adj = [[] for _ in range(self.n_vertices)]
-        for x, y, c in self.edges:
-            adj[x].append((y, c))
-            adj[y].append((x, c))
-        return adj
+    def csr(self):
+        """(start, neighbours, conductances) as lists, in edge order per vertex.
+
+        The slots start[x]:start[x+1] of the other two hold the edge ends at
+        x, in the order of the edges; a self-loop fills two slots.
+        """
+        ex, ey, ec = self.edge_arrays
+        # endpoints interleaved x0, y0, x1, y1, ...; a stable sort keeps each
+        # vertex's slots in edge order
+        ends = np.column_stack((ex, ey)).ravel()
+        slots = np.argsort(ends, kind="stable")
+        start = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.n_vertices), out=start[1:])
+        others = np.column_stack((ey, ex)).ravel()
+        return start.tolist(), others[slots].tolist(), np.repeat(ec, 2)[slots].tolist()
 
     @cached_property
     def vertex_weights(self):
@@ -137,24 +142,12 @@ class WeightedGraph:
         """True where the vertex keeps its full (untruncated) neighborhood."""
         mask = np.ones(self.n_vertices, dtype=bool)
         if self.truncation is not None:
-            for v in self.truncation.frontier:
-                mask[v] = False
+            mask[list(self.truncation.frontier)] = False
         return mask
 
     @cached_property
-    def edge_arrays(self):
-        """(x_indices, y_indices, conductances) as numpy arrays."""
-        if not self.edges:
-            empty = np.zeros(0, dtype=int)
-            return empty, empty.copy(), np.zeros(0)
-        ex = np.array([e[0] for e in self.edges], dtype=int)
-        ey = np.array([e[1] for e in self.edges], dtype=int)
-        ec = np.array([e[2] for e in self.edges], dtype=float)
-        return ex, ey, ec
-
-    @cached_property
     def edges(self):
-        """(x, y, c) records, built from edge_arrays when the graph was given those."""
+        """(x, y, c) records of the edge arrays, as Python ints and floats."""
         ex, ey, ec = self.edge_arrays
         return tuple(zip(ex.tolist(), ey.tolist(), ec.tolist()))
 
@@ -162,44 +155,39 @@ class WeightedGraph:
     def n_edges(self):
         return len(self.edge_arrays[0])
 
+    def _hops(self, sources):
+        """Hop distance from the nearest source, by breadth-first search (-1 if unreachable)."""
+        start, neighbours, _ = self.csr
+        d = [-1] * self.n_vertices
+        for v in sources:
+            d[v] = 0
+        queue = deque(sources)
+        while queue:
+            x = queue.popleft()
+            for y in neighbours[start[x]:start[x + 1]]:
+                if d[y] < 0:
+                    d[y] = d[x] + 1
+                    queue.append(y)
+        return np.array(d, dtype=int)
+
     @cached_property
     def frontier_distance(self):
         """Hop distance to the nearest frontier vertex (n_vertices if none)."""
-        d = np.full(self.n_vertices, self.n_vertices, dtype=int)
-        queue = deque()
-        if self.truncation is not None:
-            for v in self.truncation.frontier:
-                d[v] = 0
-                queue.append(v)
-        while queue:
-            x = queue.popleft()
-            for y, _ in self.adjacency[x]:
-                if d[y] > d[x] + 1:
-                    d[y] = d[x] + 1
-                    queue.append(y)
+        d = self._hops(self.truncation.frontier if self.truncation is not None else ())
+        d[d < 0] = self.n_vertices
         return d
 
     @cached_property
     def depths(self):
         """Hop distance from the base vertex (-1 if unreachable)."""
-        d = np.full(self.n_vertices, -1, dtype=int)
-        d[self.base_vertex] = 0
-        queue = deque([self.base_vertex])
-        while queue:
-            x = queue.popleft()
-            for y, _ in self.adjacency[x]:
-                if d[y] < 0:
-                    d[y] = d[x] + 1
-                    queue.append(y)
-        return d
-
-    def neighbors(self, x):
-        return [y for y, _ in self.adjacency[x]]
+        return self._hops((self.base_vertex,))
 
     def conductance(self, x, y):
-        for z, c in self.adjacency[x]:
-            if z == y:
-                return c
+        """Conductance of the first edge joining x and y in edge order, 0.0 if none."""
+        start, neighbours, conductances = self.csr
+        for k in range(start[x], start[x + 1]):
+            if neighbours[k] == y:
+                return conductances[k]
         return 0.0
 
     def index_of(self, position):
@@ -322,7 +310,7 @@ def build_half_line(M: float, N: int, scale: float = 1.0) -> WeightedGraph:
     _require_depth(N)
     if not scale > 0:
         raise ValueError(f"scale must be > 0 (got {scale!r})")
-    edges = tuple((n - 1, n, c) for n, c in enumerate(_powers(M, N, "M", scale), 1))
+    edges = (np.arange(N), np.arange(1, N + 1), np.array(_powers(M, N, "M", scale)))
     info = TruncationInfo(HALF_LINE_GEOM, N, {"M": float(M)}, frontier=(N,))
     return WeightedGraph(N + 1, edges, base_vertex=0, truncation=info)
 
@@ -345,21 +333,21 @@ def _two_sided_line(family, N, right, left):
     """Line -N..N from the (name, ratio) of each side.
 
     Edge (x-1, x) on the right has conductance right**x, edge (-x, -x+1)
-    on the left left**x; coordinate x is stored at index x + N.
+    on the left left**x; coordinate x is stored at index x + N. The edges
+    alternate right, left, outward from the origin.
     """
     sides = (right, left)
     for name, ratio in sides:
         _require_ratio(ratio, name)
     _require_depth(N)
-    edges = []
-    for n, (a, b) in enumerate(zip(*(_powers(ratio, N, name) for name, ratio in sides)), 1):
-        edges.append((n - 1 + N, n + N, a))
-        edges.append((-n + N, -n + 1 + N, b))
+    n = np.arange(1, N + 1)
+    right_c, left_c = (_powers(ratio, N, name) for name, ratio in sides)
+    edges = tuple(np.column_stack(pair).ravel() for pair in
+                  ((n - 1 + N, N - n), (n + N, N - n + 1), (right_c, left_c)))
     params = {name: float(ratio) for name, ratio in sides}
     info = TruncationInfo(family, N, params, frontier=(0, 2 * N), origin_offset=N)
     labels = tuple(str(i - N) for i in range(2 * N + 1))
-    return WeightedGraph(2 * N + 1, tuple(edges), base_vertex=N, labels=labels,
-                         truncation=info)
+    return WeightedGraph(2 * N + 1, edges, base_vertex=N, labels=labels, truncation=info)
 
 
 def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
@@ -380,9 +368,9 @@ def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
     for _depth in range(N):
         level = [w + b for w in level for b in "01"]
         words.extend(level)
-    ids = list(range(len(words)))    # one int object per vertex, shared by its records
-    edges = tuple((ids[(i - 1) // 2], i, c_const) for i in ids[1:])
-    frontier = tuple(ids[-2 ** N:])
+    child = np.arange(1, len(words))
+    edges = ((child - 1) // 2, child, np.full(len(child), c_const))
+    frontier = tuple(range(len(words) - 2 ** N, len(words)))
     info = TruncationInfo(DYADIC_TREE, N, {"c_const": c_const}, frontier=frontier)
     return WeightedGraph(len(words), edges, base_vertex=0, labels=tuple(words),
                          truncation=info)
@@ -390,8 +378,9 @@ def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
 
 def path_graph(conductances: Sequence[float], base_vertex: int = 0) -> WeightedGraph:
     """Plain path 0--1--...--k with the given edge conductances."""
-    edges = tuple((i, i + 1, float(c)) for i, c in enumerate(conductances))
-    return WeightedGraph(len(conductances) + 1, edges, base_vertex=base_vertex)
+    k = len(conductances)
+    edges = (np.arange(k), np.arange(1, k + 1), np.array(conductances, dtype=float))
+    return WeightedGraph(k + 1, edges, base_vertex=base_vertex)
 
 
 # -- serialization: line-oriented text format ------------------------------
@@ -543,7 +532,7 @@ def read_graph(text: str) -> WeightedGraph:
     if n_edges != len(ec):
         raise GraphStructureError(f"line {header + 1}: header declares {n_edges} edges, "
                                   f"the file has {len(ec)}")
-    graph = WeightedGraph(n_vertices, edge_arrays=(ex, ey, ec), base_vertex=base,
+    graph = WeightedGraph(n_vertices, (ex, ey, ec), base_vertex=base,
                           labels=None if labels is None else tuple(labels))
     graph.vertex_weights    # the per-vertex array, allocated while this file is read
     return graph

@@ -64,7 +64,7 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
     """
     if any(v in pinned for v in rhs):
         raise ValueError("a source vertex is pinned")
-    adj = graph.adjacency
+    start, neighbours, conductances = graph.csr
     n = graph.n_vertices
     parent = [-1] * n
     up = [0.0] * n          # conductance of the edge to the parent
@@ -86,7 +86,8 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
         while stack:
             v = stack.pop()
             order.append(v)
-            for w, c in adj[v]:
+            for k in range(start[v], start[v + 1]):
+                w, c = neighbours[k], conductances[k]
                 if w == v:
                     continue
                 if w in pinned:
@@ -108,7 +109,7 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
         values = _eliminate_forest(order, parent, up, excess, beta)
     else:
         method = "dense"
-        values = _solve_dense(adj, order, excess, beta)
+        values = _solve_dense(graph, order, excess, beta)
     for v, value in pinned.items():
         values[v] = value
     diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, rhs, pinned), tol)
@@ -137,12 +138,14 @@ def _eliminate_forest(order, parent, up, excess, beta):
     return u
 
 
-def _solve_dense(adj, order, excess, beta):
+def _solve_dense(graph, order, excess, beta):
     """One dense solve of the reduced system, for unpinned subgraphs with a cycle."""
+    start, neighbours, conductances = graph.csr
     index = {v: i for i, v in enumerate(order)}
     a = np.diag([excess[v] for v in order])
     for v, i in index.items():
-        for w, c in adj[v]:
+        for k in range(start[v], start[v + 1]):
+            w, c = neighbours[k], conductances[k]
             j = index.get(w)
             if j is not None and w != v:
                 a[i, i] += c
@@ -151,7 +154,7 @@ def _solve_dense(adj, order, excess, beta):
         x = np.linalg.solve(a, [beta[v] for v in order])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense solve failed: {exc}") from exc
-    u = np.zeros(len(adj))
+    u = np.zeros(graph.n_vertices)
     u[order] = x
     return u
 

@@ -364,18 +364,6 @@ class FormalSeries:
         return FormalSeries(self.order,
                             [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __mul__(self, other):
-        self._check(other)
-        out = [XiPoly.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return FormalSeries(self.order, out)
-
     def scale(self, poly: XiPoly):
         return FormalSeries(self.order, [c * poly for c in self.coeffs])
 
@@ -390,20 +378,6 @@ class FormalSeries:
         """Substitute xi**power * X for X: coefficient k gains xi^(k*power)."""
         return FormalSeries(self.order,
                             [c.shift(k * power) for k, c in enumerate(self.coeffs)])
-
-    def reciprocal(self):
-        """Inverse series, by the unit-constant-term inversion recurrence."""
-        if self.coeffs[0] != XiPoly.one():
-            raise ValueError("reciprocal requires constant term exactly 1")
-        inv = [XiPoly.one()]
-        for k in range(1, self.order + 1):
-            acc = XiPoly.zero()
-            for j in range(1, k + 1):
-                a = self.coeffs[j]
-                if not a.is_zero():
-                    acc = acc + a * inv[k - j]
-            inv.append(acc.scale(-1))
-        return FormalSeries(self.order, inv)
 
     def __eq__(self, other):
         return (isinstance(other, FormalSeries) and self.order == other.order

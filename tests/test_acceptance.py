@@ -35,6 +35,8 @@ from resistnet.walk import (
     apply_transfer, frequency_check, kernel_from_graph, simulate,
 )
 
+from graph_oracles import adjacency_by_edges
+
 
 class _Timer:
     def __enter__(self):
@@ -148,7 +150,7 @@ def _reproducing_checks(graph, rng, sample_size=3):
         if x not in dipoles:
             dipoles[x] = solve_dipole(graph, x).values
         combo = graph.vertex_weights[x] * dipoles[x]
-        for y, c in graph.adjacency[x]:
+        for y, c in adjacency_by_edges(graph)[x]:
             if y not in dipoles:
                 dipoles[y] = solve_dipole(graph, y).values if y != o \
                     else np.zeros(graph.n_vertices)

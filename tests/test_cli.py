@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from resistnet import cli, polynomials
@@ -464,6 +465,14 @@ PINNED_OUTPUTS = [
         "graph_echo.txt":
             "2b6330f04b6c67f95dde7ca65d7600af0b1ae1dae71c7842f296239e6dc78353",
     }),
+    # a tree file with shuffled and flipped edges, so the solve's elimination
+    # order comes from the per-vertex neighbour order; recorded from the
+    # list-of-tuples adjacency the CSR view replaced
+    (["resolvent", "--graph", "shuffled.txt", "--x", "37"], {
+        "stdout": "314f8a33be5bc174f0b2052880421f6852b5b6b687912227dc31a5736a1d9905",
+        "resolvent_u.csv":
+            "a6076c22801d44455828e106fca1f21be106f622bfa4c4fd195314ed6e199c10",
+    }),
 ]
 
 # comments, blank lines, tabs, CRLF, a leading '+', exponents, -0.0, a
@@ -503,6 +512,22 @@ def _write_energy_inputs(directory):
         write_vector(vector(g, [i / 4 for i in range(g.n_vertices)])))
     (directory / "messy.txt").write_text(MESSY_GRAPH)
     (directory / "messy.csv").write_text(MESSY_VECTOR)
+    (directory / "shuffled.txt").write_text(_shuffled_tree_text())
+
+
+def _shuffled_tree_text(N=8, seed=12):
+    """The depth-N binary tree as a file: edges shuffled, about half of them
+    written child first, conductances spread over six decades."""
+    rng = np.random.default_rng(seed)
+    child = np.arange(1, 2 ** (N + 1) - 1)
+    parent = (child - 1) // 2
+    flip = rng.random(child.size) < 0.5
+    first, second = np.where(flip, child, parent), np.where(flip, parent, child)
+    conductances = 10.0 ** rng.uniform(-3, 3, child.size)
+    rows = rng.permutation(child.size)
+    return (f"graph {child.size + 1} {child.size} 0\n"
+            + "".join(f"edge {x} {y} {c!r}\n" for x, y, c in zip(
+                first[rows].tolist(), second[rows].tolist(), conductances[rows].tolist())))
 
 
 @pytest.mark.parametrize("argv,hashes", PINNED_OUTPUTS)

@@ -12,6 +12,8 @@ from resistnet.graphs import (
     build_dyadic_tree, build_half_line, build_sym_line, path_graph,
 )
 
+from graph_oracles import adjacency_by_edges
+
 
 @pytest.fixture
 def path3():
@@ -140,9 +142,10 @@ def test_dipole_delta_reconstruction():
     dipoles = {o: np.zeros(g.n_vertices)}
     for x in range(1, g.n_vertices):
         dipoles[x] = solve_dipole(g, x).values
+    adjacency = adjacency_by_edges(g)
     for x in range(1, g.n_vertices - 1):
         combo = g.vertex_weights[x] * dipoles[x]
-        for y, c in g.adjacency[x]:
+        for y, c in adjacency[x]:
             combo = combo - c * dipoles[y]
         target = np.zeros(g.n_vertices)
         target[x] = 1.0

@@ -21,8 +21,10 @@ import pytest
 
 from resistnet import graphs
 from resistnet.energy import EnergyVector, read_vector, write_vector
-from resistnet.graphs import (GraphStructureError, WeightedGraph, build_dyadic_tree, path_graph,
-                              read_chunks, read_graph, write_graph)
+from resistnet.graphs import (GraphStructureError, build_dyadic_tree, path_graph, read_chunks,
+                              read_graph, write_graph)
+
+from graph_oracles import graph_from_records
 
 TINY_READ_CHUNKS = (1, 2, 3, 5, 13)
 TINY_WRITE_CHUNKS = (1, 2, 3)
@@ -87,7 +89,10 @@ def reference_read_graph(text):
     label_tuple = None
     if labels:
         label_tuple = tuple(labels.get(i, "") for i in range(n_vertices))
-    return WeightedGraph(n_vertices, tuple(edges), base_vertex=base, labels=label_tuple)
+    for e in edges:
+        if not (0 <= e[0] < n_vertices and 0 <= e[1] < n_vertices):
+            raise GraphStructureError(f"edge {e!r} has vertex out of range")
+    return graph_from_records(n_vertices, edges, base_vertex=base, labels=label_tuple)
 
 
 def reference_read_vector(n_vertices, text):
@@ -406,7 +411,7 @@ def test_edges_built_from_arrays_keep_their_record_form():
     graph = read_graph(text)
     assert graph.edges == ((0, 1, 1.5), (2, 1, -0.0))
     assert [type(v) for e in graph.edges for v in e] == [int, int, float] * 2
-    assert graph == WeightedGraph(3, ((0, 1, 1.5), (2, 1, 0.0)))
+    assert graph == graph_from_records(3, ((0, 1, 1.5), (2, 1, 0.0)))
     assert graph.n_edges == 2
 
 

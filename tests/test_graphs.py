@@ -3,10 +3,12 @@ import pytest
 
 from resistnet.graphs import (
     DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM, GraphStructureError,
-    ModelSpec, WeightedGraph, build_ab_line, build_dyadic_tree,
+    ModelSpec, TruncationInfo, WeightedGraph, build_ab_line, build_dyadic_tree,
     build_half_line, build_sym_line, path_graph, read_graph, validate,
     write_graph,
 )
+
+from graph_oracles import adjacency_by_edges, graph_from_records
 
 
 def test_validate_small_path_is_valid():
@@ -17,7 +19,7 @@ def test_validate_small_path_is_valid():
 
 
 def test_validate_disconnected_pair_of_edges():
-    g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)), base_vertex=0)
+    g = graph_from_records(4, ((0, 1, 1.0), (2, 3, 1.0)), base_vertex=0)
     report = validate(g)
     assert not report.is_valid
     assert report.violations == (
@@ -25,28 +27,39 @@ def test_validate_disconnected_pair_of_edges():
 
 
 def test_validate_zero_conductance():
-    g = WeightedGraph(2, ((0, 1, 0.0),), base_vertex=0)
+    g = graph_from_records(2, ((0, 1, 0.0),), base_vertex=0)
     assert "positivity" in validate(g).codes()
 
 
 def test_validate_self_loop_and_duplicate_pair():
-    g = WeightedGraph(3, ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)))
+    g = graph_from_records(3, ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)))
     codes = validate(g).codes()
     assert "self_loop" in codes
     assert "symmetry" in codes
 
 
 def test_structural_errors_raise_not_report():
-    with pytest.raises(GraphStructureError):
-        WeightedGraph(2, ((0, 5, 1.0),))
-    with pytest.raises(GraphStructureError):
-        WeightedGraph(2, ((0, 1, 1.0),), base_vertex=9)
     with pytest.raises(GraphStructureError, match=r"edge \(0, 5, 1.0\) has vertex out of range"):
-        WeightedGraph(2, edge_arrays=(np.array([0]), np.array([5]), np.array([1.0])))
-    with pytest.raises(GraphStructureError):
+        WeightedGraph(2, (np.array([0]), np.array([5]), np.array([1.0])))
+    with pytest.raises(GraphStructureError, match="vertex out of range"):
+        graph_from_records(2, ((0, 1, 1.0), (-1, 0, 1.0)))
+    with pytest.raises(GraphStructureError, match="base vertex out of range"):
+        graph_from_records(2, ((0, 1, 1.0),), base_vertex=9)
+    with pytest.raises(GraphStructureError, match="1-D arrays of one length"):
         WeightedGraph(2, edge_arrays=(np.array([0]), np.array([1, 0]), np.array([1.0])))
     with pytest.raises(TypeError):
         WeightedGraph(2)
+
+
+@pytest.mark.parametrize("records", [
+    ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)),    # three records read as columns
+    ((0, 1, 1), (1, 2, 1), (2, 3, 1)),          # ... with integer conductances
+    ((0, 1, 1.0), (1, 2, 1.0)),
+    ((0, 1, 1.0),),
+])
+def test_records_are_refused_where_edge_arrays_belong(records):
+    with pytest.raises(GraphStructureError):
+        WeightedGraph(4, records)
 
 
 def test_half_line_conductances():
@@ -136,13 +149,15 @@ def test_dyadic_tree_counts_and_neighborhoods():
     g = build_dyadic_tree(1.0, 2)
     assert g.n_vertices == 7
     assert len(g.edges) == 6
-    root_nbrs = {g.labels[v] for v in g.neighbors(0)}
+    start, neighbours, _ = g.csr
+    root_nbrs = {g.labels[v] for v in neighbours[start[0]:start[1]]}
     assert root_nbrs == {"0", "1"}
     # every vertex strictly between the root and the leaves has 3 neighbors
     g = build_dyadic_tree(1.0, 4)
+    start, _, _ = g.csr
     for v, w in enumerate(g.labels):
         if 1 <= len(w) <= 3:
-            assert len(g.neighbors(v)) == 3
+            assert start[v + 1] - start[v] == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -170,7 +185,7 @@ def test_vertex_weight_two_computations_agree():
     g = build_dyadic_tree(0.7, 4)
     by_scan = np.zeros(g.n_vertices)
     for x in range(g.n_vertices):
-        by_scan[x] = sum(c for _, c in g.adjacency[x])
+        by_scan[x] = sum(c for _, c in adjacency_by_edges(g)[x])
     assert np.array_equal(by_scan, g.vertex_weights)
 
 
@@ -253,8 +268,8 @@ def test_read_graph_rejects_garbage():
 
 
 def test_multi_word_labels_round_trip():
-    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 0.5)),
-                      labels=("", "left arm", "right  arm, far end"))
+    g = graph_from_records(3, ((0, 1, 1.0), (1, 2, 0.5)),
+                           labels=("", "left arm", "right  arm, far end"))
     text = write_graph(g)
     assert read_graph(text).labels == g.labels
     assert write_graph(read_graph(text)) == text
@@ -292,3 +307,90 @@ def test_dyadic_tree_matches_the_word_reference(n):
     assert (g.n_vertices, g.edges, g.labels, g.truncation.frontier) \
         == _dyadic_tree_by_words(0.3, n)
     assert g.base_vertex == 0
+
+
+def _line_records(right, left, N):
+    """The per-edge loop the two-sided builder replaced: right edge, then left edge."""
+    edges = []
+    for n in range(1, N + 1):
+        edges.append((n - 1 + N, n + N, float(right) ** n))
+        edges.append((-n + N, -n + 1 + N, float(left) ** n))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("graph,records", [
+    (build_half_line(3, 9), tuple((n - 1, n, 3.0 ** n) for n in range(1, 10))),
+    (build_half_line(1.5, 6, scale=0.3),
+     tuple((n - 1, n, 0.3 * 1.5 ** n) for n in range(1, 7))),
+    (build_sym_line(1.1, 12), _line_records(1.1, 1.1, 12)),
+    (build_ab_line(2, 3.5, 8), _line_records(2, 3.5, 8)),
+    (path_graph([1, 0.25, 7.5]), ((0, 1, 1.0), (1, 2, 0.25), (2, 3, 7.5))),
+    (path_graph([]), ()),
+], ids=["half-line", "half-line-scaled", "sym-line", "ab-line", "path", "path-no-edges"])
+def test_line_builders_match_the_record_loop_reference(graph, records):
+    assert graph.edges == records
+    assert [type(v) for e in graph.edges for v in e] == [int, int, float] * len(records)
+    assert [column.dtype for column in graph.edge_arrays] == [np.int64, np.int64, np.float64]
+
+
+def _cycle_graph(base_vertex=0):
+    """A cycle 0-1-2-3-0 with a chord, a pendant 4 off 2, a self-loop and a
+    repeated pair; vertices 5, 6 and 7 form a component 0..4 cannot reach.
+    The frontier is 3, 1 and 4, so no frontier vertex reaches 5, 6 or 7."""
+    records = ((0, 1, 1.0), (2, 1, 0.5), (2, 3, 2.0), (3, 0, 1.5), (0, 2, 3.0),
+               (4, 2, 0.25), (4, 4, 9.0), (1, 0, 4.0), (5, 6, 1.0), (7, 6, 1.0))
+    return graph_from_records(8, records, base_vertex=base_vertex,
+                              truncation=TruncationInfo("CUSTOM", 0, frontier=(3, 1, 4)))
+
+
+@pytest.mark.parametrize("graph", [
+    _cycle_graph(),
+    build_dyadic_tree(0.5, 4),
+    build_sym_line(2, 6),
+    read_graph("graph 3 0 0\n"),
+], ids=["cycle-multigraph", "tree", "sym-line", "no-edges"])
+def test_csr_holds_the_edge_by_edge_adjacency(graph):
+    start, neighbours, conductances = graph.csr
+    adjacency = adjacency_by_edges(graph)
+    assert start == np.cumsum([0] + [len(a) for a in adjacency]).tolist()
+    for x, adj in enumerate(adjacency):
+        assert list(zip(neighbours[start[x]:start[x + 1]],
+                        conductances[start[x]:start[x + 1]])) == adj
+    assert all(type(v) is int for v in start + neighbours)
+    assert all(type(c) is float for c in conductances)
+
+
+def _hops_by_relaxation(graph, sources):
+    """Hop distances by relaxing every edge until nothing changes (None if unreachable)."""
+    d = [None] * graph.n_vertices
+    for v in sources:
+        d[v] = 0
+    changed = True
+    while changed:
+        changed = False
+        for x, y, _ in graph.edges:
+            for a, b in ((x, y), (y, x)):
+                if d[a] is not None and (d[b] is None or d[b] > d[a] + 1):
+                    d[b] = d[a] + 1
+                    changed = True
+    return d
+
+
+@pytest.mark.parametrize("base", range(8))
+def test_depths_and_frontier_distance_match_the_relaxation_reference(base):
+    g = _cycle_graph(base)
+    depths = _hops_by_relaxation(g, [base])
+    assert g.depths.tolist() == [-1 if d is None else d for d in depths]
+    frontier = _hops_by_relaxation(g, [3, 1, 4])
+    assert g.frontier_distance.tolist() == [8 if d is None else d for d in frontier]
+    assert g.frontier_distance.tolist()[5:] == [8, 8, 8]
+    assert g.interior_mask.tolist() == [v not in (1, 3, 4) for v in range(8)]
+    assert validate(g).codes() == ["connectivity", "self_loop", "symmetry"]
+
+
+def test_conductance_reads_the_first_edge_of_a_pair():
+    g = _cycle_graph()
+    assert g.conductance(0, 1) == 1.0 and g.conductance(1, 0) == 1.0
+    assert g.conductance(2, 4) == 0.25
+    assert g.conductance(4, 4) == 9.0
+    assert g.conductance(0, 5) == 0.0

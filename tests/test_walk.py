@@ -6,13 +6,14 @@ import pytest
 from resistnet.boundary import build_deficiency_zplus, build_harmonic_zline
 from resistnet.energy import apply_laplacian, constant, vector
 from resistnet.graphs import (
-    WeightedGraph, build_ab_line, build_dyadic_tree, build_half_line,
-    build_sym_line, path_graph, read_graph,
+    build_ab_line, build_dyadic_tree, build_half_line, build_sym_line, path_graph, read_graph,
 )
 from resistnet.walk import (
     _check_kernel, apply_transfer, counter_uniforms, frequency_check,
     kernel_from_graph, simulate, transfer_iterate,
 )
+
+from graph_oracles import adjacency_by_edges, graph_from_records
 
 
 def test_kernel_half_line_probabilities():
@@ -139,7 +140,7 @@ def _random_multigraph(n=60, extra=150, seed=23):
     pairs += pairs[::7]                      # exact repeats: parallel edges
     conds = 10.0 ** rng.uniform(-8, 8, len(pairs))
     edges = tuple((x, y, float(c)) for (x, y), c in zip(pairs, conds))
-    return WeightedGraph(n, edges)
+    return graph_from_records(n, edges)
 
 
 def _weights_by_edges(graph):
@@ -154,10 +155,11 @@ def _weights_by_edges(graph):
 def _kernel_by_rows(graph):
     """The per-vertex sorted-row loop kernel_from_graph replaced, as the exact reference."""
     weights = _weights_by_edges(graph)
-    maxdeg = max(len(a) for a in graph.adjacency)
+    adjacency = adjacency_by_edges(graph)
+    maxdeg = max(len(a) for a in adjacency)
     nbrs = np.full((graph.n_vertices, maxdeg), -1, dtype=int)
     probs = np.zeros((graph.n_vertices, maxdeg))
-    for x, adj in enumerate(graph.adjacency):
+    for x, adj in enumerate(adjacency):
         for j, (y, c) in enumerate(sorted(adj)):
             nbrs[x, j] = y
             probs[x, j] = c / weights[x]
