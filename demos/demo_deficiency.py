@@ -4,7 +4,6 @@ Run:  python demos/demo_deficiency.py
 """
 
 import resistnet as rn
-from resistnet.graphs import ModelSpec
 
 print("=== half line: no harmonic vectors, one defect direction ===")
 harm = rn.build_harmonic_zplus(2, 100)
@@ -36,9 +35,9 @@ print("symmetric defect candidate: u(1) =", float(zsol.u_exact[1]),
 print()
 print("=== the dimension table, with evidence ===")
 for m_ratio in (1.5, 2.0, 4.0):
-    rep = rn.classify_model(ModelSpec("HALF_LINE_GEOM", 120, M=m_ratio))
+    rep = rn.classify_model(rn.build_half_line(m_ratio, 120))
     print(f"half line M={m_ratio}: (harm, def) = ({rep.harm_dim}, {rep.def_dim})")
-rep = rn.classify_model(ModelSpec("LINE_GEOM_SYM", 120, M=2.0))
+rep = rn.classify_model(rn.build_sym_line(2.0, 120))
 print(f"sym line  M=2.0: harm = {rep.harm_dim}, "
       f"def = {rep.def_dim} (evidence only: {rep.def_evidence['classification']})")
 

@@ -10,7 +10,7 @@ energy-isometric embeddings between graphs.
 
 from .graphs import (
     DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM,
-    GraphStructureError, ModelSpec, TruncationInfo, ValidationReport,
+    GraphStructureError, TruncationInfo, ValidationReport,
     WeightedGraph, build_ab_line, build_dyadic_tree, build_half_line,
     build_sym_line, path_graph, read_graph, validate, write_graph,
 )

@@ -21,8 +21,7 @@ import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy, project_fin_harm
 from .graphs import (
-    HALF_LINE_GEOM, LINE_GEOM_SYM, ModelSpec, WeightedGraph,
-    build_half_line, build_sym_line,
+    HALF_LINE_GEOM, LINE_GEOM_SYM, WeightedGraph, build_half_line, build_sym_line, record_dict,
 )
 from .linsolve import solve_reduced
 from .polynomials import _float_quotient, _scaled_pairs, _split_two, _times
@@ -93,14 +92,7 @@ class HarmonicHalfLineResult:
     forced_first_increment: float   # increment at vertex 1 forced by the row at 0
     propagated_max_abs: float       # max |h| after forward substitution from h(0)=0
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "M": self.M,
-            "N": self.N,
-            "forced_first_increment": self.forced_first_increment,
-            "propagated_max_abs": self.propagated_max_abs,
-        }
+    to_dict = record_dict
 
 
 def build_harmonic_zplus(M: float, N: int) -> HarmonicHalfLineResult:
@@ -142,17 +134,7 @@ class HarmonicLineResult:
     antisymmetric_ok: bool
 
     def to_dict(self):
-        return {
-            "M": self.M,
-            "t": self.t,
-            "N": self.N,
-            "interior_residual": self.interior_residual,
-            "value_array_residual": self.value_array_residual,
-            "energy_partial": self.energy_partial,
-            "energy_partial_closed": self.energy_partial_closed,
-            "energy_limit": self.energy_limit,
-            "antisymmetric_ok": self.antisymmetric_ok,
-        }
+        return record_dict(self, ("vector",))
 
 
 def build_harmonic_zline(M: float, t: float, N: int) -> HarmonicLineResult:
@@ -167,11 +149,11 @@ def build_harmonic_zline(M: float, t: float, N: int) -> HarmonicLineResult:
         raise ValueError("M must be > 1")
     if t == 0:
         raise ValueError("t must be nonzero")
-    return _harmonic_zline(build_sym_line(M, N), M, t, N)
+    return _harmonic_zline(build_sym_line(M, N), t)
 
 
-def _harmonic_zline(graph, M, t, N):
-    M = float(M)
+def _harmonic_zline(graph, t):
+    M, N = graph.truncation.params["M"], graph.truncation.depth
     xi = 1.0 / M
     # h(x) = t (xi + ... + xi^x), summed in order; coordinate x is index x + N
     half = np.concatenate([[0.0], t * np.cumsum([xi ** x for x in range(1, N + 1)])])
@@ -251,25 +233,10 @@ class DeficiencySolution:
         return tuple(Fraction(R, D) for _P, _Q, R, D in self.scaled[1:])
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "M": self.M,
-            "xi": str(self.xi),
-            "N": self.N,
-            "seed_relation_ok": self.seed_relation_ok,
-            "flux_recursion_ok": self.flux_recursion_ok,
-            "interior_residual_exact_zero": self.interior_residual_exact_zero,
-            "float_residual_rel_max": self.float_residual_rel_max,
-            "monotone_ok": self.monotone_ok,
-            "energy_partials": [list(p) for p in self.energy_partials],
-            "energy_flag": self.energy_flag,
-            "l2_partials": [list(p) for p in self.l2_partials],
-            "l2_flag": self.l2_flag,
-            "upper_bound": self.upper_bound,
-            "within_bound": self.within_bound,
-            "classification": self.classification,
-            "u_head": list(self.u_float[:8]),
-        }
+        """The scalar fields and partials, xi as "a/b", and u(0..7) as u_head."""
+        curves = ("energy_cumulative", "l2_cumulative", "u_float", "du_float")
+        return {**record_dict(self, ("graph", "vector", "scaled") + curves),
+                "xi": str(self.xi), "u_head": list(self.u_float[:8])}
 
 
 def _side(ratio, N, lam):
@@ -354,8 +321,9 @@ def _l2_flag_for(u_floats, depths):
     return (DIVERGENT if divergent else INCONCLUSIVE), marks
 
 
-def _deficiency_solution(graph, M, N):
+def _deficiency_solution(graph):
     """Defect candidate u(x) = u(|x|) on a line graph, each side with share 1/sides."""
+    M, N = graph.truncation.params["M"], graph.truncation.depth
     sides = (graph.n_vertices - 1) // N
     xi, rows, seed_ok, zero_row_ok = _side(M, N, Fraction(1, sides))
     a, b = xi.numerator, xi.denominator
@@ -378,7 +346,7 @@ def _deficiency_solution(graph, M, N):
     a_obs = float(np.max(terms))
     bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
     return DeficiencySolution(
-        graph.truncation.family, float(M), xi, N, graph, vector, rows,
+        graph.truncation.family, M, xi, N, graph, vector, rows,
         seed_ok, flux_ok, zero_row_ok and interior_ok, float_rel, monotone,
         tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
         bound, u[-1] <= bound + 1e-12,
@@ -398,7 +366,7 @@ def build_deficiency_zplus(M: float, N: int) -> DeficiencySolution:
     Energy partial sums are expected CONVERGENT and square-sum partials
     DIVERGENT.
     """
-    return _deficiency_solution(build_half_line(M, N), M, N)
+    return _deficiency_solution(build_half_line(M, N))
 
 
 def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
@@ -411,7 +379,7 @@ def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
     energy verdict (FINITE, INFINITE or INCONCLUSIVE) is reported as
     evidence, never asserted.
     """
-    return _deficiency_solution(build_sym_line(M, N), M, N)
+    return _deficiency_solution(build_sym_line(M, N))
 
 
 # -- the A-B two-sided model -------------------------------------------------
@@ -533,18 +501,7 @@ class ResolventResult:
     diagnostics: dict
 
     def to_dict(self):
-        return {
-            "x": self.x,
-            "boundary": self.boundary,
-            "residual_inf": self.residual_inf,
-            "punctured_residual_inf": self.punctured_residual_inf,
-            "l2_norm": self.l2_norm,
-            "contractive_ok": self.contractive_ok,
-            "energy_value": self.energy_value,
-            "energy_identity_rel": self.energy_identity_rel,
-            "energy_identity_full_rel": self.energy_identity_full_rel,
-            "diagnostics": self.diagnostics,
-        }
+        return record_dict(self, ("vector",))
 
 
 def resolvent_delta(graph: WeightedGraph, x: int, tol: float = 1e-10,
@@ -605,14 +562,7 @@ class SpaceDecompositionResult:
     residual_rel: float
     passed: bool
 
-    def to_dict(self):
-        return {
-            "energy_u": self.energy_u,
-            "s2_interior": self.s2_interior,
-            "energy_harm_projection": self.energy_harm_projection,
-            "residual_rel": self.residual_rel,
-            "passed": self.passed,
-        }
+    to_dict = record_dict
 
 
 def space_decomposition_check(v: EnergyVector, harm_basis: Sequence[EnergyVector],
@@ -650,42 +600,29 @@ class BoundaryReport:
     def_dim: Optional[int]
     def_hard: bool
     def_evidence: dict
+    hard_expectations_ok: bool       # the dimensions the paper gives this family
     curves: dict = field(default_factory=dict)   # coordinate-indexed arrays
 
-    @property
-    def hard_expectations_ok(self):
-        checks = []
-        if self.family == HALF_LINE_GEOM:
-            checks = [self.harm_dim == 0, self.def_dim == 1,
-                      self.def_evidence.get("interior_residual_exact_zero", False),
-                      self.def_evidence.get("energy_flag") == CONVERGENT,
-                      self.def_evidence.get("l2_flag") == DIVERGENT]
-        elif self.family == LINE_GEOM_SYM:
-            checks = [self.harm_dim == 1,
-                      self.harm_evidence.get("interior_residual", 1.0) <= 1e-12]
-        return all(checks)
-
     def to_dict(self):
-        return {
-            "family": self.family,
-            "M": self.M,
-            "N": self.N,
-            "harm_dim": self.harm_dim,
-            "harm_hard": self.harm_hard,
-            "harm_evidence": self.harm_evidence,
-            "def_dim": self.def_dim,
-            "def_hard": self.def_hard,
-            "def_evidence": self.def_evidence,
-            "hard_expectations_ok": self.hard_expectations_ok,
-        }
+        return record_dict(self, ("curves",))
 
 
-def classify_model(spec: ModelSpec) -> BoundaryReport:
-    """Assemble harmonic/defect evidence for the geometric line models."""
-    graph = spec.build()
-    if spec.family == HALF_LINE_GEOM:
-        harm = build_harmonic_zplus(spec.M, spec.N)
-        deficiency = _deficiency_solution(graph, spec.M, spec.N)
+def classify_model(graph: WeightedGraph) -> BoundaryReport:
+    """Assemble harmonic/defect evidence for a geometric line model's graph.
+
+    The family, the depth N and the ratio M are read from the graph's
+    truncation. A graph with no truncation, of another family, or a half
+    line built with a scale other than 1 raises ValueError.
+    """
+    if graph.truncation is None:
+        raise ValueError("classification needs a model graph; this graph has no truncation")
+    family, N = graph.truncation.family, graph.truncation.depth
+    if family == HALF_LINE_GEOM:
+        # the defect recursion solves Lap u = -u for conductances M**n exactly
+        if graph.truncation.params["scale"] != 1:
+            raise ValueError("classification needs the unscaled half line (scale 1)")
+        harm = build_harmonic_zplus(graph.truncation.params["M"], N)
+        deficiency = _deficiency_solution(graph)
         harm_dim = 0 if harm.verdict == HARM_TRIVIAL else 1
         # The paper gives the half line one defect vector for every M > 1.
         # The energy and square-sum flags read a finite window, so when one
@@ -696,10 +633,12 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
             def_dim, def_hard = 0, True
         else:
             def_dim, def_hard = (1, True) if flags_ok else (None, False)
+        # def_dim == 1 holds only with the exact rows and both flags
+        expectations_ok = harm_dim == 0 and def_dim == 1
         extra = {}
-    elif spec.family == LINE_GEOM_SYM:
-        harm = _harmonic_zline(graph, spec.M, 1.0, spec.N)
-        deficiency = _deficiency_solution(graph, spec.M, spec.N)
+    elif family == LINE_GEOM_SYM:
+        harm = _harmonic_zline(graph, 1.0)
+        deficiency = _deficiency_solution(graph)
         harm_ok = (harm.interior_residual <= 1e-12
                    and harm.energy_partial > 0
                    and abs(harm.energy_partial - harm.energy_partial_closed)
@@ -707,12 +646,13 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
         harm_dim = 1 if harm_ok else 0
         def_dim = {"FINITE": 1, "INFINITE": 0}.get(deficiency.classification)
         def_hard = False
+        expectations_ok = harm_ok
         extra = {"h": harm.vector.values[graph.index_of(0):].tolist()}
     else:
         raise ValueError(f"classification supports the geometric line models only, "
-                         f"not {spec.family!r}")
+                         f"not {family!r}")
     curves = {
-        "coordinate": list(range(spec.N + 1)),
+        "coordinate": list(range(N + 1)),
         "u": list(deficiency.u_float),
         "du": [0.0] + list(deficiency.du_float),
         "energy_partial": list(deficiency.energy_cumulative),
@@ -720,9 +660,9 @@ def classify_model(spec: ModelSpec) -> BoundaryReport:
         **extra,
     }
     return BoundaryReport(
-        spec.family, spec.M, spec.N,
+        family, deficiency.M, N,
         harm_dim, True, harm.to_dict(),
-        def_dim, def_hard, deficiency.to_dict(), curves)
+        def_dim, def_hard, deficiency.to_dict(), expectations_ok, curves)
 
 
 def boundary_curves_csv(report: BoundaryReport) -> str:

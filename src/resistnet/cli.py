@@ -3,8 +3,8 @@
 Every command resolves its full configuration (defaults included), runs,
 and emits a single JSON document on stdout whose "config" member echoes
 that configuration; `resistnet replay <file>` reruns a command from such
-an echo and reproduces the output byte for byte. CSV artifacts are
-embedded in the JSON and also written as files when --out-dir is given.
+an echo and reproduces the output byte for byte. CSV artifacts are not part
+of the JSON: they are written as files when --out-dir is given.
 
 Exit codes: 0 success, 2 a checked claim or a solve failed, 64 usage error.
 """
@@ -25,14 +25,16 @@ USAGE_EXIT = 64
 CLAIM_EXIT = 2
 
 # polys keeps every coefficient of every (p_n, q_n) for its table, so memory
-# grows like n_max**4: at this limit the command peaks near 76 MB RSS
+# grows like n_max**4: at this limit the command peaks near 76 MB RSS. It
+# also caps --order, whose identity checks take about 9 s at order 100
 POLYS_N_MAX = 100
 
-_MODEL_NAMES = {
-    "half-line": graphs.HALF_LINE_GEOM,
-    "sym-line": graphs.LINE_GEOM_SYM,
-    "ab-line": graphs.LINE_AB,
-    "tree": graphs.DYADIC_TREE,
+# model name -> the graph its family builder makes from a config
+_MODELS = {
+    "half-line": lambda config: graphs.build_half_line(config["M"], config["N"]),
+    "sym-line": lambda config: graphs.build_sym_line(config["M"], config["N"]),
+    "ab-line": lambda config: graphs.build_ab_line(config["A"], config["B"], config["N"]),
+    "tree": lambda config: graphs.build_dyadic_tree(config["c_const"], config["N"]),
 }
 
 
@@ -79,14 +81,12 @@ def _json_text(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _model_spec(config):
-    """The ModelSpec named by the config's model keys; bad parameters are usage errors."""
-    if config["model"] not in _MODEL_NAMES:
+def _model_graph(config):
+    """The graph of the config's model; an unknown model or bad parameters are usage errors."""
+    if config["model"] not in _MODELS:
         raise UsageError(f"unknown model {config['model']!r}")
     try:
-        return graphs.ModelSpec(_MODEL_NAMES[config["model"]], config["N"],
-                                M=config.get("M"), A=config.get("A"), B=config.get("B"),
-                                c_const=config.get("c_const"))
+        return _MODELS[config["model"]](config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -145,8 +145,8 @@ def run_polys(config):
 
     if config["check_identities"]:
         order = config["order"]
-        if order < 1:
-            raise UsageError("--order must be >= 1")
+        if not 1 <= order <= POLYS_N_MAX:
+            raise UsageError(f"--order must be between 1 and {POLYS_N_MAX}")
         identities = {
             "series_P": polynomials.check_identity_P(order),
             "series_Q": polynomials.check_identity_Q(order),
@@ -181,14 +181,7 @@ def run_polys(config):
             doc["q_limit"] = {"error": {"class": type(exc).__name__, "message": str(exc),
                                         "n_reached": exc.n_reached}}
             return CLAIM_EXIT, doc, files
-        doc["q_limit"] = {
-            "value": result.value,
-            "n_terms": result.n_terms,
-            "monotone_ok": result.monotone_ok,
-            "above_one_ok": result.above_one_ok,
-            "upper_bound": result.upper_bound,
-            "within_bound": result.within_bound,
-        }
+        doc["q_limit"] = graphs.record_dict(result, ("increment_max",))
         if not (result.monotone_ok and result.above_one_ok and result.within_bound):
             code = CLAIM_EXIT
     return code, doc, files
@@ -199,7 +192,7 @@ def run_polys(config):
 def run_classify(config):
     if config["model"] not in ("half-line", "sym-line"):
         raise UsageError("classify supports --model half-line or sym-line")
-    report = boundary.classify_model(_model_spec(config))
+    report = boundary.classify_model(_model_graph(config))
     doc = {"report": report.to_dict()}
     files = {"boundary_curves.csv": boundary.boundary_curves_csv(report)}
     return (0 if report.hard_expectations_ok else CLAIM_EXIT), doc, files
@@ -215,7 +208,7 @@ def _walk_csv(check):
 
 
 def run_walk(config):
-    graph = _model_spec(config).build()
+    graph = _model_graph(config)
     kernel = walk.kernel_from_graph(graph)
     start = graph.index_of(config["start"])
     if not 0 <= start < graph.n_vertices:
@@ -229,11 +222,8 @@ def run_walk(config):
                                  min_exits=config["min_exits"])
     doc = {
         "stats": stats.to_dict(),
-        "frequency": {
-            "rows": check.to_rows(),
-            "sigma_band": check.sigma_band,
-            "all_within_band": check.all_within_band,
-        },
+        "frequency": {**graphs.record_dict(check, ("min_exits",)),
+                      "all_within_band": check.all_within_band},
     }
     files = {"walk_frequencies.csv": _walk_csv(check)}
     return (0 if check.all_within_band else CLAIM_EXIT), doc, files
@@ -301,7 +291,7 @@ def run_resolvent(config):
         graph = _read_file(config["graph"], graphs.read_graph)
         x = config["x"]
     else:
-        graph = _model_spec(config).build()
+        graph = _model_graph(config)
         x = graph.index_of(config["x"])
     if not 0 <= x < graph.n_vertices:
         raise UsageError(f"vertex {config['x']} is outside the truncation")
@@ -361,7 +351,7 @@ def _build_parser(parser_class=_Parser):
     c.add_argument("--N", type=int, default=100)
 
     w = sub.add_parser("walk", parents=[shared], help="simulate the conductance random walk")
-    w.add_argument("--model", required=True, choices=list(_MODEL_NAMES))
+    w.add_argument("--model", required=True, choices=list(_MODELS))
     w.add_argument("--M", type=float, default=None)
     w.add_argument("--A", type=float, default=None)
     w.add_argument("--B", type=float, default=None)
@@ -386,7 +376,7 @@ def _build_parser(parser_class=_Parser):
     g.add_argument("--vector", required=True)
 
     r = sub.add_parser("resolvent", parents=[shared], help="solve (I + Lap) u = delta_x")
-    r.add_argument("--model", default=None, choices=list(_MODEL_NAMES))
+    r.add_argument("--model", default=None, choices=list(_MODELS))
     r.add_argument("--M", type=float, default=None)
     r.add_argument("--A", type=float, default=None)
     r.add_argument("--B", type=float, default=None)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy, random_interior_vector
-from .graphs import WeightedGraph, build_dyadic_tree, build_half_line
+from .graphs import WeightedGraph, build_dyadic_tree, build_half_line, record_dict
 from .linsolve import solve_reduced
 
 
@@ -39,15 +39,7 @@ class CompatibilityCertificate:
     max_intertwine_resid: float
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "n_vectors": self.n_vectors,
-            "seed": self.seed,
-            "max_isometry_rel": self.max_isometry_rel,
-            "max_intertwine_resid": self.max_intertwine_resid,
-            "tolerance": self.tolerance,
-        }
+    to_dict = record_dict
 
 
 @dataclass(frozen=True)
@@ -217,14 +209,7 @@ class TreeHarmonicResult:
     energy_value: float
 
     def to_dict(self):
-        return {
-            "N": self.N,
-            "c_const": self.c_const,
-            "interior_residual": self.interior_residual,
-            "root_value": self.root_value,
-            "antisymmetric_ok": self.antisymmetric_ok,
-            "energy_value": self.energy_value,
-        }
+        return record_dict(self, ("vector",))
 
 
 def tree_harmonic_direct(c_const: float, N: int, tol: float = 1e-10) -> TreeHarmonicResult:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph, read_chunks, read_rows, write_chunks
+from .graphs import WeightedGraph, read_chunks, read_rows, record_dict, write_chunks
 from .linsolve import solve_reduced
 
 
@@ -170,13 +170,7 @@ class S2Result:
     flag: str                  # CONVERGENT | DIVERGENT | INCONCLUSIVE
     interior_total: float
 
-    def to_dict(self):
-        return {
-            "total": self.total,
-            "partials": [list(p) for p in self.partials],
-            "flag": self.flag,
-            "interior_total": self.interior_total,
-        }
+    to_dict = record_dict
 
 
 def sum_S2(u: EnergyVector, depths: Optional[Sequence[int]] = None,

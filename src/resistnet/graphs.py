@@ -5,8 +5,7 @@ carrying strictly positive conductances, and a distinguished base vertex.
 The model constructors build finite truncations of one-sided and two-sided
 geometric lines, the A-B two-sided line, and the binary (dyadic) tree; each
 records which vertices sit on the truncation frontier so that analysis code
-can restrict identities to interior vertices. `ModelSpec` is the model
-registry: the one place that turns a family and its parameters into a graph.
+can restrict identities to interior vertices.
 
 A graph holds its edges once, as three arrays (endpoints x, endpoints y,
 conductances). Solvers and searches read its CSR view, each vertex's
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -28,6 +27,15 @@ HALF_LINE_GEOM = "HALF_LINE_GEOM"
 LINE_GEOM_SYM = "LINE_GEOM_SYM"
 LINE_AB = "LINE_AB"
 DYADIC_TREE = "DYADIC_TREE"
+
+
+def record_dict(record, leave_out=()) -> dict:
+    """A dataclass record's fields as {name: value}, less the names in leave_out.
+
+    Every result record's to_dict() is built from this, so a field added
+    to a record reaches its JSON without being listed a second time.
+    """
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in leave_out}
 
 
 class GraphStructureError(ValueError):
@@ -40,11 +48,16 @@ class GraphStructureError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationInfo:
-    """How a finite graph was cut out of its infinite model."""
+    """How a finite graph was cut out of its infinite model.
+
+    family, depth N and params (the ratios, the half line's scale or
+    c_const) are the model; the graph records them once, and
+    boundary.classify_model reads them here.
+    """
 
     family: str
     depth: int
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict, hash=False)   # a dict has no hash
     frontier: tuple = ()
     # index of the vertex at model coordinate 0 (lines store coordinate
     # x at index x + offset)
@@ -241,40 +254,6 @@ def validate(graph: WeightedGraph) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """A model instance (family + parameters) and the graph it builds.
-
-    This is the model registry. The graph is built once, at construction,
-    by the family's builder, whose checks are the parameter validation: an
-    unknown family or an invalid parameter raises ValueError.
-    """
-
-    family: str
-    N: int
-    M: Optional[float] = None
-    A: Optional[float] = None
-    B: Optional[float] = None
-    c_const: Optional[float] = None
-    _graph: WeightedGraph = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.family == HALF_LINE_GEOM:
-            graph = build_half_line(self.M, self.N)
-        elif self.family == LINE_GEOM_SYM:
-            graph = build_sym_line(self.M, self.N)
-        elif self.family == LINE_AB:
-            graph = build_ab_line(self.A, self.B, self.N)
-        elif self.family == DYADIC_TREE:
-            graph = build_dyadic_tree(self.c_const, self.N)
-        else:
-            raise ValueError(f"unknown model family {self.family!r}")
-        object.__setattr__(self, "_graph", graph)
-
-    def build(self) -> WeightedGraph:
-        return self._graph
-
-
 def _require_ratio(value, name):
     if value is None or not 1 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 1 (got {value!r}); "
@@ -311,7 +290,8 @@ def build_half_line(M: float, N: int, scale: float = 1.0) -> WeightedGraph:
     if not scale > 0:
         raise ValueError(f"scale must be > 0 (got {scale!r})")
     edges = (np.arange(N), np.arange(1, N + 1), np.array(_powers(M, N, "M", scale)))
-    info = TruncationInfo(HALF_LINE_GEOM, N, {"M": float(M)}, frontier=(N,))
+    info = TruncationInfo(HALF_LINE_GEOM, N, {"M": float(M), "scale": float(scale)},
+                          frontier=(N,))
     return WeightedGraph(N + 1, edges, base_vertex=0, truncation=info)
 
 

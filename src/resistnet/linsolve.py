@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import record_dict
+
 
 class SolverError(RuntimeError):
     def __init__(self, message, diagnostics=None):
@@ -43,13 +45,7 @@ class SolveDiagnostics:
     residual: float
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-        }
+    to_dict = record_dict
 
 
 def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):

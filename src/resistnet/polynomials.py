@@ -57,6 +57,8 @@ from itertools import islice
 from math import exp, lcm, sqrt
 from typing import Optional, Sequence
 
+from .graphs import record_dict
+
 __all__ = [
     "XiPoly", "PolyPair", "FormalSeries", "SEED_PAIR",
     "recursion_step", "pair_sequence", "pair_values_sequence",
@@ -525,17 +527,7 @@ class GrowthReport:
     slope_reference: float         # sqrt(xi) / (1 - sqrt(xi)), diagnostic only
 
     def to_dict(self):
-        return {
-            "xi": str(self.xi),
-            "n_max": self.n_max,
-            "lower_linear_ok": self.lower_linear_ok,
-            "cube_hypothesis_holds": self.cube_hypothesis_holds,
-            "cube_bound_ok": self.cube_bound_ok,
-            "smallest_exponent": self.smallest_exponent,
-            "cumulative_identity_ok": self.cumulative_identity_ok,
-            "slope_fit": self.slope_fit,
-            "slope_reference": self.slope_reference,
-        }
+        return {**record_dict(self), "xi": str(self.xi)}
 
 
 def growth_bounds_report(xi, n_max: int, pairs=None) -> GrowthReport:

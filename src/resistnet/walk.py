@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .energy import EnergyVector
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, record_dict
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -94,12 +94,21 @@ class TransitionKernel:
 
 
 def kernel_from_graph(graph: WeightedGraph) -> TransitionKernel:
-    """Build the kernel and check row-stochasticity and reversibility."""
+    """Build the kernel and check row-stochasticity and reversibility.
+
+    An edge whose conductance is negative (or NaN) raises ValueError naming
+    it: its transition probabilities would fall outside [0, 1].
+    """
+    ex, ey, ec = graph.edge_arrays
+    negative = ~(ec >= 0)
+    if negative.any():
+        k = int(np.argmax(negative))
+        raise ValueError(f"edge ({ex[k]}, {ey[k]}) has conductance {float(ec[k])!r}; "
+                         "the walk needs conductances >= 0")
     weights = graph.vertex_weights
     if np.any(weights <= 0):
         bad = int(np.argmin(weights))
         raise ValueError(f"vertex {bad} has no edges; the walk is undefined there")
-    ex, ey, ec = graph.edge_arrays
     src, dst, cond = np.r_[ex, ey], np.r_[ey, ex], np.r_[ec, ec]
     order = np.lexsort((cond, dst, src))   # each row by neighbor, then conductance
     src, dst, cond = src[order], dst[order], cond[order]
@@ -219,9 +228,6 @@ class FrequencyCheck:
     def all_within_band(self):
         return all(r[5] <= self.sigma_band for r in self.rows)
 
-    def to_rows(self):
-        return [list(r) for r in self.rows]
-
 
 def frequency_check(stats: WalkStats, kernel: TransitionKernel,
                     sigma_band: float = 4.0, min_exits: int = 1000) -> FrequencyCheck:
@@ -271,14 +277,7 @@ class TransferIterateResult:
     harmonicity_residual: float   # sup |Lap T^k f| over interior vertices
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "last_delta": self.last_delta,
-            "monotone_interior": self.monotone_interior,
-            "min_interior_increment": self.min_interior_increment,
-            "harmonicity_residual": self.harmonicity_residual,
-        }
+        return record_dict(self, ("iterate",))
 
 
 def transfer_iterate(kernel: TransitionKernel, f: EnergyVector,

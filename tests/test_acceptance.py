@@ -24,8 +24,7 @@ from resistnet.energy import (
     EnergyVector, apply_laplacian, energy, energy_inner, solve_dipole, vector,
 )
 from resistnet.graphs import (
-    ModelSpec, build_ab_line, build_dyadic_tree, build_half_line,
-    build_sym_line, path_graph,
+    build_ab_line, build_dyadic_tree, build_half_line, build_sym_line, path_graph,
 )
 from resistnet.polynomials import (
     check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
@@ -114,10 +113,10 @@ def test_06_classification_hard_entries():
     with _Timer() as t:
         ok = True
         for m_ratio in (1.5, 2.0, 4.0):
-            rep = classify_model(ModelSpec("HALF_LINE_GEOM", 120, M=m_ratio))
+            rep = classify_model(build_half_line(m_ratio, 120))
             ok = ok and rep.harm_dim == 0 and rep.def_dim == 1
             ok = ok and rep.hard_expectations_ok
-        rep = classify_model(ModelSpec("LINE_GEOM_SYM", 120, M=2.0))
+        rep = classify_model(build_sym_line(2.0, 120))
         ok = ok and rep.harm_dim == 1 and rep.hard_expectations_ok
     _report(6, "classification-hard-entries", ok, t, 30.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -6,18 +7,21 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from resistnet import boundary, cli
 from resistnet.boundary import (
     _exact_rows_zero, _side, build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
     build_harmonic_zplus, classify_model, resolvent_delta,
     solve_ab_deficiency, space_decomposition_check, tail_flag,
 )
 from resistnet.energy import (
-    EnergyVector, apply_laplacian, energy, random_interior_vector, vector,
+    EnergyVector, apply_laplacian, energy, random_interior_vector, sum_S2, vector,
 )
 from resistnet.graphs import (
-    ModelSpec, WeightedGraph, build_dyadic_tree, build_half_line, build_sym_line, path_graph,
+    WeightedGraph, build_ab_line, build_dyadic_tree, build_half_line, build_sym_line,
+    path_graph,
 )
 from resistnet.polynomials import _scaled_pairs
+from resistnet.walk import kernel_from_graph, transfer_iterate
 
 
 # -- harmonic vectors ---------------------------------------------------------
@@ -216,7 +220,10 @@ def _digest(data):
 
 
 # sha256 of json.dumps(to_dict(), sort_keys=True); the half line at M = 1.1
-# is the uncertified window of test_classify_half_line_uncertified_window_is_inconclusive
+# is the uncertified window of test_classify_half_line_uncertified_window_is_inconclusive.
+# The sum_S2, space_decomposition_check and transfer_iterate records reach no
+# pinned CLI output; their digests were recorded from the hand-listed to_dict
+# each had before record_dict.
 PINNED_REPORTS = [
     (lambda: build_deficiency_zplus(1.5, 40),
      "d4d7a189f9e4a11b42db4fcbca7020cffa4edabc920185319346fcbe09677d4f"),
@@ -226,13 +233,57 @@ PINNED_REPORTS = [
      "9b0088ec44aee8223a9f42c14b7a36bde9cdb8ded042bfc6c4f76ebedf2bfe77"),
     (lambda: solve_ab_deficiency(2, 3, 60),
      "f4c21d31e8a6943b49e82b9741bef0e988dda8f75fcc5416aef48a60cd0459a6"),
+    (lambda: sum_S2(build_deficiency_zplus(2, 40).vector),
+     "7e0e7fc483fec70485b14b52204df88a164ca7781bcc8cb2acc0d8689b22d746"),
+    (lambda: sum_S2(_supported_vector(build_half_line(2, 40), 11, 5)),
+     "da9441cb36444e44465668cdd6cd2fc12391e0b5c26cf02115aad88ab58f137d"),
+    (lambda: _decomposition(60, None),
+     "f99adfd1472b21065bd35c2d71027b14444b04493e10a8ce477e1af3d84a0c3c"),
+    (lambda: _decomposition(200, 15),
+     "2086cbdcb8347c52456407508f0261f6c0536c31e50c3794792133122d626198"),
+    (lambda: _transfer(build_deficiency_zplus(2, 40).vector, 200, 1e-10),
+     "8c00d59723e49492f4db74cc69efc844bbd5aa9c881dfbd71deae07af7642e0c"),
+    (lambda: _transfer(_supported_vector(build_sym_line(2, 10), 19, 10), 3, 1e-15),
+     "39eb2376b5ff7da5822d1d40e4cc1157f4f58fc6edb3603333aff973a196bab6"),
 ]
+
+
+def _supported_vector(g, seed, depth):
+    """Standard normal values on the vertices within `depth` hops of the base."""
+    values = np.random.default_rng(seed).standard_normal(g.n_vertices)
+    values[g.depths > depth] = 0.0
+    return vector(g, values)
+
+
+def _decomposition(N, seed):
+    """The decomposition check on the sym line at M = 2 against its harmonic vector.
+
+    The checked vector is delta at coordinate 1 when seed is None, else
+    `_supported_vector(graph, seed, 10)`.
+    """
+    harm = build_harmonic_zline(2, 1.0, N)
+    g = harm.vector.graph
+    if seed is None:
+        v = np.zeros(g.n_vertices)
+        v[g.index_of(1)] = 1.0
+        v = EnergyVector(g, v)
+    else:
+        v = _supported_vector(g, seed, 10)
+    return space_decomposition_check(v, [harm.vector])
+
+
+def _transfer(f, k_max, tol):
+    return transfer_iterate(kernel_from_graph(f.graph), f, k_max=k_max, tol=tol)
 
 
 @pytest.mark.parametrize("build,digest", PINNED_REPORTS)
 def test_defect_reports_are_pinned(build, digest):
     assert _digest(build().to_dict()) == digest
 
+
+# the line families classify_model accepts, and their builders and CLI names
+CLASSIFIED = {"HALF_LINE_GEOM": (build_half_line, "half-line"),
+              "LINE_GEOM_SYM": (build_sym_line, "sym-line")}
 
 # (family, M, N): sha256 of the report's to_dict() and of its curves
 PINNED_CLASSIFY = [
@@ -253,15 +304,16 @@ PINNED_CLASSIFY = [
 
 @pytest.mark.parametrize("family,M,N,report_digest,curves_digest", PINNED_CLASSIFY)
 def test_classify_reports_are_pinned(family, M, N, report_digest, curves_digest):
-    report = classify_model(ModelSpec(family, N, M=M))
+    report = classify_model(CLASSIFIED[family][0](M, N))
     assert _digest(report.to_dict()) == report_digest
     assert _digest(report.curves) == curves_digest
 
 
-@pytest.mark.parametrize("family", ["HALF_LINE_GEOM", "LINE_GEOM_SYM"])
+@pytest.mark.parametrize("family", list(CLASSIFIED))
 def test_classify_builds_its_graph_once(family, monkeypatch):
     # every model builder constructs exactly one WeightedGraph, so counting
-    # constructions counts builder calls
+    # constructions counts builder calls: the command builds the graph once
+    # and classify_model reads the model from it without building another
     built = []
     init = WeightedGraph.__init__
 
@@ -270,10 +322,16 @@ def test_classify_builds_its_graph_once(family, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
-    spec = ModelSpec(family, 30, M=2.0)
+    config = cli._config_from_args(cli._build_parser().parse_args(
+        ["classify", "--model", CLASSIFIED[family][1], "--M", "2", "--N", "30"]))
+    code, _text, _files = cli.execute(config)
+    assert code == 0
     assert len(built) == 1
-    classify_model(spec)
-    assert len(built) == 1
+    assert built[0].truncation.family == family
+    graph = CLASSIFIED[family][0](2.0, 30)
+    assert len(built) == 2
+    classify_model(graph)
+    assert len(built) == 2
 
 
 # -- resolvent ----------------------------------------------------------------------
@@ -386,7 +444,7 @@ def test_space_decomposition_delta_example():
 
 @pytest.mark.parametrize("m_ratio", [1.5, 2.0, 4.0])
 def test_classify_half_line(m_ratio):
-    report = classify_model(ModelSpec("HALF_LINE_GEOM", 100, M=m_ratio))
+    report = classify_model(build_half_line(m_ratio, 100))
     assert report.harm_dim == 0
     assert report.def_dim == 1
     assert report.hard_expectations_ok
@@ -397,7 +455,7 @@ def test_classify_half_line_uncertified_window_is_inconclusive():
     # at M = 1.1 the energy terms still grow at N = 60 (they peak near
     # n = 75), so the window flags cannot certify the defect vector; the
     # paper gives it for every M > 1, so the verdict is open, never 0
-    report = classify_model(ModelSpec("HALF_LINE_GEOM", 60, M=1.1))
+    report = classify_model(build_half_line(1.1, 60))
     assert report.def_evidence["interior_residual_exact_zero"]
     assert report.def_evidence["energy_flag"] != "CONVERGENT"
     assert report.def_dim is None
@@ -415,7 +473,7 @@ def test_deficiency_float_curves_round_the_exact_values():
 
 
 def test_classify_sym_line():
-    report = classify_model(ModelSpec("LINE_GEOM_SYM", 100, M=2.0))
+    report = classify_model(build_sym_line(2.0, 100))
     assert report.harm_dim == 1
     assert report.hard_expectations_ok
     # the defect verdict stays evidence-only for this model
@@ -424,9 +482,37 @@ def test_classify_sym_line():
         "FINITE", "INFINITE", "INCONCLUSIVE")
 
 
+def test_classify_sym_line_fails_with_its_harmonic_check(monkeypatch):
+    # a harmonic vector whose flux residual is off fails the sym-line expectations
+    build = boundary._harmonic_zline
+    monkeypatch.setattr(boundary, "_harmonic_zline", lambda graph, t: dataclasses.replace(
+        build(graph, t), interior_residual=1e-6))
+    report = classify_model(build_sym_line(2.0, 30))
+    assert report.harm_dim == 0
+    assert not report.hard_expectations_ok
+    assert report.to_dict()["hard_expectations_ok"] is False
+
+
 def test_classify_rejects_other_families():
-    with pytest.raises(ValueError):
-        classify_model(ModelSpec("DYADIC_TREE", 4, c_const=1.0))
+    with pytest.raises(ValueError, match="not 'DYADIC_TREE'"):
+        classify_model(build_dyadic_tree(1.0, 4))
+    with pytest.raises(ValueError, match="not 'LINE_AB'"):
+        classify_model(build_ab_line(2.0, 3.0, 10))
+    # a graph with no model behind it, as read from a file
+    with pytest.raises(ValueError, match="no truncation"):
+        classify_model(path_graph([2.0, 4.0, 8.0]))
+    # conductances 3 * 2**n: Lap u = -u is another equation there
+    with pytest.raises(ValueError, match="unscaled half line"):
+        classify_model(build_half_line(2.0, 10, scale=3.0))
+
+
+def test_classify_reads_the_model_from_the_graph():
+    # family, N and M come from the graph's truncation; an int M is recorded
+    # as the float the builder stores
+    report = classify_model(build_half_line(2, 30))
+    assert (report.family, report.N) == ("HALF_LINE_GEOM", 30)
+    assert type(report.M) is float and report.M == 2.0
+    assert report.to_dict() == classify_model(build_half_line(2.0, 30)).to_dict()
 
 
 def test_tail_flag_windows():

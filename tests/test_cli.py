@@ -300,6 +300,8 @@ def test_exit_codes_stable_contract(capsys):
     ["energy", "--graph", "{dir}/g.txt", "--vector", "{dir}/inf_value.csv"],
     # the coefficient table grows like n_max**4
     ["polys", "--n-max", "101"],
+    # the identity checks grow steeply with the order
+    ["polys", "--check-identities", "--order", "101"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
@@ -372,9 +374,9 @@ def test_classify_half_line_uncertified_window_exits_2(capsys):
 # sha256 of stdout and of each CSV artifact; the classify and order-12 polys
 # hashes were recorded from the Fraction-based recursion the scaled-integer
 # kernel replaced, the order-20 polys hashes from the series products the
-# division sweeps replaced, and the walk, resolvent and embed hashes from the
-# per-command model dispatch that ModelSpec replaced. Any change to these
-# outputs is deliberate.
+# division sweeps replaced, and the walk, resolvent and embed hashes from an
+# earlier per-command model dispatch. Any change to these outputs is
+# deliberate.
 PINNED_OUTPUTS = [
     (["classify", "--model", "half-line", "--M", "2", "--N", "300"], {
         "stdout": "49631dcf05624c2f28bb50a87241db361ea88fb6e9548c541466eeed9641458d",

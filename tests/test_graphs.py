@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from resistnet import cli
 from resistnet.graphs import (
     DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM, GraphStructureError,
-    ModelSpec, TruncationInfo, WeightedGraph, build_ab_line, build_dyadic_tree,
+    TruncationInfo, WeightedGraph, build_ab_line, build_dyadic_tree,
     build_half_line, build_sym_line, path_graph, read_graph, validate,
     write_graph,
 )
@@ -213,15 +214,31 @@ def test_interior_mask_and_frontier_distance():
     assert p.interior_mask.all()
 
 
+# A model spec is a model name of the CLI table with its parameters; the
+# table hands them to the family's builder, whose checks validate them.
+
+def _model_config(model, N, **params):
+    return {"model": model, "N": N, "M": None, "A": None, "B": None, "c_const": None,
+            **params}
+
+
 def test_model_spec_validation():
+    bad = [("half-line", 5, {"M": 0.9}), ("half-line", 1, {"M": 2.0}),
+           ("sym-line", 5, {"M": None}), ("ab-line", 5, {"A": 2.0, "B": 1.0}),
+           ("tree", 3, {"c_const": 0.0})]
+    for model, N, params in bad:
+        with pytest.raises(ValueError):
+            cli._MODELS[model](_model_config(model, N, **params))
+        # the CLI reports the builder's ValueError as a usage error
+        with pytest.raises(cli.UsageError):
+            cli._model_graph(_model_config(model, N, **params))
     with pytest.raises(ValueError):
-        ModelSpec("HALF_LINE_GEOM", 5, M=0.9)
+        build_half_line(0.9, 5)
     with pytest.raises(ValueError):
-        ModelSpec("HALF_LINE_GEOM", 1, M=2.0)
+        build_half_line(2.0, 1)
     with pytest.raises(ValueError):
-        ModelSpec("LINE_AB", 5, A=2.0, B=1.0)
-    spec = ModelSpec("DYADIC_TREE", 3, c_const=1.0)
-    assert spec.build().n_vertices == 15
+        build_ab_line(2.0, 1.0, 5)
+    assert build_dyadic_tree(1.0, 3).n_vertices == 15
 
 
 @pytest.mark.parametrize("family,params,direct", [
@@ -231,19 +248,31 @@ def test_model_spec_validation():
     (DYADIC_TREE, {"c_const": 0.5}, lambda: build_dyadic_tree(0.5, 6)),
 ])
 def test_model_spec_builds_the_family_graph(family, params, direct):
-    spec = ModelSpec(family, 6, **params)
-    graph = spec.build()
+    model = {HALF_LINE_GEOM: "half-line", LINE_GEOM_SYM: "sym-line", LINE_AB: "ab-line",
+             DYADIC_TREE: "tree"}[family]
+    graph = cli._model_graph(_model_config(model, 6, **params))
     assert graph == direct()
-    assert spec.build() is graph
+    # equal model graphs hash equal; TruncationInfo leaves its params dict out of its hash
+    assert hash(graph) == hash(direct())
+    assert len({graph, direct()}) == 1
+    assert graph.truncation.family == family
+    assert graph.truncation.depth == 6
+    assert params.items() <= graph.truncation.params.items()
 
 
-def test_model_spec_rejects_custom():
-    with pytest.raises(ValueError, match="unknown model family"):
-        ModelSpec("CUSTOM", 5)
+def test_model_spec_rejects_custom(capsys):
+    with pytest.raises(cli.UsageError, match="unknown model 'custom'"):
+        cli._model_graph(_model_config("custom", 5))
+    # resolvent with neither --model nor --graph names no model
+    assert cli.main(["resolvent", "--x", "0"]) == 64
+    assert capsys.readouterr().err == "resistnet: error: unknown model None\n"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["walk", "--model", "custom", "--start", "0"])
+    assert exit_info.value.code == 64
 
 
 def test_index_of_is_the_identity_on_the_tree():
-    g = ModelSpec(DYADIC_TREE, 3, c_const=1.0).build()
+    g = build_dyadic_tree(1.0, 3)
     assert [g.index_of(v) for v in range(g.n_vertices)] == list(range(g.n_vertices))
 
 
