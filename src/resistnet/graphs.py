@@ -228,21 +228,35 @@ def validate(graph: WeightedGraph) -> ValidationReport:
     """Check the weighted-graph axioms and report every violation.
 
     Reported codes: "self_loop", "positivity", "symmetry" (an unordered
-    pair stored more than once), "connectivity".
+    pair stored more than once), "connectivity". Edge violations come in
+    edge order: a self-loop is reported as such and nothing else, a
+    repeated pair names the conductance of its first edge.
     """
+    ex, ey, ec = graph.edge_arrays
+    lo, hi = np.minimum(ex, ey), np.maximum(ex, ey)
+    loop = ex == ey
+    # a stable sort of the other edges by normalised pair starts each run
+    # of one pair at its first edge in edge order
+    order = np.flatnonzero(~loop)
+    order = order[np.lexsort((hi[order], lo[order]))]
+    run_start = np.ones(len(order), dtype=bool)
+    run_start[1:] = (lo[order[1:]] != lo[order[:-1]]) | (hi[order[1:]] != hi[order[:-1]])
+    first = np.arange(len(ec))
+    first[order] = order[np.maximum.accumulate(np.where(run_start, np.arange(len(order)), 0))]
+    repeated = first != np.arange(len(ec))
+    flagged = np.flatnonzero(loop | repeated | ~(ec > 0))
     violations = []
-    seen = {}
-    for x, y, c in graph.edges:
+    for x, y, c, again, c_first in zip(ex[flagged].tolist(), ey[flagged].tolist(),
+                                       ec[flagged].tolist(), repeated[flagged].tolist(),
+                                       ec[first[flagged]].tolist()):
         if x == y:
             violations.append(("self_loop", f"edge ({x},{y}) is a self-loop"))
             continue
         key = (min(x, y), max(x, y))
-        if key in seen:
+        if again:
             violations.append(
-                ("symmetry", f"pair {key} stored more than once (c={seen[key]!r}, c={c!r})")
+                ("symmetry", f"pair {key} stored more than once (c={c_first!r}, c={c!r})")
             )
-        else:
-            seen[key] = c
         if not c > 0:
             violations.append(("positivity", f"edge {key} has conductance {c!r} <= 0"))
 
@@ -335,13 +349,19 @@ def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
 
     Vertices are labeled by their bit-words (the root is the empty word,
     labeled ""); every word x is joined to x+"0" and x+"1". Words of
-    length N form the truncation frontier.
+    length N form the truncation frontier. The largest vertex weight,
+    3 * c_const below the root (2 * c_const at N = 1), must be a finite
+    float: past that limit the builder raises ValueError.
     """
-    if c_const is None or not c_const > 0:
-        raise ValueError("c_const must be > 0")
+    if c_const is None or not 0 < c_const < math.inf:
+        raise ValueError(f"c_const must be finite and > 0 (got {c_const!r})")
     if N < 1:
         raise ValueError("N must be >= 1")
     c_const = float(c_const)
+    if not math.isfinite((3 if N > 1 else 2) * c_const):
+        raise ValueError(f"vertex weights overflow at c_const = {c_const!r}, N = {N}: "
+                         f"a vertex weight must stay below {sys.float_info.max:.4g}; "
+                         "lower c_const")
     # heap order: word i has children 2i+1 (w+"0") and 2i+2 (w+"1"), so its
     # parent is (i-1)//2 and the words of length N are the last 2**N
     words, level = [""], [""]

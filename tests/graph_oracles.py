@@ -1,9 +1,10 @@
 """Record-level references for the graph tests.
 
 A graph holds only its edge arrays. These helpers build one from (x, y, c)
-records, and rebuild the per-vertex adjacency edge by edge from its
-records, so that the tests check the arrays and the CSR view against loops
-that do not share their code.
+records, rebuild the per-vertex adjacency edge by edge from its records,
+and find validate()'s violations with the edge loop and dict of seen pairs
+that its array form replaced, so that the tests check the arrays, the CSR
+view and validate() against loops that do not share their code.
 """
 
 import numpy as np
@@ -27,3 +28,28 @@ def adjacency_by_edges(graph):
         adj[x].append((y, c))
         adj[y].append((x, c))
     return adj
+
+
+def validate_by_edges(graph):
+    """The violations of validate(), found edge by edge with a dict of seen pairs."""
+    violations = []
+    seen = {}
+    for x, y, c in graph.edges:
+        if x == y:
+            violations.append(("self_loop", f"edge ({x},{y}) is a self-loop"))
+            continue
+        key = (min(x, y), max(x, y))
+        if key in seen:
+            violations.append(
+                ("symmetry", f"pair {key} stored more than once (c={seen[key]!r}, c={c!r})")
+            )
+        else:
+            seen[key] = c
+        if not c > 0:
+            violations.append(("positivity", f"edge {key} has conductance {c!r} <= 0"))
+    missing = np.flatnonzero(graph.depths < 0).tolist()
+    if missing:
+        violations.append(
+            ("connectivity", f"vertices {missing} unreachable from base {graph.base_vertex}")
+        )
+    return tuple(violations)

@@ -302,6 +302,13 @@ def test_exit_codes_stable_contract(capsys):
     ["polys", "--n-max", "101"],
     # the identity checks grow steeply with the order
     ["polys", "--check-identities", "--order", "101"],
+    # a tree conductance that is not finite, or whose vertex weight 3 c overflows
+    ["walk", "--model", "tree", "--N", "3", "--start", "0", "--trials", "10",
+     "--c-const", "inf"],
+    ["walk", "--model", "tree", "--N", "3", "--start", "0", "--trials", "10",
+     "--c-const", "1e308"],
+    ["resolvent", "--model", "tree", "--N", "3", "--x", "1", "--c-const", "7e307"],
+    ["resolvent", "--model", "tree", "--N", "3", "--x", "1", "--c-const", "nan"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
@@ -433,6 +440,21 @@ PINNED_OUTPUTS = [
     }),
     (["embed", "--N", "6", "--trials", "30", "--seed", "1"], {
         "stdout": "af262dedd4631c17d447f75e3ddea710986d85af5476179ddce248cd2e42973f",
+    }),
+    # recorded from the one-vector-at-a-time certificate check that the
+    # blocks of test vectors replaced; at N = 12 the 100 vectors run in 50
+    # blocks of two
+    (["embed", "--N", "4", "--seed", "0"], {
+        "stdout": "4a7521fdf3f7632894d55cdf7483f470dea3d03c7ec7ca4edea6bf2049bc2267",
+    }),
+    (["embed", "--N", "9", "--seed", "0"], {
+        "stdout": "21707ad4e69c0e29c6034196de03b858dd6e3a639da73f808df922bfc108600a",
+    }),
+    (["embed", "--N", "12", "--trials", "100", "--seed", "1"], {
+        "stdout": "3b418bc31ee9d8b50b99b75b412ffe6afc389c2102c64121d1ee5fdf78341eee",
+    }),
+    (["embed", "--N", "7", "--trials", "100", "--seed", "1", "--wrong-psi"], {
+        "stdout": "08968b9048f6f7d43e90774d0b1f8266c5603762412bfe4bab7c414268d23711",
     }),
     # recorded from the per-step rehash of (seed, trial) and the single
     # all-trials pass that the trial blocks replaced; 50,000 trials span

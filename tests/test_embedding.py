@@ -1,18 +1,95 @@
 import numpy as np
 import pytest
 
+from resistnet import embedding
 from resistnet.embedding import (
-    GraphMap, MissingCertificateError, check_compatible, compose_maps,
-    dirichlet_monopole, dyadic_pair, pullback, transport_monopole, tree_harmonic_direct,
+    CompatibilityCertificate, GraphMap, MissingCertificateError, check_compatible,
+    compose_maps, dirichlet_monopole, dyadic_pair, pullback, transport_monopole,
+    tree_harmonic_direct,
 )
 from resistnet.energy import (
-    EnergyVector, apply_laplacian, constant, energy, vector,
+    EnergyVector, apply_laplacian, constant, energy, random_interior_vector, vector,
 )
 from resistnet.graphs import build_dyadic_tree, build_half_line, path_graph
 
 
 def _identity(graph):
     return GraphMap(graph, graph, np.arange(graph.n_vertices), np.ones(graph.n_vertices))
+
+
+def _check_one_vector_at_a_time(gmap, test_vectors=100, seed=0, tol=1e-10):
+    """Reference certificate: one test vector, one EnergyVector round trip at a time."""
+    rng = np.random.default_rng(seed)
+    worst_iso = 0.0
+    worst_int = 0.0
+    for _ in range(test_vectors):
+        u = random_interior_vector(gmap.target, rng, margin=1)
+        e_target = energy(u)
+        tu = pullback(gmap, u)
+        e_source = energy(tu)
+        worst_iso = max(worst_iso, abs(e_source - e_target) / max(e_target, 1e-300))
+        lhs = pullback(gmap, apply_laplacian(u)).values
+        rhs = gmap.psi * apply_laplacian(tu).values
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        resid = np.abs(lhs - rhs) / scale
+        worst_int = max(worst_int, float(np.max(resid[gmap.source.interior_mask])))
+    passed = worst_iso <= tol and worst_int <= tol
+    return CompatibilityCertificate(passed, test_vectors, seed, worst_iso, worst_int, tol)
+
+
+def _trial_counts(gmap):
+    """1, block - 1, block, block + 1 and 100 test vectors, each at least 1."""
+    block = embedding._block_rows(gmap)
+    return sorted({n for n in (1, block - 1, block, block + 1, 100) if n >= 1})
+
+
+def _assert_matches_oracle(gmap, seed):
+    for trials in _trial_counts(gmap):
+        got = check_compatible(gmap, trials, seed)
+        want = _check_one_vector_at_a_time(gmap, trials, seed)
+        assert got.to_dict() == want.to_dict(), trials
+
+
+def test_block_draw_is_the_single_draws():
+    single = np.random.default_rng(6)
+    block = np.random.default_rng(6).standard_normal((5, 31))
+    assert np.array_equal(block, [single.standard_normal(31) for _ in range(5)])
+
+
+def test_block_rows_bound_the_block():
+    assert embedding._block_rows(dyadic_pair(1.0, 2)) == 2 ** 14 // 7
+    assert embedding._block_rows(dyadic_pair(1.0, 12)) == 2
+    assert embedding._block_rows(dyadic_pair(1.0, 13)) == 1
+    assert embedding._block_rows(dyadic_pair(1.0, 16)) == 1
+
+
+@pytest.mark.parametrize("N", range(2, 14))
+def test_blocked_certificate_matches_one_vector_at_a_time(N):
+    _assert_matches_oracle(dyadic_pair(1.0, N), seed=N)
+
+
+@pytest.mark.parametrize("N", [2, 5, 9, 12])
+def test_blocked_certificate_matches_on_the_wrong_weight(N):
+    gmap = dyadic_pair(0.5, N, wrong_psi=True)
+    assert not check_compatible(gmap, 3, seed=1).passed
+    _assert_matches_oracle(gmap, seed=40 + N)
+
+
+def test_blocked_certificate_matches_on_other_maps():
+    line = build_half_line(2, 9)
+    _assert_matches_oracle(_identity(line), seed=1)
+    pair = dyadic_pair(1.0, 6)
+    deeper = build_half_line(2, 11)
+    inclusion = GraphMap(pair.target, deeper, np.arange(pair.target.n_vertices),
+                         np.ones(pair.target.n_vertices))
+    _assert_matches_oracle(compose_maps(pair, inclusion), seed=2)
+    # psi not constant across the vertices of one depth, and a graph with
+    # no frontier, where no test vector entry is zeroed
+    tree = build_dyadic_tree(3.0, 7)
+    psi = np.random.default_rng(3).uniform(0.5, 2.0, tree.n_vertices)
+    _assert_matches_oracle(GraphMap(tree, tree, np.arange(tree.n_vertices), psi), seed=4)
+    path = path_graph([1.0, 0.25, 8.0, 2.0])
+    _assert_matches_oracle(GraphMap(path, path, [0, 1, 2, 3, 4], [1, 2, 1, 3, 1]), seed=5)
 
 
 def test_pullback_constant():

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from resistnet.graphs import (
     write_graph,
 )
 
-from graph_oracles import adjacency_by_edges, graph_from_records
+from graph_oracles import adjacency_by_edges, graph_from_records, validate_by_edges
 
 
 def test_validate_small_path_is_valid():
@@ -37,6 +40,46 @@ def test_validate_self_loop_and_duplicate_pair():
     codes = validate(g).codes()
     assert "self_loop" in codes
     assert "symmetry" in codes
+
+
+# three and four copies of one pair in both orientations, self-loops with
+# good and bad conductances, 0, -0.0, negative and NaN conductances on
+# first and repeated copies, and a vertex nothing reaches
+_MESSY_MULTIGRAPH = (
+    (0, 1, 1.0), (1, 0, 2.5), (2, 2, 1.0), (0, 1, 0.1 + 0.2), (1, 2, 0.0),
+    (2, 1, -3.0), (3, 3, -1.0), (1, 0, float("nan")), (2, 3, float("nan")),
+    (3, 2, 4.0), (2, 1, 7.0), (3, 2, -0.0), (2, 3, 5e-324), (3, 3, 0.0),
+    (1, 2, 1e300), (4, 4, 2.0),
+)
+
+
+def test_validate_matches_the_edge_loop_on_a_messy_multigraph():
+    g = graph_from_records(6, _MESSY_MULTIGRAPH)
+    assert validate(g).violations == validate_by_edges(g)
+    assert validate(g).violations[:4] == (
+        ("symmetry", "pair (0, 1) stored more than once (c=1.0, c=2.5)"),
+        ("self_loop", "edge (2,2) is a self-loop"),
+        ("symmetry", "pair (0, 1) stored more than once (c=1.0, c=0.30000000000000004)"),
+        ("positivity", "edge (1, 2) has conductance 0.0 <= 0"),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_matches_the_edge_loop_on_random_multigraphs(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 7)), int(rng.integers(0, 40))
+    choices = np.array([1.0, 2.0, 0.5, 0.0, -0.0, -1.0, np.nan, 1e-300])
+    columns = (rng.integers(0, n, m), rng.integers(0, n, m), rng.choice(choices, m))
+    for x, y, c in ((columns[0], columns[1], columns[2]),
+                    (columns[0].astype(np.uint32), columns[1].astype(np.int16),
+                     columns[2].astype(np.float32))):
+        g = WeightedGraph(n, (x, y, c), base_vertex=int(rng.integers(0, n)))
+        assert validate(g).violations == validate_by_edges(g)
+
+
+def test_validate_finds_nothing_on_the_builders():
+    for g in (build_dyadic_tree(1.0, 9), build_sym_line(2, 30), path_graph([])):
+        assert validate(g).violations == validate_by_edges(g) == ()
 
 
 def test_structural_errors_raise_not_report():
@@ -90,6 +133,20 @@ def test_line_conductances_stay_finite(build, name):
         build(1024)
     with pytest.raises(ValueError, match="overflow"):
         build(3000)
+
+
+def test_tree_conductance_stays_finite():
+    # the largest vertex weight is 3 * c_const below the root, 2 * c_const at N = 1
+    assert 3 * 5.99e307 < sys.float_info.max < 3 * 6e307
+    assert np.all(np.isfinite(build_dyadic_tree(5.99e307, 4).vertex_weights))
+    with pytest.raises(ValueError, match="overflow"):
+        build_dyadic_tree(6e307, 4)
+    assert np.all(np.isfinite(build_dyadic_tree(7e307, 1).vertex_weights))
+    with pytest.raises(ValueError, match="vertex weights overflow at c_const = 7e\\+307, N = 2"):
+        build_dyadic_tree(7e307, 2)
+    for c_const in (math.inf, math.nan, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="c_const must be finite and > 0"):
+            build_dyadic_tree(c_const, 3)
 
 
 def test_half_line_vertex_weight():
