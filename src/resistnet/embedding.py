@@ -104,22 +104,29 @@ def _block_rows(gmap):
     return max(1, _BLOCK_ENTRIES // max(gmap.source.n_vertices, gmap.target.n_vertices))
 
 
-def _energy_terms_and_laplacian(graph, at_x, at_y):
+def _block_ends(graph, rows):
+    """The flat index row * V + vertex of the x ends, then the y ends, of each of rows rows."""
+    x, y, _ = graph.edge_arrays
+    return (np.concatenate((x, y)) + graph.n_vertices * np.arange(rows)[:, None]).ravel()
+
+
+def _energy_terms_and_laplacian(graph, at_x, at_y, ends):
     """Per row: energy's edge terms and apply_laplacian, from the values at the edge ends.
 
-    The terms are energy's c * diff * diff in its order, and each row of
-    the Laplacian adds in apply_laplacian's order, one 1-D np.add.at over
-    the x ends and then one over the y ends, so a row's floats are those
-    of energy and apply_laplacian on that row alone.
+    The terms are energy's c * diff * diff in its order. The Laplacian of
+    all rows is one np.bincount over ends (from _block_ends, for at least
+    this many rows), which adds in the order given: each row adds its x
+    ends in edge order and then its y ends, apply_laplacian's order, so a
+    row's floats are those of energy and apply_laplacian on that row alone.
     """
-    x, y, c = graph.edge_arrays
+    c = graph.edge_arrays[2]
     diff = at_x - at_y
-    flow = c * diff
-    lap = np.zeros((len(flow), graph.n_vertices))
-    for row, forward, backward in zip(lap, flow, -flow):
-        np.add.at(row, x, forward)
-        np.add.at(row, y, backward)
-    return flow * diff, lap
+    rows, n = diff.shape[0], graph.n_vertices
+    weights = np.empty((rows, 2 * len(c)))      # per row: flow, then -flow
+    flow = np.multiply(c, diff, out=weights[:, :len(c)])
+    np.negative(flow, out=weights[:, len(c):])
+    lap = np.bincount(ends[:weights.size], weights.ravel(), rows * n)
+    return flow * diff, lap.reshape(rows, n).astype(np.float64, copy=False)
 
 
 def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
@@ -134,9 +141,9 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
     The vectors are drawn and checked in blocks of rows, so memory is
     O(block * V) with block = max(1, 2**14 // V). One draw of a block is
     the same numbers as that many single draws, and each row's energy
-    (one 1-D sum) and Laplacian (one 1-D add.at) add in the order of
-    energy and apply_laplacian, so the certificate is byte-identical to
-    checking one vector at a time.
+    (one 1-D sum) and Laplacian (a bincount that adds each row's terms in
+    edge order) add in the order of energy and apply_laplacian, so the
+    certificate is byte-identical to checking one vector at a time.
     """
     if test_vectors < 1:
         raise ValueError(f"need at least one test vector (got {test_vectors})")
@@ -150,6 +157,7 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
     interior = np.flatnonzero(source.interior_mask)
     phi_in, psi_in = phi[interior], gmap.psi[interior]
     block = _block_rows(gmap)
+    target_ends, source_ends = _block_ends(target, block), _block_ends(source, block)
     rng = np.random.default_rng(seed)
     worst_iso = 0.0
     worst_int = 0.0
@@ -157,9 +165,9 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
         u = rng.standard_normal((min(block, test_vectors - lo), target.n_vertices))
         u[:, frontier] = 0.0
         e_target, lap_h = _energy_terms_and_laplacian(
-            target, np.take(u, tx, axis=1), np.take(u, ty, axis=1))
+            target, np.take(u, tx, axis=1), np.take(u, ty, axis=1), target_ends)
         e_source, lap_g = _energy_terms_and_laplacian(
-            source, np.take(u, px, axis=1), np.take(u, py, axis=1))
+            source, np.take(u, px, axis=1), np.take(u, py, axis=1), source_ends)
         # (T Lap_H u)(x) against psi(x) (Lap_G T u)(x) at interior source x
         lhs = np.take(lap_h, phi_in, axis=1)
         rhs = psi_in * np.take(lap_g, interior, axis=1)

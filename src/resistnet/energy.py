@@ -21,7 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import WeightedGraph, read_chunks, read_rows, record_dict, write_chunks
+from .graphs import (
+    WeightedGraph, float_texts, format_rows, read_chunks, read_rows, record_dict, write_chunks,
+)
 from .linsolve import solve_reduced
 
 
@@ -227,7 +229,8 @@ _NON_SPACE = re.compile(r"\S")
 def write_vector(u: EnergyVector) -> str:
     values = np.asarray(u.values, dtype=float)
     return "".join(["vertex,value\n"] + [
-        "".join([f"{i},{v!r}\n" for i, v in enumerate(values[rows].tolist(), rows.start)])
+        format_rows("%d,%s\n", (range(rows.start, min(rows.stop, len(values))),
+                                float_texts(values[rows])))
         for rows in write_chunks(len(values))])
 
 

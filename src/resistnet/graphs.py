@@ -8,8 +8,11 @@ records which vertices sit on the truncation frontier so that analysis code
 can restrict identities to interior vertices.
 
 A graph holds its edges once, as three arrays (endpoints x, endpoints y,
-conductances). Solvers and searches read its CSR view, each vertex's
-neighbours in edge order; the (x, y, c) records are built on demand.
+conductances). Searches read its CSR view, three arrays with each vertex's
+neighbours in edge order; the (x, y, c) records are built on demand. Every
+builder numbers its graph parent-first, each vertex v >= 1 the larger end
+of exactly one edge, the one to its parent, which is how the tree solve
+reads its tree off the edge arrays.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class WeightedGraph:
 
     @cached_property
     def csr(self):
-        """(start, neighbours, conductances) as lists, in edge order per vertex.
+        """(start, neighbours, conductances) as int64, int64 and float64 arrays.
 
         The slots start[x]:start[x+1] of the other two hold the edge ends at
         x, in the order of the edges; a self-loop fills two slots.
@@ -137,7 +140,8 @@ class WeightedGraph:
         start = np.zeros(self.n_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=self.n_vertices), out=start[1:])
         others = np.column_stack((ey, ex)).ravel()
-        return start.tolist(), others[slots].tolist(), np.repeat(ec, 2)[slots].tolist()
+        return (start, others[slots].astype(np.int64, copy=False),
+                np.repeat(ec, 2)[slots].astype(np.float64, copy=False))
 
     @cached_property
     def vertex_weights(self):
@@ -170,7 +174,7 @@ class WeightedGraph:
 
     def _hops(self, sources):
         """Hop distance from the nearest source, by breadth-first search (-1 if unreachable)."""
-        start, neighbours, _ = self.csr
+        start, neighbours = (a.tolist() for a in self.csr[:2])
         d = [-1] * self.n_vertices
         for v in sources:
             d[v] = 0
@@ -198,10 +202,8 @@ class WeightedGraph:
     def conductance(self, x, y):
         """Conductance of the first edge joining x and y in edge order, 0.0 if none."""
         start, neighbours, conductances = self.csr
-        for k in range(start[x], start[x + 1]):
-            if neighbours[k] == y:
-                return conductances[k]
-        return 0.0
+        at = np.flatnonzero(neighbours[start[x]:start[x + 1]] == y)
+        return float(conductances[start[x] + at[0]]) if at.size else 0.0
 
     def index_of(self, position):
         """Vertex index of a model coordinate (the identity on the tree)."""
@@ -418,16 +420,52 @@ def write_chunks(n_rows):
     return [slice(k, k + WRITE_CHUNK_ROWS) for k in range(0, n_rows, WRITE_CHUNK_ROWS)]
 
 
+# np.unique costs about as much as UNIQUE_MIN_REPEATS reprs when the caches
+# are cold; float_texts calls it only when the repeats among the first
+# REPEAT_SAMPLE values of a chunk predict at least that many in the chunk
+REPEAT_SAMPLE = 2 ** 7
+UNIQUE_MIN_REPEATS = 2 ** 8
+
+
+def float_texts(values):
+    """repr of each float in a float array, computed once per distinct value.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    texts, and every nan reads "nan". A chunk whose leading values repeat
+    too little to pay for the search is formatted value by value.
+    """
+    floats = values.tolist()
+    sample = floats[:REPEAT_SAMPLE]
+    # -0.0 == 0.0 counts as a repeat here, and that only decides the method
+    repeats = len(floats) * (len(sample) - len(set(sample))) // max(len(sample), 1)
+    if repeats < UNIQUE_MIN_REPEATS:
+        return [repr(v) for v in floats]
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = [repr(v) for v in distinct.view(np.float64).tolist()]
+    return [texts[k] for k in inverse.tolist()]
+
+
+def format_rows(row, columns):
+    """The text of row % (one entry of each column) for every row, by one % format."""
+    n_rows = len(columns[0])
+    args = [None] * (len(columns) * n_rows)
+    for j, column in enumerate(columns):
+        args[j::len(columns)] = column
+    return (row * n_rows) % tuple(args)
+
+
 def write_graph(graph: WeightedGraph) -> str:
     ex, ey, ec = graph.edge_arrays
     parts = [f"graph {graph.n_vertices} {len(ec)} {graph.base_vertex}\n"]
     for rows in write_chunks(len(ec)):
-        parts.append("".join([f"edge {x} {y} {c!r}\n" for x, y, c
-                              in zip(ex[rows].tolist(), ey[rows].tolist(), ec[rows].tolist())]))
+        parts.append(format_rows("edge %d %d %s\n", (ex[rows].tolist(), ey[rows].tolist(),
+                                                      float_texts(ec[rows]))))
     if graph.labels is not None:
         for rows in write_chunks(graph.n_vertices):
-            parts.append("".join([f"label {i} {lab}\n"
-                                  for i, lab in enumerate(graph.labels[rows], rows.start)]))
+            labels = graph.labels[rows]
+            parts.append(format_rows("label %d %s\n",
+                                     (range(rows.start, rows.start + len(labels)), labels)))
     return "".join(parts)
 
 

@@ -11,9 +11,29 @@ pivot not owed to its parent edge:
 
 Every update is a sum of positive terms (the idea of Grassmann, Taksar and
 Heyman's elimination), so pivots keep high relative accuracy however many
-orders of magnitude the conductances span. A graph read from a file whose
-unpinned part has a cycle falls back to one dense float solve. Either path reports
-the normwise backward residual over the unpinned rows,
+orders of magnitude the conductances span. A vertex adds its pinned
+neighbours' terms and then its children's, each in the order of its edges.
+
+Orientation. Every builder numbers its graph parent-first: V-1 edges, no
+self-loop, and every vertex v >= 1 the larger end of exactly one edge, the
+one to its parent; write_graph and read_graph keep the numbering. The
+forest is then read off the edge arrays: parents, parent-edge conductances,
+and as roots vertex 0 and every unpinned vertex under a pinned parent.
+
+Elimination. Depths come from pointer jumping, and the forest is
+eliminated one depth level at a time, deepest first, and back-substituted
+root first. np.add.at adds a level's terms to their parents in edge order,
+so every float is the one a vertex-at-a-time loop gives. A level costs a
+fixed number of array calls, about LEVEL_MIN_VERTICES vertices of the
+scalar loop, so a forest whose levels average fewer vertices (a line
+model, a small tree) runs one scalar loop instead.
+
+Fallback. A graph numbered otherwise, or one whose elimination meets a
+pivot that is not > 0, is oriented by a depth-first search from the
+smallest vertex of each component (the same roots) and eliminated in
+reversed preorder, whose first bad pivot the error names. When the search
+finds a cycle in the unpinned part, one dense float solve runs instead.
+Every path reports the normwise backward residual over the unpinned rows,
 
     ||(shift I + Lap) u - rhs||_inf / (||shift I + Lap||_inf ||u||_inf + ||rhs||_inf),
 
@@ -60,52 +80,12 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
     """
     if any(v in pinned for v in rhs):
         raise ValueError("a source vertex is pinned")
-    start, neighbours, conductances = graph.csr
-    n = graph.n_vertices
-    parent = [-1] * n
-    up = [0.0] * n          # conductance of the edge to the parent
-    seen = [False] * n
-    excess = [shift] * n
-    beta = [0.0] * n        # right-hand side as elimination updates it
-    for v, value in rhs.items():
-        beta[v] = float(value)
-    order = []              # preorder of every unpinned component
-    links = 0               # unpinned-unpinned edge ends
-    components = 0
-    for root in range(n):
-        if seen[root] or root in pinned:
-            continue
-        seen[root] = True
-        components += 1
-        anchored = shift > 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for k in range(start[v], start[v + 1]):
-                w, c = neighbours[k], conductances[k]
-                if w == v:
-                    continue
-                if w in pinned:
-                    anchored = True
-                    excess[v] += c
-                    beta[v] += c * pinned[w]
-                    continue
-                links += 1
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    up[w] = c
-                    stack.append(w)
-        if not anchored:
-            raise SolverError(f"the component of vertex {root} has no pinned "
-                              "vertex and shift is 0: the system is singular")
-    if links == 2 * (len(order) - components):
-        method = "tree"
-        values = _eliminate_forest(order, parent, up, excess, beta)
-    else:
-        method = "dense"
-        values = _solve_dense(graph, order, excess, beta)
+    fixed = np.zeros(graph.n_vertices, dtype=bool)
+    fixed[list(pinned)] = True
+    method = "tree"
+    values = _numbered_solve(graph, shift, rhs, pinned, fixed)
+    if values is None:
+        method, values = _searched_solve(graph, shift, rhs, pinned, fixed)
     for v, value in pinned.items():
         values[v] = value
     diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, rhs, pinned), tol)
@@ -115,30 +95,235 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
     return values, diag
 
 
-def _eliminate_forest(order, parent, up, excess, beta):
-    """Leaf-to-root elimination over a forest given in preorder, then back-substitution."""
+def _numbered_solve(graph, shift, rhs, pinned, fixed):
+    """The tree solve of a parent-first graph; None for another numbering or a bad pivot.
+
+    A singular system (shift 0 and nothing pinned) ends in a zero pivot at
+    vertex 0, so the search reports it.
+    """
+    forest = _numbered_forest(graph, fixed, bool(pinned))
+    if forest is None:
+        return None
+    free, parent, up = forest
+    levels = _levels(free, parent)
+    excess, beta = _reduced_terms(graph, shift, rhs, pinned, fixed)
+    try:
+        if levels is not None:
+            return _eliminate_levels(*levels, parent, up, excess, beta)
+        # parents in decreasing order put every vertex after its children
+        order = free[np.argsort(-parent[free], kind="stable")]
+        return _eliminate(*(a.tolist() for a in (order, parent, up, excess, beta)))
+    except SolverError:
+        return None     # a pivot that is not > 0: the search names the one it meets first
+
+
+def _searched_solve(graph, shift, rhs, pinned, fixed):
+    """(method, values) of the solve oriented by depth-first search: "tree" or "dense"."""
+    preorder, parent, up, is_tree = _searched_forest(graph, fixed, shift)
+    excess, beta = _reduced_terms(graph, shift, rhs, pinned, fixed)
+    if is_tree:
+        return "tree", _eliminate(preorder[::-1], parent, up, excess.tolist(), beta.tolist())
+    return "dense", _solve_dense(graph, preorder, excess, beta)
+
+
+def _bad_pivot(d, v):
+    return SolverError(f"elimination reached pivot {d!r} at vertex {v}")
+
+
+def _reduced_terms(graph, shift, rhs, pinned, fixed):
+    """(excess, beta) before elimination: shift and rhs plus the pinned neighbours' terms.
+
+    A vertex adds its pinned neighbours' conductances, and those times the
+    pinned values, in the order of its edges.
+    """
+    n = graph.n_vertices
+    excess = np.full(n, float(shift))
+    beta = np.zeros(n)
+    beta[list(rhs)] = [float(value) for value in rhs.values()]
+    if pinned:
+        held = np.zeros(n)
+        held[list(pinned)] = [float(value) for value in pinned.values()]
+        ex, ey, ec = graph.edge_arrays
+        at_x = fixed[ex]
+        contact = np.flatnonzero(at_x != fixed[ey])
+        inner = np.where(at_x[contact], ey[contact], ex[contact])
+        c = ec[contact]
+        np.add.at(excess, inner, c)
+        np.add.at(beta, inner, c * held[ex[contact] + ey[contact] - inner])
+    return excess, beta
+
+
+def _numbered_forest(graph, fixed, any_fixed):
+    """(free, parent, up) of the unpinned forest of a parent-first graph, else None.
+
+    Parent-first: V-1 edges, none a self-loop, and every vertex v >= 1 the
+    larger end of exactly one of them, the edge to its parent. free lists
+    the unpinned vertices, vertex 0 first and then in the order of their
+    parent edges; parent is -1 at the roots (vertex 0 and the vertices
+    under a pinned parent, each the smallest vertex of its component) and
+    at pinned vertices, where up, the parent-edge conductance, is 0.
+    """
+    ex, ey, ec = graph.edge_arrays
+    n = graph.n_vertices
+    if len(ec) != n - 1:
+        return None
+    child = np.maximum(ex, ey).astype(np.int64, copy=False)
+    if np.any(ex == ey) or np.bincount(child, minlength=n).max() > 1:
+        return None
+    parent = np.full(n, -1)
+    parent[child] = np.minimum(ex, ey)
+    up = np.zeros(n)
+    up[child] = ec
+    free = np.concatenate(([0], child))
+    if any_fixed:
+        free = free[~fixed[free]]
+        cut = fixed | ((parent >= 0) & fixed[parent])
+        parent[cut] = -1
+        up[cut] = 0.0
+    return free, parent, up
+
+
+# One level of the array kernel costs about as much as this many vertices
+# of the scalar loop: whole solves on trees of 20 and 200 levels of even
+# width broke even at 22 to 35 vertices a level (CPython 3.11.7, numpy
+# 2.4.6, 2-CPU x86-64 host). Forests whose levels average fewer vertices
+# run the loop.
+LEVEL_MIN_VERTICES = 30
+
+
+def _levels(free, parent):
+    """(order, bounds) of the forest's depth levels, or None if they average < LEVEL_MIN_VERTICES.
+
+    order lists free one level at a time, deepest first and in the given
+    order within a level; bounds[i]:bounds[i+1] is the i-th level in
+    order. The depth of the largest free vertex, found by walking up at
+    most as far as the average allows, settles most forests that average
+    too few; otherwise the depths come from pointer jumping.
+    """
+    if len(free) == 0:
+        return None
+    v, seen = free.max(), 1     # levels met walking up from v
+    while len(free) >= LEVEL_MIN_VERTICES * seen and (v := parent.item(v)) >= 0:
+        seen += 1
+    if len(free) < LEVEL_MIN_VERTICES * seen:
+        return None
+    n = len(parent)
+    top = np.where(parent < 0, np.arange(n), parent)
+    depth = (parent >= 0).astype(np.int64)    # hops from each vertex to top
+    while ((above := top[top]) != top).any():
+        depth += depth[top]
+        top = above
+    del top, above
+    depth = depth[free]
+    deepest = int(depth.max())
+    if len(free) < LEVEL_MIN_VERTICES * (deepest + 1):
+        return None
+    key = (deepest - depth).astype(np.min_scalar_type(deepest))
+    bounds = np.zeros(deepest + 2, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=deepest + 1), out=bounds[1:])
+    return free[np.argsort(key, kind="stable")], bounds
+
+
+def _eliminate(order, parent, up, excess, beta):
+    """Leaf-to-root elimination, then back-substitution, one vertex at a time.
+
+    order lists every unpinned vertex after its children, and the
+    children of a vertex in the order of its edges; all five are lists.
+    """
     pivot = [0.0] * len(parent)
-    for v in reversed(order):
+    for v in order:
         p = parent[v]
         c = up[v]
         pivot[v] = d = excess[v] + c
         if not d > 0:
-            raise SolverError(f"elimination reached pivot {d!r} at vertex {v}")
+            raise _bad_pivot(d, v)
         if p >= 0:
             excess[p] += c * excess[v] / d
             beta[p] += c * beta[v] / d
     u = np.zeros(len(parent))
-    for v in order:
+    for v in reversed(order):
         p = parent[v]
         u[v] = (beta[v] if p < 0 else beta[v] + up[v] * u[p]) / pivot[v]
     return u
 
 
+def _eliminate_levels(order, bounds, parent, up, excess, beta):
+    """_eliminate one depth level at a time, each level a few array operations.
+
+    Within a level np.add.at adds in order, so each vertex takes its
+    children's terms in the order of its edges: the floats are _eliminate's.
+    """
+    pivot = np.zeros(len(parent))
+    spans = [order[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    with np.errstate(all="ignore"):
+        for v in spans:
+            c, e = up[v], excess[v]
+            pivot[v] = d = e + c
+            if not np.all(d > 0):
+                k = int(np.argmin(d > 0))
+                raise _bad_pivot(float(d[k]), int(v[k]))
+            if v is not spans[-1]:     # the last level holds the roots
+                p = parent[v]
+                np.add.at(excess, p, c * e / d)
+                np.add.at(beta, p, c * beta[v] / d)
+    u = np.zeros(len(parent))
+    roots = spans[-1]
+    u[roots] = beta[roots] / pivot[roots]
+    for v in reversed(spans[:-1]):
+        u[v] = (beta[v] + up[v] * u[parent[v]]) / pivot[v]
+    return u
+
+
+def _searched_forest(graph, fixed, shift):
+    """The unpinned forest by depth-first search from each smallest unseen vertex.
+
+    Returns (preorder, parent, up, is_tree): the unpinned vertices in
+    preorder, the search's parents (-1 at the roots) and parent-edge
+    conductances, and whether the unpinned subgraph is a forest.
+    """
+    start, neighbours, conductances = (a.tolist() for a in graph.csr)
+    fixed = fixed.tolist()
+    n = graph.n_vertices
+    parent = [-1] * n
+    up = [0.0] * n
+    seen = fixed[:]
+    order = []
+    links = 0               # unpinned-unpinned edge ends
+    components = 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        components += 1
+        anchored = shift > 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for k in range(start[v], start[v + 1]):
+                w = neighbours[k]
+                if w == v:
+                    continue
+                if fixed[w]:
+                    anchored = True
+                    continue
+                links += 1
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    up[w] = conductances[k]
+                    stack.append(w)
+        if not anchored:
+            raise SolverError(f"the component of vertex {root} has no pinned "
+                              "vertex and shift is 0: the system is singular")
+    return order, parent, up, links == 2 * (len(order) - components)
+
+
 def _solve_dense(graph, order, excess, beta):
     """One dense solve of the reduced system, for unpinned subgraphs with a cycle."""
-    start, neighbours, conductances = graph.csr
+    start, neighbours, conductances = (a.tolist() for a in graph.csr)
     index = {v: i for i, v in enumerate(order)}
-    a = np.diag([excess[v] for v in order])
+    a = np.diag(excess[order])
     for v, i in index.items():
         for k in range(start[v], start[v + 1]):
             w, c = neighbours[k], conductances[k]
@@ -147,7 +332,7 @@ def _solve_dense(graph, order, excess, beta):
                 a[i, i] += c
                 a[i, j] -= c
     try:
-        x = np.linalg.solve(a, [beta[v] for v in order])
+        x = np.linalg.solve(a, beta[order])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense solve failed: {exc}") from exc
     u = np.zeros(graph.n_vertices)

@@ -497,6 +497,24 @@ PINNED_OUTPUTS = [
         "resolvent_u.csv":
             "a6076c22801d44455828e106fca1f21be106f622bfa4c4fd195314ed6e199c10",
     }),
+    # recorded from the depth-first search and vertex-at-a-time elimination
+    # that the parent-first numbering and level elimination replaced: the
+    # tree runs the level kernel, the two lines the scalar loop
+    (["resolvent", "--model", "tree", "--N", "9", "--x", "700"], {
+        "stdout": "b545ab4acd7f6795d1cf61eac7d0446998f876961961b971eb4d698b673531fc",
+        "resolvent_u.csv":
+            "f65a57f81125ab6dd5346b6d0431a8a61d1ab57977db5ecee3c20ae68c0b9aca",
+    }),
+    (["resolvent", "--model", "half-line", "--M", "2", "--N", "600", "--x", "300"], {
+        "stdout": "db99c00aaaa78d78bf19ac0dd37ab9abc0c62a9998196e57ef3d5a4b36c70e2e",
+        "resolvent_u.csv":
+            "d1724975709d3fd90f155786952b225eba1d01d9bd9368245adf57685d047129",
+    }),
+    (["resolvent", "--model", "sym-line", "--M", "2", "--N", "64", "--x", "6"], {
+        "stdout": "1bdc8759d3b0c4c4321c83673fab3b06f873e082d745a958bd4ee10c48ea499b",
+        "resolvent_u.csv":
+            "c584caa43b550a3bb86ef32ce4842ec3a6f6ea38aec565e15983af28088a1a93",
+    }),
 ]
 
 # comments, blank lines, tabs, CRLF, a leading '+', exponents, -0.0, a

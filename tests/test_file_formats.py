@@ -488,3 +488,37 @@ def test_reading_and_writing_a_graph_hold_one_chunk_not_the_whole_file():
     # the file split into lines costs several times what the graph keeps
     assert read_peak - start <= 3 * (kept - start)
     assert write_peak - kept <= 3 * sys.getsizeof(out)
+
+
+# Floats whose text is easy to get wrong when each distinct value is
+# formatted once: signed zeros and nans of either sign or payload share a
+# value or a text but not their bits; the rest are extremes of the range.
+SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), -float("nan"),
+                  float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]),
+                  5e-324, -5e-324, -1e+16, 1e16, 0.1 + 0.2, float("inf"), -float("inf"),
+                  1.7976931348623157e308]
+
+
+def test_float_texts_tell_values_apart_by_their_bits():
+    short = [0.0, -0.0, 0.0, float("nan"), -float("nan")]
+    assert graphs.float_texts(np.array(short)) == ["0.0", "-0.0", "0.0", "nan", "nan"]
+    # long enough that its repeats send it through np.unique
+    long = np.tile(SPECIAL_FLOATS, 4 * graphs.UNIQUE_MIN_REPEATS)
+    assert graphs.float_texts(long) == [repr(v) for v in long.tolist()]
+
+
+@pytest.mark.parametrize("rows", (None,) + TINY_WRITE_CHUNKS)
+def test_writers_match_the_reference_on_special_and_repeated_floats(rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(graphs, "WRITE_CHUNK_ROWS", rows)
+    rng = np.random.default_rng(8)
+    n = 2 * graphs.WRITE_CHUNK_ROWS + 3
+    # every value of a small pool recurs on both sides of each chunk boundary
+    repeated = np.array(SPECIAL_FLOATS)[rng.integers(0, len(SPECIAL_FLOATS), n)]
+    for values in (np.array(SPECIAL_FLOATS), np.full(n, 0.1 + 0.2), np.full(n, -0.0), repeated):
+        graph = path_graph(np.zeros(len(values) - 1))
+        assert write_vector(EnergyVector(graph, values)) == reference_write_vector(values)
+        chain = graph_from_records(len(values) + 1, [
+            (i, i + 1, c) for i, c in enumerate(values.tolist())],
+            labels=tuple(f"v {i} %s" for i in range(len(values) + 1)))
+        assert write_graph(chain) == reference_write_graph(chain)

@@ -438,12 +438,12 @@ def _cycle_graph(base_vertex=0):
 def test_csr_holds_the_edge_by_edge_adjacency(graph):
     start, neighbours, conductances = graph.csr
     adjacency = adjacency_by_edges(graph)
-    assert start == np.cumsum([0] + [len(a) for a in adjacency]).tolist()
+    assert (start.dtype, neighbours.dtype, conductances.dtype) == (np.int64, np.int64, np.float64)
+    assert start.tolist() == np.cumsum([0] + [len(a) for a in adjacency]).tolist()
+    assert len(neighbours) == len(conductances) == start[-1]
     for x, adj in enumerate(adjacency):
-        assert list(zip(neighbours[start[x]:start[x + 1]],
-                        conductances[start[x]:start[x + 1]])) == adj
-    assert all(type(v) is int for v in start + neighbours)
-    assert all(type(c) is float for c in conductances)
+        assert list(zip(neighbours[start[x]:start[x + 1]].tolist(),
+                        conductances[start[x]:start[x + 1]].tolist())) == adj
 
 
 def _hops_by_relaxation(graph, sources):

@@ -1,12 +1,16 @@
+import hashlib
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from resistnet import linsolve
 from resistnet.boundary import resolvent_delta
+from resistnet.embedding import tree_harmonic_direct
+from resistnet.energy import solve_dipole
 from resistnet.graphs import (
-    build_dyadic_tree, build_half_line, build_sym_line, path_graph, read_graph,
+    WeightedGraph, build_dyadic_tree, build_half_line, build_sym_line, path_graph, read_graph,
 )
 from resistnet.linsolve import SolverError, solve_reduced
 
@@ -68,6 +72,10 @@ def _tree_leaves(graph, depth):
     (build_dyadic_tree(1.0, 5), 0.0, {}, _tree_leaves(build_dyadic_tree(1.0, 5), 5)),
     (build_dyadic_tree(2.0, 5), 1.0, {9: 1.0}, {}),
     (build_dyadic_tree(1.0, 5), 0.0, {0: -1.0}, dict.fromkeys(range(31, 63), 0.0)),
+    # V - 1 edges, each vertex >= 1 the larger end of one, but one edge a
+    # self-loop: not parent-first, and the loop adds nothing to the solve
+    (read_graph("graph 4 3 0\nedge 0 1 2.0\nedge 1 2 3.0\nedge 3 3 5.0\n"), 1.0,
+     {2: 1.0, 3: 1.0}, {}),
 ])
 def test_tree_elimination_matches_exact_reference(graph, shift, rhs, pinned):
     u, diag = solve_reduced(graph, shift, rhs, pinned)
@@ -145,3 +153,129 @@ def test_nonpositive_pivot_raises_solver_error():
 def test_pinned_source_is_rejected():
     with pytest.raises(ValueError):
         solve_reduced(path_graph([1.0]), 0.0, {0: 1.0}, {0: 0.0})
+
+
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_tree_solves_are_pinned():
+    # recorded from the depth-first search and vertex-at-a-time elimination
+    # that the parent-first numbering and level elimination replaced
+    assert _sha256(solve_dipole(build_dyadic_tree(1.0, 6), 50).values) == \
+        "b3ac32b89fce119f1fa0cc7bd361fb996974e7117e273c196830734b7126b695"
+    harmonic = tree_harmonic_direct(1.0, 7)
+    assert _sha256(harmonic.vector.values) == \
+        "57521bf9dae07bb85ffc74885ee553ac1a0101e2256c8163767d21bec08ca4cb"
+    assert harmonic.energy_value == 1.0078740157480313
+
+
+def _random_tree(n, rng, width=None):
+    """A parent-first tree: each vertex's parent a smaller vertex, edges shuffled and
+    half written child first, conductances over eight decades."""
+    child = np.arange(1, n)
+    low = np.zeros(n - 1, dtype=int) if width is None else np.maximum(child - width, 0)
+    parent = rng.integers(low, child)
+    flip = rng.random(n - 1) < 0.5
+    rows = rng.permutation(n - 1)
+    return WeightedGraph(n, (np.where(flip, child, parent)[rows],
+                             np.where(flip, parent, child)[rows],
+                             10.0 ** rng.uniform(-4, 4, n - 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabelled_tree_takes_the_search_and_agrees(seed):
+    rng = np.random.default_rng(seed)
+    graph = _random_tree(300, rng)
+    label = rng.permutation(300)
+    relabelled = WeightedGraph(300, (label[graph.edge_arrays[0]], label[graph.edge_arrays[1]],
+                                     graph.edge_arrays[2]))
+    fixed = np.zeros(300, dtype=bool)
+    assert linsolve._numbered_forest(graph, fixed, False) is not None
+    assert linsolve._numbered_forest(relabelled, fixed, False) is None
+    pinned = {7: 0.5, 100: -1.0}
+    for shift, rhs in ((1.0, {3: 1.0}), (0.0, {3: 1.0, 250: -2.0})):
+        u, diag = solve_reduced(graph, shift, rhs, pinned)
+        w, wdiag = solve_reduced(relabelled, shift, {int(label[v]): c for v, c in rhs.items()},
+                                 {int(label[v]): c for v, c in pinned.items()})
+        assert diag.method == wdiag.method == "tree"
+        np.testing.assert_allclose(w[label], u, rtol=1e-12, atol=1e-300)
+
+
+def test_cyclic_graph_with_a_tree_edge_count_goes_dense():
+    # V - 1 edges, but vertex 2 is the larger end of two: a triangle and an
+    # isolated vertex, so the numbering is not parent-first and the search
+    # finds the cycle
+    graph = read_graph("graph 4 3 0\nedge 0 1 1.0\nedge 1 2 2.0\nedge 0 2 4.0\n")
+    assert linsolve._numbered_forest(graph, np.zeros(4, dtype=bool), False) is None
+    u, diag = solve_reduced(graph, 1.0, {2: 1.0}, {})
+    assert diag.method == "dense"
+    shifted = np.array([[6.0, -1.0, -4.0, 0.0], [-1.0, 4.0, -2.0, 0.0],
+                        [-4.0, -2.0, 7.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(u, np.linalg.solve(shifted, [0.0, 0.0, 1.0, 0.0]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("graph, pinned, root", [
+    (path_graph([1.0, 2.0, 3.0]), {}, 0),                     # parent-first
+    (build_dyadic_tree(1.0, 4), {}, 0),
+    (read_graph("graph 5 3 0\nedge 1 0 1.0\nedge 2 1 1.0\nedge 4 3 1.0\n"), {0: 0.0}, 3),
+    (read_graph("graph 3 3 0\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n"), {}, 0),
+])
+def test_singular_component_message_names_its_smallest_vertex(graph, pinned, root):
+    with pytest.raises(SolverError) as error:
+        solve_reduced(graph, 0.0, {1: 1.0}, pinned)
+    assert str(error.value) == (f"the component of vertex {root} has no pinned vertex "
+                                "and shift is 0: the system is singular")
+
+
+def test_bad_pivot_is_named_in_depth_first_order():
+    # vertex 6 (a leaf) and vertex 1 (an inner vertex) both reach a negative
+    # pivot; a depth-first elimination meets vertex 1 first, a deepest-level
+    # first one would meet vertex 6
+    c = [-5.0, 1.0, 1.0, 1.0, 1.0, -5.0]
+    graph = WeightedGraph(7, (np.array([0, 0, 1, 1, 2, 2]), np.arange(1, 7), np.array(c)))
+    for k in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linsolve, "LEVEL_MIN_VERTICES", k)
+            with pytest.raises(SolverError, match=r"^elimination reached pivot -3\.0 at vertex 1$"):
+                solve_reduced(graph, 1.0, {0: 1.0}, {})
+
+
+def _layered_tree(width, depth, rng):
+    """Parent-first tree with `width` vertices on each of `depth` levels below the root."""
+    level_start = np.concatenate(([0, 1], 1 + width * np.arange(1, depth + 1)))
+    parent = np.concatenate([rng.integers(level_start[d], level_start[d + 1], width)
+                             for d in range(depth)])
+    child = np.arange(1, len(parent) + 1)
+    return WeightedGraph(len(parent) + 1, (parent, child, 10.0 ** rng.uniform(-3, 3, len(child))))
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(21)
+    tree = build_dyadic_tree(1.0, 9)
+    yield "tree-free", tree, 1.0, {5: 1.0}, {}
+    yield "tree-leaves", tree, 0.0, {}, _tree_leaves(tree, 9)
+    yield "tree-frontier", tree, 0.0, {0: -1.0}, dict.fromkeys(tree.truncation.frontier, 0.0)
+    yield "tree-inner-pins", tree, 0.0, {600: 1.0}, {0: 0.0, 3: 1.0, 40: -2.0}
+    yield "layered", _layered_tree(50, 12, rng), 1.0, {7: 1.0, 400: -1.0}, {}
+    yield "random", _random_tree(2000, rng), 0.0, {1500: 1.0}, {0: 0.0, 9: 3.0}
+    yield "narrow", _random_tree(2000, rng, width=40), 1.0, {1500: 1.0}, {}
+    yield "half-line", build_half_line(2.0, 600), 1.0, {300: 1.0}, {}
+
+
+@pytest.mark.parametrize("name, graph, shift, rhs, pinned", list(_kernel_cases()),
+                         ids=[case[0] for case in _kernel_cases()])
+def test_scalar_and_level_kernels_give_the_same_bits(name, graph, shift, rhs, pinned,
+                                                     monkeypatch):
+    results, levels_ran = [], []
+    level_kernel = linsolve._eliminate_levels
+    monkeypatch.setattr(linsolve, "_eliminate_levels",
+                        lambda *args: levels_ran.append(1) or level_kernel(*args))
+    for k in (0, 10 ** 9):
+        monkeypatch.setattr(linsolve, "LEVEL_MIN_VERTICES", k)
+        levels_ran.clear()
+        u, diag = solve_reduced(graph, shift, rhs, pinned)
+        assert diag.method == "tree"
+        assert levels_ran == ([1] if k == 0 else [])
+        results.append(u)
+    assert results[0].tobytes() == results[1].tobytes()
