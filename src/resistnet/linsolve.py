@@ -14,11 +14,15 @@ Heyman's elimination), so pivots keep high relative accuracy however many
 orders of magnitude the conductances span. A vertex adds its pinned
 neighbours' terms and then its children's, each in the order of its edges.
 
-Orientation. Every builder numbers its graph parent-first: V-1 edges, no
-self-loop, and every vertex v >= 1 the larger end of exactly one edge, the
-one to its parent; write_graph and read_graph keep the numbering. The
-forest is then read off the edge arrays: parents, parent-edge conductances,
-and as roots vertex 0 and every unpinned vertex under a pinned parent.
+Orientation. Two orientations describe the unpinned forest alike: each
+vertex's parent and parent-edge conductance, and a rank under which every
+parent ranks below its children. A graph from a builder, or written and
+read back, is parent-first: V-1 edges, no self-loop, and every vertex
+v >= 1 the larger end of exactly one edge, the one to its parent. Its
+forest is read off the edge arrays, and rank is the vertex index. Any
+other graph is oriented by a breadth-first search, children in edge order,
+and rank is the place in the search. Both root each tree at its smallest
+vertex, so they give the same parents and the same order of children.
 
 Elimination. Depths come from pointer jumping, and the forest is
 eliminated one depth level at a time, deepest first, and back-substituted
@@ -26,13 +30,11 @@ root first. np.add.at adds a level's terms to their parents in edge order,
 so every float is the one a vertex-at-a-time loop gives. A level costs a
 fixed number of array calls, about LEVEL_MIN_VERTICES vertices of the
 scalar loop, so a forest whose levels average fewer vertices (a line
-model, a small tree) runs one scalar loop instead.
+model, a small tree) runs one scalar loop instead, ordered by the rank of
+each vertex's parent. Either kernel names the first pivot it meets that
+is not > 0. When the search finds a cycle in the unpinned part, one dense
+float solve runs instead.
 
-Fallback. A graph numbered otherwise, or one whose elimination meets a
-pivot that is not > 0, is oriented by a depth-first search from the
-smallest vertex of each component (the same roots) and eliminated in
-reversed preorder, whose first bad pivot the error names. When the search
-finds a cycle in the unpinned part, one dense float solve runs instead.
 Every path reports the normwise backward residual over the unpinned rows,
 
     ||(shift I + Lap) u - rhs||_inf / (||shift I + Lap||_inf ||u||_inf + ||rhs||_inf),
@@ -76,58 +78,42 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
     with values a float array over every vertex. A connected piece of the
     unpinned subgraph with no pinned neighbour and shift == 0 makes the
     system singular and raises SolverError, as does a backward residual
-    above tol.
+    above tol. A vertex outside the graph raises ValueError.
     """
+    n = graph.n_vertices
+    for v in (*rhs, *pinned):
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} is not in the graph's range 0..{n - 1}")
     if any(v in pinned for v in rhs):
         raise ValueError("a source vertex is pinned")
-    fixed = np.zeros(graph.n_vertices, dtype=bool)
+    fixed = np.zeros(n, dtype=bool)
     fixed[list(pinned)] = True
-    method = "tree"
-    values = _numbered_solve(graph, shift, rhs, pinned, fixed)
-    if values is None:
-        method, values = _searched_solve(graph, shift, rhs, pinned, fixed)
+    forest = _numbered_forest(graph, fixed, bool(pinned))
+    if forest is None:
+        forest = _searched_forest(graph, fixed, shift)
+    elif not (pinned or shift > 0):
+        raise _singular(0)      # a parent-first graph is one connected tree
+    excess, beta = _reduced_terms(graph, shift, rhs, pinned, fixed)
+    if forest is None:
+        method, values = "dense", _solve_dense(graph, fixed, excess, beta)
+    else:
+        method, values = "tree", _eliminate_forest(*forest, excess, beta)
     for v, value in pinned.items():
         values[v] = value
-    diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, rhs, pinned), tol)
+    diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, rhs, fixed), tol)
     if not diag.residual <= tol:
         raise SolverError(f"{method} solve backward residual {diag.residual:g} "
                           f"exceeds {tol:g}", diag)
     return values, diag
 
 
-def _numbered_solve(graph, shift, rhs, pinned, fixed):
-    """The tree solve of a parent-first graph; None for another numbering or a bad pivot.
-
-    A singular system (shift 0 and nothing pinned) ends in a zero pivot at
-    vertex 0, so the search reports it.
-    """
-    forest = _numbered_forest(graph, fixed, bool(pinned))
-    if forest is None:
-        return None
-    free, parent, up = forest
-    levels = _levels(free, parent)
-    excess, beta = _reduced_terms(graph, shift, rhs, pinned, fixed)
-    try:
-        if levels is not None:
-            return _eliminate_levels(*levels, parent, up, excess, beta)
-        # parents in decreasing order put every vertex after its children
-        order = free[np.argsort(-parent[free], kind="stable")]
-        return _eliminate(*(a.tolist() for a in (order, parent, up, excess, beta)))
-    except SolverError:
-        return None     # a pivot that is not > 0: the search names the one it meets first
-
-
-def _searched_solve(graph, shift, rhs, pinned, fixed):
-    """(method, values) of the solve oriented by depth-first search: "tree" or "dense"."""
-    preorder, parent, up, is_tree = _searched_forest(graph, fixed, shift)
-    excess, beta = _reduced_terms(graph, shift, rhs, pinned, fixed)
-    if is_tree:
-        return "tree", _eliminate(preorder[::-1], parent, up, excess.tolist(), beta.tolist())
-    return "dense", _solve_dense(graph, preorder, excess, beta)
-
-
 def _bad_pivot(d, v):
     return SolverError(f"elimination reached pivot {d!r} at vertex {v}")
+
+
+def _singular(root):
+    return SolverError(f"the component of vertex {root} has no pinned "
+                       "vertex and shift is 0: the system is singular")
 
 
 def _reduced_terms(graph, shift, rhs, pinned, fixed):
@@ -154,14 +140,13 @@ def _reduced_terms(graph, shift, rhs, pinned, fixed):
 
 
 def _numbered_forest(graph, fixed, any_fixed):
-    """(free, parent, up) of the unpinned forest of a parent-first graph, else None.
+    """(free, parent, up, rank) of the unpinned forest of a parent-first graph, else None.
 
-    Parent-first: V-1 edges, none a self-loop, and every vertex v >= 1 the
-    larger end of exactly one of them, the edge to its parent. free lists
-    the unpinned vertices, vertex 0 first and then in the order of their
-    parent edges; parent is -1 at the roots (vertex 0 and the vertices
-    under a pinned parent, each the smallest vertex of its component) and
-    at pinned vertices, where up, the parent-edge conductance, is 0.
+    free lists the unpinned vertices, vertex 0 first and then in the order
+    of their parent edges; parent is -1 at the roots (vertex 0 and the
+    vertices under a pinned parent, each the smallest vertex of its
+    component) and at pinned vertices, where up, the parent-edge
+    conductance, is 0; rank is the vertex index.
     """
     ex, ey, ec = graph.edge_arrays
     n = graph.n_vertices
@@ -180,7 +165,67 @@ def _numbered_forest(graph, fixed, any_fixed):
         cut = fixed | ((parent >= 0) & fixed[parent])
         parent[cut] = -1
         up[cut] = 0.0
-    return free, parent, up
+    return free, parent, up, np.arange(n)
+
+
+def _searched_forest(graph, fixed, shift):
+    """(free, parent, up, rank) of the unpinned forest by breadth-first search, else None.
+
+    Each search starts at the smallest unseen unpinned vertex; free lists
+    the vertices as found, rank is the place in free, and parent and up are
+    as in _numbered_forest. None when the unpinned subgraph has a cycle;
+    SolverError when a component has no pinned neighbour and not shift > 0.
+    """
+    start, neighbours, conductances = (a.tolist() for a in graph.csr)
+    fixed = fixed.tolist()
+    n = graph.n_vertices
+    parent = [-1] * n
+    up = [0.0] * n
+    seen = fixed[:]
+    order = []
+    links = 0               # unpinned-unpinned edge ends
+    components = 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        components += 1
+        anchored = shift > 0
+        queue = [root]
+        for v in queue:     # grows as the search finds children
+            for k in range(start[v], start[v + 1]):
+                w = neighbours[k]
+                if w == v:
+                    continue
+                if fixed[w]:
+                    anchored = True
+                    continue
+                links += 1
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    up[w] = conductances[k]
+                    queue.append(w)
+        if not anchored:
+            raise _singular(root)
+        order += queue
+    if links != 2 * (len(order) - components):
+        return None
+    del start, neighbours, conductances, seen   # before the arrays are built
+    rank = np.zeros(n, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return np.array(order, dtype=np.int64), np.array(parent), np.array(up), rank
+
+
+def _eliminate_forest(free, parent, up, rank, excess, beta):
+    """u on a forest from either orientation: by levels if they are wide enough, else the loop."""
+    levels = _levels(free, parent, rank)
+    if levels is not None:
+        return _eliminate_levels(*levels, parent, up, excess, beta)
+    # parents in decreasing rank put every vertex after its children, roots last
+    key = np.where(parent[free] >= 0, rank[parent[free]], -1)
+    order = free[np.argsort(-key, kind="stable")]
+    return _eliminate(*(a.tolist() for a in (order, parent, up, excess, beta)))
 
 
 # One level of the array kernel costs about as much as this many vertices
@@ -191,18 +236,18 @@ def _numbered_forest(graph, fixed, any_fixed):
 LEVEL_MIN_VERTICES = 30
 
 
-def _levels(free, parent):
+def _levels(free, parent, rank):
     """(order, bounds) of the forest's depth levels, or None if they average < LEVEL_MIN_VERTICES.
 
     order lists free one level at a time, deepest first and in the given
     order within a level; bounds[i]:bounds[i+1] is the i-th level in
-    order. The depth of the largest free vertex, found by walking up at
-    most as far as the average allows, settles most forests that average
-    too few; otherwise the depths come from pointer jumping.
+    order. The depth of the free vertex of largest rank, found by walking
+    up at most as far as the average allows, settles most forests that
+    average too few; otherwise the depths come from pointer jumping.
     """
     if len(free) == 0:
         return None
-    v, seen = free.max(), 1     # levels met walking up from v
+    v, seen = free[rank[free].argmax()], 1      # levels met walking up from v
     while len(free) >= LEVEL_MIN_VERTICES * seen and (v := parent.item(v)) >= 0:
         seen += 1
     if len(free) < LEVEL_MIN_VERTICES * seen:
@@ -274,54 +319,10 @@ def _eliminate_levels(order, bounds, parent, up, excess, beta):
     return u
 
 
-def _searched_forest(graph, fixed, shift):
-    """The unpinned forest by depth-first search from each smallest unseen vertex.
-
-    Returns (preorder, parent, up, is_tree): the unpinned vertices in
-    preorder, the search's parents (-1 at the roots) and parent-edge
-    conductances, and whether the unpinned subgraph is a forest.
-    """
-    start, neighbours, conductances = (a.tolist() for a in graph.csr)
-    fixed = fixed.tolist()
-    n = graph.n_vertices
-    parent = [-1] * n
-    up = [0.0] * n
-    seen = fixed[:]
-    order = []
-    links = 0               # unpinned-unpinned edge ends
-    components = 0
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        components += 1
-        anchored = shift > 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for k in range(start[v], start[v + 1]):
-                w = neighbours[k]
-                if w == v:
-                    continue
-                if fixed[w]:
-                    anchored = True
-                    continue
-                links += 1
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    up[w] = conductances[k]
-                    stack.append(w)
-        if not anchored:
-            raise SolverError(f"the component of vertex {root} has no pinned "
-                              "vertex and shift is 0: the system is singular")
-    return order, parent, up, links == 2 * (len(order) - components)
-
-
-def _solve_dense(graph, order, excess, beta):
+def _solve_dense(graph, fixed, excess, beta):
     """One dense solve of the reduced system, for unpinned subgraphs with a cycle."""
     start, neighbours, conductances = (a.tolist() for a in graph.csr)
+    order = np.flatnonzero(~fixed).tolist()
     index = {v: i for i, v in enumerate(order)}
     a = np.diag(excess[order])
     for v, i in index.items():
@@ -340,14 +341,12 @@ def _solve_dense(graph, order, excess, beta):
     return u
 
 
-def _backward_residual(graph, shift, u, rhs, pinned):
+def _backward_residual(graph, shift, u, rhs, fixed):
     """Normwise backward residual of (shift I + Lap) u = rhs over the unpinned rows."""
     n = graph.n_vertices
     b = np.zeros(n)
-    for v, value in rhs.items():
-        b[v] = value
-    rows = np.ones(n, dtype=bool)
-    rows[list(pinned)] = False
+    b[list(rhs)] = [float(value) for value in rhs.values()]
+    rows = ~fixed
     if not np.all(np.isfinite(u)):
         return float("nan")
     if not rows.any():

@@ -515,6 +515,15 @@ PINNED_OUTPUTS = [
         "resolvent_u.csv":
             "c584caa43b550a3bb86ef32ce4842ec3a6f6ea38aec565e15983af28088a1a93",
     }),
+    # a tree file like shuffled.txt with its vertices renumbered too, so the
+    # solve orients it by a search; recorded from the depth-first search and
+    # vertex-at-a-time elimination that the breadth-first search and the
+    # shared elimination kernels replaced
+    (["resolvent", "--graph", "relabelled.txt", "--x", "37"], {
+        "stdout": "60ac163dd1e7bff7adba0bbcfd1d790eea5638b4cb4dc539339f613400be9b32",
+        "resolvent_u.csv":
+            "b2b5ff06cf92d7ed0fe6c83ff0c53891c7f44e2913d71887442a0c212f2df95d",
+    }),
 ]
 
 # comments, blank lines, tabs, CRLF, a leading '+', exponents, -0.0, a
@@ -555,11 +564,14 @@ def _write_energy_inputs(directory):
     (directory / "messy.txt").write_text(MESSY_GRAPH)
     (directory / "messy.csv").write_text(MESSY_VECTOR)
     (directory / "shuffled.txt").write_text(_shuffled_tree_text())
+    (directory / "relabelled.txt").write_text(_shuffled_tree_text(9, 13, relabel=True))
 
 
-def _shuffled_tree_text(N=8, seed=12):
+def _shuffled_tree_text(N=8, seed=12, relabel=False):
     """The depth-N binary tree as a file: edges shuffled, about half of them
-    written child first, conductances spread over six decades."""
+    written child first, conductances spread over six decades; with relabel
+    the vertices are randomly renumbered too, so no parent need be smaller
+    than its child."""
     rng = np.random.default_rng(seed)
     child = np.arange(1, 2 ** (N + 1) - 1)
     parent = (child - 1) // 2
@@ -567,6 +579,9 @@ def _shuffled_tree_text(N=8, seed=12):
     first, second = np.where(flip, child, parent), np.where(flip, parent, child)
     conductances = 10.0 ** rng.uniform(-3, 3, child.size)
     rows = rng.permutation(child.size)
+    if relabel:
+        label = rng.permutation(child.size + 1)
+        first, second = label[first], label[second]
     return (f"graph {child.size + 1} {child.size} 0\n"
             + "".join(f"edge {x} {y} {c!r}\n" for x, y, c in zip(
                 first[rows].tolist(), second[rows].tolist(), conductances[rows].tolist())))

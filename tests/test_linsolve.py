@@ -155,6 +155,22 @@ def test_pinned_source_is_rejected():
         solve_reduced(path_graph([1.0]), 0.0, {0: 1.0}, {0: 0.0})
 
 
+@pytest.mark.parametrize("rhs, pinned, vertex", [
+    ({-1: 1.0}, {3: 0.0}, -1),      # -1 would alias the pinned vertex 3
+    ({7: 1.0}, {}, 7),
+    ({1: 1.0}, {4: 0.0}, 4),
+])
+def test_vertex_outside_the_graph_is_rejected(rhs, pinned, vertex):
+    with pytest.raises(ValueError, match=rf"^vertex {vertex} is not in the graph's range 0\.\.3$"):
+        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+
+
+def test_dipole_pole_outside_the_graph_is_rejected():
+    # -1 would put the pole at vertex 3
+    with pytest.raises(ValueError, match=r"^vertex -1 is not in the graph's range 0\.\.3$"):
+        solve_dipole(path_graph([1.0, 2.0, 3.0]), -1)
+
+
 def _sha256(values):
     return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
 
@@ -183,13 +199,18 @@ def _random_tree(n, rng, width=None):
                              10.0 ** rng.uniform(-4, 4, n - 1)))
 
 
+def _relabelled(graph, label):
+    """The graph with each vertex v renumbered label[v]."""
+    ex, ey, ec = graph.edge_arrays
+    return WeightedGraph(graph.n_vertices, (label[ex], label[ey], ec))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_relabelled_tree_takes_the_search_and_agrees(seed):
     rng = np.random.default_rng(seed)
     graph = _random_tree(300, rng)
     label = rng.permutation(300)
-    relabelled = WeightedGraph(300, (label[graph.edge_arrays[0]], label[graph.edge_arrays[1]],
-                                     graph.edge_arrays[2]))
+    relabelled = _relabelled(graph, label)
     fixed = np.zeros(300, dtype=bool)
     assert linsolve._numbered_forest(graph, fixed, False) is not None
     assert linsolve._numbered_forest(relabelled, fixed, False) is None
@@ -220,25 +241,35 @@ def test_cyclic_graph_with_a_tree_edge_count_goes_dense():
     (build_dyadic_tree(1.0, 4), {}, 0),
     (read_graph("graph 5 3 0\nedge 1 0 1.0\nedge 2 1 1.0\nedge 4 3 1.0\n"), {0: 0.0}, 3),
     (read_graph("graph 3 3 0\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n"), {}, 0),
+    (build_dyadic_tree(1.0, 6), {}, 0),
 ])
 def test_singular_component_message_names_its_smallest_vertex(graph, pinned, root):
-    with pytest.raises(SolverError) as error:
-        solve_reduced(graph, 0.0, {1: 1.0}, pinned)
-    assert str(error.value) == (f"the component of vertex {root} has no pinned vertex "
-                                "and shift is 0: the system is singular")
+    # a shift that is not > 0 (zero, negative or NaN) anchors no component
+    for shift in (0.0, -1.0, float("nan")):
+        with pytest.raises(SolverError) as error:
+            solve_reduced(graph, shift, {1: 1.0}, pinned)
+        assert str(error.value) == (f"the component of vertex {root} has no pinned vertex "
+                                    "and shift is 0: the system is singular")
 
 
-def test_bad_pivot_is_named_in_depth_first_order():
-    # vertex 6 (a leaf) and vertex 1 (an inner vertex) both reach a negative
-    # pivot; a depth-first elimination meets vertex 1 first, a deepest-level
-    # first one would meet vertex 6
-    c = [-5.0, 1.0, 1.0, 1.0, 1.0, -5.0]
-    graph = WeightedGraph(7, (np.array([0, 0, 1, 1, 2, 2]), np.arange(1, 7), np.array(c)))
-    for k in (0, 10 ** 9):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linsolve, "LEVEL_MIN_VERTICES", k)
-            with pytest.raises(SolverError, match=r"^elimination reached pivot -3\.0 at vertex 1$"):
-                solve_reduced(graph, 1.0, {0: 1.0}, {})
+def test_bad_pivot_is_named_in_elimination_order():
+    cases = [
+        # vertex 6 (a leaf) and vertex 1 (an inner vertex) both reach a
+        # negative pivot; both kernels meet the leaf first
+        ((0, 0, 1, 1, 2, 2), (1, 2, 3, 4, 5, 6), (-5.0, 1.0, 1.0, 1.0, 1.0, -5.0), 6, 6),
+        # the chain 0-1-2-3 and the branch 0-4-5, each ending in a negative
+        # pivot: the level kernel meets the deeper vertex 3 first, the scalar
+        # loop vertex 5, whose parent ranks higher
+        ((0, 1, 2, 0, 4), (1, 2, 3, 4, 5), (1.0, 1.0, -5.0, 1.0, -5.0), 3, 5),
+    ]
+    for x, y, c, by_levels, by_loop in cases:
+        graph = WeightedGraph(len(x) + 1, (np.array(x), np.array(y), np.array(c)))
+        for k, vertex in ((0, by_levels), (10 ** 9, by_loop)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linsolve, "LEVEL_MIN_VERTICES", k)
+                with pytest.raises(SolverError) as error:
+                    solve_reduced(graph, 1.0, {0: 1.0}, {})
+            assert str(error.value) == f"elimination reached pivot -4.0 at vertex {vertex}"
 
 
 def _layered_tree(width, depth, rng):
@@ -261,6 +292,10 @@ def _kernel_cases():
     yield "random", _random_tree(2000, rng), 0.0, {1500: 1.0}, {0: 0.0, 9: 3.0}
     yield "narrow", _random_tree(2000, rng, width=40), 1.0, {1500: 1.0}, {}
     yield "half-line", build_half_line(2.0, 600), 1.0, {300: 1.0}, {}
+    # renumbered at random, so the breadth-first search orients it
+    graph, label = _random_tree(2000, rng), rng.permutation(2000)
+    yield ("relabelled", _relabelled(graph, label), 0.0, {int(label[1500]): 1.0},
+           {int(label[0]): 0.0, 9: 3.0})
 
 
 @pytest.mark.parametrize("name, graph, shift, rhs, pinned", list(_kernel_cases()),
