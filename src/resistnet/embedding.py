@@ -151,7 +151,7 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
     tx, ty, _ = target.edge_arrays
     sx, sy, _ = source.edge_arrays
     # random_interior_vector(target, rng, margin=1), a block at a time
-    frontier = np.flatnonzero(target.frontier_distance < 1)
+    frontier = np.flatnonzero(~target.interior_mask)
     # the pullback u o phi at the source edge ends, read off the target values
     px, py = phi[sx], phi[sy]
     interior = np.flatnonzero(source.interior_mask)
@@ -227,7 +227,7 @@ def dyadic_pair(c_const: float = 1.0, N: int = 8, wrong_psi: bool = False) -> Gr
     """
     tree = build_dyadic_tree(c_const, N)
     line = build_half_line(2, N, scale=c_const)
-    depth = np.array([len(w) for w in tree.labels])
+    depth = np.repeat(np.arange(N + 1), 2 ** np.arange(N + 1))    # heap order
     psi = np.ones(tree.n_vertices) if wrong_psi else 2.0 ** depth
     return GraphMap(tree, line, depth, psi)
 
@@ -274,18 +274,18 @@ def tree_harmonic_direct(c_const: float, N: int, tol: float = 1e-10) -> TreeHarm
     if N < 3:
         raise ValueError("N must be >= 3 so the tree has interior structure")
     graph = build_dyadic_tree(c_const, N)
-    labels = graph.labels
-    boundary = {i: (1.0 if w[0] == "0" else -1.0)
-                for i, w in enumerate(labels) if len(w) == N}
+    leaves = graph.truncation.frontier      # under child 0, then under child 1
+    boundary = (dict.fromkeys(leaves[:len(leaves) // 2], 1.0)
+                | dict.fromkeys(leaves[len(leaves) // 2:], -1.0))
     values, _diag = solve_reduced(graph, 0.0, {}, boundary, tol)
     h = EnergyVector(graph, values)
     lap = apply_laplacian(h).values
     interior_residual = float(np.max(np.abs(lap[graph.interior_mask])))
-    index = {w: i for i, w in enumerate(labels)}
-    # the elimination treats mirrored subtrees identically, so the odd
-    # boundary data gives exactly opposite values at every depth
-    anti_ok = all(values[index["0" + w]] == -values[index["1" + w]]
-                  for w in labels if len(w) <= N - 1)
+    # the elimination treats mirrored subtrees identically, so the odd boundary
+    # data gives exactly opposite values in the two halves of every heap level
+    levels = (values[2 ** n - 1:2 ** (n + 1) - 1] for n in range(1, N + 1))
+    anti_ok = all(np.array_equal(level[:len(level) // 2], -level[len(level) // 2:])
+                  for level in levels)
     return TreeHarmonicResult(h, N, float(c_const), interior_residual,
                               float(values[graph.base_vertex]), anti_ok,
                               energy(h))

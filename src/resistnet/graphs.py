@@ -12,7 +12,8 @@ conductances). Searches read its CSR view, three arrays with each vertex's
 neighbours in edge order; the (x, y, c) records are built on demand. Every
 builder numbers its graph parent-first, each vertex v >= 1 the larger end
 of exactly one edge, the one to its parent, which is how the tree solve
-reads its tree off the edge arrays.
+reads its tree off the edge arrays. Labels may be a function of the vertex
+index, made on first read; the heap-numbered tree's frontier is a range.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class TruncationInfo:
     family: str
     depth: int
     params: dict = field(default_factory=dict, hash=False)   # a dict has no hash
-    frontier: tuple = ()
+    frontier: Sequence[int] = ()     # vertex indices
     # index of the vertex at model coordinate 0 (lines store coordinate
     # x at index x + offset)
     origin_offset: int = 0
@@ -78,13 +79,14 @@ class WeightedGraph:
 
     Two views are built from the columns when first read: `csr`, each
     vertex's neighbours and conductances in edge order, and `edges`, the
-    (x, y, c) records as Python ints and floats. Graphs are immutable and
-    compare equal when their vertex counts, edge records, base vertices,
-    labels and truncations are equal.
+    (x, y, c) records as Python ints and floats. labels, a tuple of str or
+    a function of the vertex index, is a tuple when first read. Graphs are
+    immutable and compare equal when their vertex counts, edge records,
+    base vertices, labels and truncations are equal.
     """
 
     def __init__(self, n_vertices: int, edge_arrays: tuple, base_vertex: int = 0,
-                 labels: Optional[tuple] = None, truncation: Optional[TruncationInfo] = None):
+                 labels=None, truncation: Optional[TruncationInfo] = None):
         if n_vertices < 1:
             raise GraphStructureError("graph needs at least one vertex")
         if len(edge_arrays) != 3:
@@ -97,14 +99,14 @@ class WeightedGraph:
             raise GraphStructureError("edge arrays must hold integer endpoints and "
                                       "float conductances")
         self.__dict__.update(n_vertices=n_vertices, edge_arrays=edge_arrays,
-                             base_vertex=base_vertex, labels=labels, truncation=truncation)
+                             base_vertex=base_vertex, _labels=labels, truncation=truncation)
         outside = (ex < 0) | (ex >= n_vertices) | (ey < 0) | (ey >= n_vertices)
         if outside.any():
-            k = int(np.argmax(outside))
-            raise GraphStructureError(f"edge {self.edges[k]!r} has vertex out of range")
+            edge = tuple(column[outside][0].item() for column in edge_arrays)
+            raise GraphStructureError(f"edge {edge!r} has vertex out of range")
         if not 0 <= base_vertex < n_vertices:
             raise GraphStructureError("base vertex out of range")
-        if labels is not None and len(labels) != n_vertices:
+        if labels is not None and not callable(labels) and len(labels) != n_vertices:
             raise GraphStructureError("labels length must match vertex count")
 
     def __setattr__(self, name, value):
@@ -124,6 +126,12 @@ class WeightedGraph:
     def __repr__(self):
         return (f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges}, "
                 f"base_vertex={self.base_vertex})")
+
+    @cached_property
+    def labels(self):
+        """The vertex labels, None or a tuple of str; a label function is called here."""
+        labels = self._labels
+        return tuple(map(labels, range(self.n_vertices))) if callable(labels) else labels
 
     @cached_property
     def csr(self):
@@ -158,8 +166,7 @@ class WeightedGraph:
     def interior_mask(self):
         """True where the vertex keeps its full (untruncated) neighborhood."""
         mask = np.ones(self.n_vertices, dtype=bool)
-        if self.truncation is not None:
-            mask[list(self.truncation.frontier)] = False
+        mask[np.fromiter(self.truncation.frontier if self.truncation else (), np.int64)] = False
         return mask
 
     @cached_property
@@ -342,16 +349,16 @@ def _two_sided_line(family, N, right, left):
                   ((n - 1 + N, N - n), (n + N, N - n + 1), (right_c, left_c)))
     params = {name: float(ratio) for name, ratio in sides}
     info = TruncationInfo(family, N, params, frontier=(0, 2 * N), origin_offset=N)
-    labels = tuple(str(i - N) for i in range(2 * N + 1))
-    return WeightedGraph(2 * N + 1, edges, base_vertex=N, labels=labels, truncation=info)
+    return WeightedGraph(2 * N + 1, edges, base_vertex=N, labels=lambda i: str(i - N),
+                         truncation=info)
 
 
 def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
     """Binary tree of all bit-words of length <= N, constant conductance.
 
-    Vertices are labeled by their bit-words (the root is the empty word,
-    labeled ""); every word x is joined to x+"0" and x+"1". Words of
-    length N form the truncation frontier. The largest vertex weight,
+    Vertex i is numbered in heap order, children 2i+1 and 2i+2, and labeled
+    by its bit-word bin(i + 1)[3:]; the last 2**N vertices, the words of
+    length N, form the truncation frontier. The largest vertex weight,
     3 * c_const below the root (2 * c_const at N = 1), must be a finite
     float: past that limit the builder raises ValueError.
     """
@@ -364,18 +371,11 @@ def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
         raise ValueError(f"vertex weights overflow at c_const = {c_const!r}, N = {N}: "
                          f"a vertex weight must stay below {sys.float_info.max:.4g}; "
                          "lower c_const")
-    # heap order: word i has children 2i+1 (w+"0") and 2i+2 (w+"1"), so its
-    # parent is (i-1)//2 and the words of length N are the last 2**N
-    words, level = [""], [""]
-    for _depth in range(N):
-        level = [w + b for w in level for b in "01"]
-        words.extend(level)
-    child = np.arange(1, len(words))
-    edges = ((child - 1) // 2, child, np.full(len(child), c_const))
-    frontier = tuple(range(len(words) - 2 ** N, len(words)))
-    info = TruncationInfo(DYADIC_TREE, N, {"c_const": c_const}, frontier=frontier)
-    return WeightedGraph(len(words), edges, base_vertex=0, labels=tuple(words),
-                         truncation=info)
+    n = 2 ** (N + 1) - 1
+    child = np.arange(1, n)
+    edges = ((child - 1) // 2, child, np.full(n - 1, c_const))
+    info = TruncationInfo(DYADIC_TREE, N, {"c_const": c_const}, frontier=range(n - 2 ** N, n))
+    return WeightedGraph(n, edges, labels=lambda i: bin(i + 1)[3:], truncation=info)
 
 
 def path_graph(conductances: Sequence[float], base_vertex: int = 0) -> WeightedGraph:

@@ -92,7 +92,7 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
     if forest is None:
         forest = _searched_forest(graph, fixed, shift)
     elif not (pinned or shift > 0):
-        raise _singular(0)      # a parent-first graph is one connected tree
+        raise _singular(0, shift)   # a parent-first graph is one connected tree
     excess, beta = _reduced_terms(graph, shift, rhs, pinned, fixed)
     if forest is None:
         method, values = "dense", _solve_dense(graph, fixed, excess, beta)
@@ -111,9 +111,9 @@ def _bad_pivot(d, v):
     return SolverError(f"elimination reached pivot {d!r} at vertex {v}")
 
 
-def _singular(root):
-    return SolverError(f"the component of vertex {root} has no pinned "
-                       "vertex and shift is 0: the system is singular")
+def _singular(root, shift):
+    return SolverError(f"the component of vertex {root} has no pinned vertex and "
+                       f"shift {float(shift)!r} is not > 0: the system is singular")
 
 
 def _reduced_terms(graph, shift, rhs, pinned, fixed):
@@ -207,7 +207,7 @@ def _searched_forest(graph, fixed, shift):
                     up[w] = conductances[k]
                     queue.append(w)
         if not anchored:
-            raise _singular(root)
+            raise _singular(root, shift)
         order += queue
     if links != 2 * (len(order) - components):
         return None

@@ -215,6 +215,37 @@ def test_tree_harmonic_direct():
         assert res.energy_value > 0.5
 
 
+def test_tree_harmonic_pins_the_leaves_under_each_child(monkeypatch):
+    captured = []
+    embedding_solve = embedding.solve_reduced
+
+    def solve(graph, shift, rhs, pinned, tol):
+        captured.append(dict(pinned))
+        return embedding_solve(graph, shift, rhs, pinned, tol)
+
+    monkeypatch.setattr(embedding, "solve_reduced", solve)
+    N = 6
+    tree_harmonic_direct(1.0, N)
+    [pinned] = captured
+    leaves = range(2 ** N - 1, 2 ** (N + 1) - 1)
+    assert sorted(pinned) == list(leaves)
+    for i in leaves:
+        assert pinned[i] == (1.0 if bin(i + 1)[3:].startswith("0") else -1.0)
+
+
+@pytest.mark.parametrize("word", ["1", "10", "1110"])
+def test_tree_harmonic_mirror_check_fails_on_a_perturbed_value(monkeypatch, word):
+    embedding_solve = embedding.solve_reduced
+
+    def solve(graph, shift, rhs, pinned, tol):
+        values, diag = embedding_solve(graph, shift, rhs, pinned, tol)
+        values[int("1" + word, 2) - 1] += 1e-3     # the heap index of the word
+        return values, diag
+
+    monkeypatch.setattr(embedding, "solve_reduced", solve)
+    assert not tree_harmonic_direct(1.0, 5).antisymmetric_ok
+
+
 def test_tree_harmonic_energy_increments_decay():
     energies = [tree_harmonic_direct(1.0, n).energy_value for n in (4, 5, 6, 7)]
     increments = np.diff(energies)

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,9 +391,24 @@ def _dyadic_tree_by_words(c_const, N):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_dyadic_tree_matches_the_word_reference(n):
     g = build_dyadic_tree(0.3, n)
-    assert (g.n_vertices, g.edges, g.labels, g.truncation.frontier) \
-        == _dyadic_tree_by_words(0.3, n)
+    reference = _dyadic_tree_by_words(0.3, n)
+    assert (g.n_vertices, g.edges, g.labels, tuple(g.truncation.frontier)) == reference
     assert g.base_vertex == 0
+    # the label function writes the text the reference's label tuple writes
+    words = WeightedGraph(g.n_vertices, g.edge_arrays, labels=reference[2],
+                          truncation=g.truncation)
+    assert write_graph(g) == write_graph(words)
+
+
+def test_dyadic_tree_builds_no_object_per_vertex():
+    # a str label and a frontier int per vertex would take about 16 MB here
+    tracemalloc.start()
+    try:
+        build_dyadic_tree(1.0, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def _line_records(right, left, N):

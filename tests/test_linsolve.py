@@ -249,7 +249,7 @@ def test_singular_component_message_names_its_smallest_vertex(graph, pinned, roo
         with pytest.raises(SolverError) as error:
             solve_reduced(graph, shift, {1: 1.0}, pinned)
         assert str(error.value) == (f"the component of vertex {root} has no pinned vertex "
-                                    "and shift is 0: the system is singular")
+                                    f"and shift {shift!r} is not > 0: the system is singular")
 
 
 def test_bad_pivot_is_named_in_elimination_order():
