@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import boundary, embedding, graphs, polynomials, walk
 from .energy import apply_laplacian, energy as energy_of, read_vector, write_vector
@@ -78,7 +79,67 @@ def _default_seed(value):
 
 
 def _json_text(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n", with each container of
+    scalars encoded in C.
+
+    json.dumps runs its pure-Python encoder whenever it indents. Here only the
+    walk over nested containers is Python: a container holding no container
+    goes to the C encoder, whose item separator carries the line break and
+    the indent, and the line breaks at its brackets are added to its text.
+    """
+    parts = []
+    _json_parts(doc, 0, parts)
+    return "".join(parts) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _json_flat(depth):
+    """The function from a value whose items sit at depth + 1 to its sorted-keys
+    JSON text: one C encoder kept per depth, or json.JSONEncoder.encode, which
+    makes a new encoder per call, where the C encoder is missing."""
+    separator = ",\n" + "  " * (depth + 1)
+    encoder = json.JSONEncoder(sort_keys=True, separators=(separator, ": "))
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None, ": ", separator,
+        True, False, True)     # sort_keys, skipkeys, allow_nan as in json.dumps
+    return lambda value: "".join(encode(value, 0))
+
+
+def _json_key(key):
+    """'"key": ', as the encoder writes a str key or converts any other."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring_ascii(key) + ": "
+    return _json_flat(0)({key: None})[1:-len("null}")]
+
+
+def _json_parts(value, depth, parts):
+    """Append the indented JSON text of value, nested depth levels deep, to parts."""
+    if not isinstance(value, _CONTAINERS) or not value:     # a scalar, [] or {}
+        parts.append(_json_flat(depth)(value))
+        return
+    is_dict = isinstance(value, dict)
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    item_types = set(map(type, value.values() if is_dict else value))
+    if not any(issubclass(t, _CONTAINERS) for t in item_types):
+        text = _json_flat(depth)(value)
+        parts.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    parts.append("{" if is_dict else "[")
+    separator = inner
+    for item in sorted(value.items()) if is_dict else value:
+        if is_dict:
+            key, item = item
+            parts.append(separator + _json_key(key))
+        else:
+            parts.append(separator)
+        separator = "," + inner
+        _json_parts(item, depth + 1, parts)
+    parts.append(outer + ("}" if is_dict else "]"))
 
 
 def _model_graph(config):

@@ -81,8 +81,9 @@ class WeightedGraph:
     vertex's neighbours and conductances in edge order, and `edges`, the
     (x, y, c) records as Python ints and floats. labels, a tuple of str or
     a function of the vertex index, is a tuple when first read. Graphs are
-    immutable and compare equal when their vertex counts, edge records,
-    base vertices, labels and truncations are equal.
+    immutable and compare equal when their vertex counts, base vertices,
+    truncations, labels and edge columns are equal; comparing or hashing
+    builds no edge records.
     """
 
     def __init__(self, n_vertices: int, edge_arrays: tuple, base_vertex: int = 0,
@@ -112,16 +113,20 @@ class WeightedGraph:
     def __setattr__(self, name, value):
         raise AttributeError(f"WeightedGraph is immutable (cannot set {name!r})")
 
-    def _key(self):
-        return (self.n_vertices, self.edges, self.base_vertex, self.labels, self.truncation)
-
     def __eq__(self, other):
+        """Equal vertex counts, base vertices, truncations, labels and edge
+        columns, compared as values: -0.0 == 0.0, a NaN conductance equals
+        nothing (a graph is still equal to itself), int32 equals int64."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return other is self or (
+            (self.n_vertices, self.n_edges, self.base_vertex, self.truncation)
+            == (other.n_vertices, other.n_edges, other.base_vertex, other.truncation)
+            and self.labels == other.labels
+            and all(map(np.array_equal, self.edge_arrays, other.edge_arrays)))
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.n_vertices, self.n_edges, self.base_vertex, self.truncation))
 
     def __repr__(self):
         return (f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges}, "
@@ -556,7 +561,7 @@ def read_graph(text: str) -> WeightedGraph:
                 continue
             header = first + at
             n_vertices, n_edges, base = _read_header(lines[at], header)
-            lines[:at + 1] = [""] * (at + 1)    # blank the header and the lines before it
+            first, lines = header + 1, lines[at + 1:]    # the lines after the header
         ex, ey, ec, label_vertices, texts = _read_records(first, lines, n_vertices, header)
         columns.append((ex, ey, ec))
         if texts:
@@ -597,14 +602,22 @@ def _read_records(first, lines, n_vertices, header):
     # Records are grouped by the first character of their kind. Each group
     # is parsed in bulk with its kind word as a column, so a line such as
     # "eggs 1 2 3" in the edge group is still reported as an unknown record.
-    heads = [raw.lstrip()[:1] for raw in lines]
+    heads = [raw[:1] for raw in lines]
+    kinds = set(heads)
+    if any(h.isspace() for h in kinds):     # an indented line: classify after the indent
+        heads = [raw.lstrip()[:1] for raw in lines]
+        kinds = set(heads)
     faults = []
-    others = [i for i, h in enumerate(heads) if h not in {"", "#", "e", "l"}]
-    if others:
-        i = others[0]
+    if kinds - {"", "#", "e", "l"}:
+        i = next(i for i, h in enumerate(heads) if h not in {"", "#", "e", "l"})
         kind = _kind(lines[i])
         faults.append((i, f"second 'graph' header (the first is on line {header + 1})"
                        if kind == "graph" else f"unknown record {kind!r}"))
+
+    def group(head):     # the lines whose first character is head
+        if head not in kinds or kinds == {head}:
+            return lines if head in kinds else []
+        return [raw for raw, h in zip(lines, heads) if h == head]
 
     def edge_fault(record):
         _, x, y, c = record
@@ -612,12 +625,12 @@ def _read_records(first, lines, n_vertices, header):
             return f"conductance {c!r} is not finite"
         return f"edge ({x}, {y}) has a vertex outside 0..{n_vertices - 1}"
 
-    edge_table, failed = read_rows([raw for raw, h in zip(lines, heads) if h == "e"], _EDGE_ROW)
+    edge_table, failed = read_rows(group("e"), _EDGE_ROW)
     ex, ey, ec = (np.ascontiguousarray(edge_table[name]) for name in ("x", "y", "c"))
     bad = _outside(ex, n_vertices) | _outside(ey, n_vertices) | ~np.isfinite(ec)
     faults.append(_first_fault(lines, heads, "e", "edge", edge_table, failed, bad, edge_fault))
 
-    label_rows = [raw for raw, h in zip(lines, heads) if h == "l"]
+    label_rows = group("l")
     label_table, failed = read_rows(label_rows, _LABEL_ROW, usecols=(0, 1))
     label_vertices = label_table["vertex"]
     faults.append(_first_fault(

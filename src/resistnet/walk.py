@@ -8,14 +8,20 @@ generator keyed by (seed, trial, step): trials are order-independent and
 runs are bit-reproducible. Each trial's key is hashed once per run, and
 each step costs one SplitMix round on it. Trials run in blocks of
 max(2**14, V*maxdeg), every step of one block before the next, so the
-per-step arrays stay cache-sized. Moves are counted per slot of the
-kernel's padded (V, maxdeg) arrays, so memory is O(V*maxdeg + block).
+per-step arrays stay cache-sized. A step compares the round's 53 random
+bits with the kernel's integer thresholds, ceil(2**53 * cumulative
+probability), which picks the slot the uniform bits / 2**53 picks against
+the float cumulative probabilities, with no float division. Walkers are
+carried as slot bases x * maxdeg. Moves are counted per slot of the
+kernel's padded (V, maxdeg) arrays, so memory is O(V*maxdeg + block), and
+the counts become sorted arrays of ordered-edge tallies, from which the
+frequency check and the JSON report are computed without a loop per edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +86,10 @@ class TransitionKernel:
     graph: WeightedGraph
     neighbors: np.ndarray      # (V, maxdeg) int, padded with -1
     probs: np.ndarray          # (V, maxdeg) float, padded with 0
-    # (V, maxdeg-1) cumulative probs, +inf from the last real column on: u picks
-    # slot #{j : u >= cuts[x, j]}, inside the row even if its sum is an ulp short of 1
-    cuts: np.ndarray
+    # (V, maxdeg) uint64 integer_cuts of the cumulative probs, 2**53 (never) from
+    # the last real column on: 53 random bits z pick slot #{j : z >= thresholds[x, j]}
+    # of row x, inside the row even if its sum is an ulp short of 1
+    thresholds: np.ndarray
 
     def row(self, x):
         """List of (neighbor, probability) at vertex x."""
@@ -119,9 +126,20 @@ def kernel_from_graph(graph: WeightedGraph) -> TransitionKernel:
     nbrs[src, slot] = dst
     probs[src, slot] = cond / weights[src]
     _check_kernel(graph, nbrs, probs)
-    cuts = np.cumsum(probs[:, :-1], axis=1)
-    cuts[nbrs[:, 1:] < 0] = np.inf
-    return TransitionKernel(graph, nbrs, probs, cuts)
+    cuts = np.cumsum(probs, axis=1)
+    cuts[:, -1] = np.inf
+    cuts[:, :-1][nbrs[:, 1:] < 0] = np.inf
+    return TransitionKernel(graph, nbrs, probs, integer_cuts(cuts))
+
+
+def integer_cuts(cuts):
+    """ceil(cut * 2**53) of each cut below 1, and 2**53 for the rest, as uint64.
+
+    For an integer z < 2**53, z / 2**53 >= cut holds exactly when z >= the
+    integer cut: scaling by a power of two is exact, and a cut of 1 or more
+    (+inf included) is reached by no z, as by no uniform below 1.
+    """
+    return np.where(cuts < 1, np.ceil(cuts * _TWO53), _TWO53).astype(np.uint64)
 
 
 def _check_kernel(graph: WeightedGraph, neighbors, probs):
@@ -156,22 +174,30 @@ class WalkStats:
     start: int
     steps: int
     trials: int
-    edge_counts: dict          # (x, y) -> ordered traversal count
+    # (x, y, n) int arrays: each ordered edge x -> y that was traversed, sorted
+    # by (x, y) with parallel edges merged, and its traversal count n
+    transitions: tuple
     visit_counts: np.ndarray   # occupancy over times 1..steps
+
+    @cached_property
+    def edge_counts(self):
+        """{(x, y): ordered traversal count}, in (x, y) order."""
+        x, y, n = (column.tolist() for column in self.transitions)
+        return dict(zip(zip(x, y), n))
 
     @property
     def total_transitions(self):
-        return sum(self.edge_counts.values())
+        return int(self.transitions[2].sum())
 
     def to_dict(self):
+        x, y, n = (column.tolist() for column in self.transitions)
         return {
             "seed": self.seed,
             "start": self.start,
             "steps": self.steps,
             "trials": self.trials,
-            "edge_counts": {f"{x}->{y}": int(n)
-                            for (x, y), n in sorted(self.edge_counts.items())},
-            "visit_counts": [int(v) for v in self.visit_counts],
+            "edge_counts": {f"{a}->{b}": k for a, b, k in zip(x, y, n)},
+            "visit_counts": self.visit_counts.tolist(),
         }
 
 
@@ -182,38 +208,42 @@ def simulate(kernel: TransitionKernel, start: int, steps: int, trials: int,
         raise ValueError("steps and trials must both be >= 1")
     n_vertices, maxdeg = kernel.neighbors.shape
     targets = kernel.neighbors.ravel()
-    cuts = kernel.cuts.T
+    bases = targets * maxdeg         # slot -> the first slot of the vertex it moves to
+    thresholds = kernel.thresholds.ravel()
+    columns = [thresholds[j:] for j in range(maxdeg - 1)]    # thresholds[x, j] at x*maxdeg
     salts = np.arange(steps, dtype=np.uint64) * _STEP_SALT     # wraps modulo 2**64
     counts = np.zeros(n_vertices * maxdeg, dtype=np.int64)    # moves per slot x*maxdeg + j
     block = min(trials, max(2 ** 14, counts.size))
     buffers = (np.empty(block, dtype=np.uint64), np.empty(block, dtype=np.uint64),
-               np.empty(block), np.empty(block, dtype=bool))
+               np.empty(block, dtype=bool), np.empty(block, dtype=np.int64))
     for lo in range(0, trials, block):
         keys = _trial_keys(seed, np.arange(lo, min(lo + block, trials), dtype=np.uint64))
-        z, scratch, u, above = (b[:keys.size] for b in buffers)
-        positions = np.full(keys.size, start, dtype=int)
+        z, scratch, above, code = (b[:keys.size] for b in buffers)
+        base = np.full(keys.size, start * maxdeg)
         for salt in salts:
-            np.divide(_step_round(keys, salt, z, scratch), _TWO53, out=u)
-            code = positions * maxdeg
-            for cut in cuts:
-                np.greater_equal(u, cut[positions], out=above)
+            _step_round(keys, salt, z, scratch)
+            np.copyto(code, base)
+            for column in columns:
+                np.greater_equal(z, column[base], out=above)
                 code += above
             counts += np.bincount(code, minlength=counts.size)
-            positions = targets[code]
-    edge_counts, visits = _edge_stats(targets, counts, maxdeg, n_vertices)
-    return WalkStats(seed, start, steps, trials, edge_counts, visits)
-
-
-def _edge_stats(targets, counts, maxdeg, n_vertices):
-    """(edge_counts, visit_counts) from the moves per slot x*maxdeg + j."""
-    slots = np.flatnonzero(counts)
-    y, n = targets[slots], counts[slots]
-    edge_counts = {}
-    for a, b, k in zip((slots // maxdeg).tolist(), y.tolist(), n.tolist()):
-        edge_counts[a, b] = edge_counts.get((a, b), 0) + k    # parallel edges add up
+            base = bases[code]
+    transitions = _transitions(targets, counts, maxdeg)
     # a visit at time t >= 1 is an arrival; float sums of integers below 2**53 are exact
-    visits = np.bincount(y, weights=n, minlength=n_vertices).astype(np.int64)
-    return edge_counts, visits
+    visits = np.bincount(transitions[1], weights=transitions[2], minlength=n_vertices)
+    return WalkStats(seed, start, steps, trials, transitions, visits.astype(np.int64))
+
+
+def _transitions(targets, counts, maxdeg):
+    """The (x, y, n) tallies of the moves per slot x*maxdeg + j, sorted by (x, y).
+
+    A row lists its neighbours in increasing order, so the nonzero slots
+    are sorted by (x, y) already, and parallel edges are adjacent runs.
+    """
+    slots = np.flatnonzero(counts)
+    x, y = slots // maxdeg, targets[slots]
+    first = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1])])
+    return x[first], y[first], np.add.reduceat(counts[slots], first)
 
 
 @dataclass(frozen=True)
@@ -238,21 +268,23 @@ def frequency_check(stats: WalkStats, kernel: TransitionKernel,
     when every score is within the sigma band. Deterministic transitions
     (p = 0 or 1) score 0 when matched exactly and infinity otherwise.
     """
-    exits = {}
-    for (x, _y), n in stats.edge_counts.items():
-        exits[x] = exits.get(x, 0) + n
-    rows = []
-    for x, n_exits in sorted(exits.items()):
-        if n_exits < min_exits:
-            continue
-        for y, p in kernel.row(x):
-            emp = stats.edge_counts.get((x, y), 0) / n_exits
-            var = p * (1.0 - p) / n_exits
-            if var == 0:
-                z = 0.0 if emp == p else float("inf")
-            else:
-                z = abs(emp - p) / sqrt(var)
-            rows.append((x, y, p, emp, n_exits, z))
+    x, y, n = stats.transitions
+    exits = np.zeros(len(kernel.neighbors), dtype=np.int64)
+    np.add.at(exits, x, n)
+    tails = np.flatnonzero((exits > 0) & (exits >= min_exits))
+    neighbors = kernel.neighbors[tails]
+    real = neighbors >= 0      # each row's neighbours, in row order
+    row_x = np.broadcast_to(tails[:, None], real.shape)[real]
+    row_y, p = neighbors[real], kernel.probs[tails][real]
+    n_exits = exits[row_x]
+    # moves along row_x -> row_y, looked up in the (x, y)-sorted tallies
+    keys, wanted = x * len(exits) + y, row_x * len(exits) + row_y
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    emp = np.where(keys[at] == wanted, n[at], 0) / n_exits
+    var = p * (1.0 - p) / n_exits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(var == 0, np.where(emp == p, 0.0, np.inf), np.abs(emp - p) / np.sqrt(var))
+    rows = zip(*(column.tolist() for column in (row_x, row_y, p, emp, n_exits, z)))
     return FrequencyCheck(tuple(rows), sigma_band, min_exits)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -524,6 +525,16 @@ PINNED_OUTPUTS = [
         "resolvent_u.csv":
             "b2b5ff06cf92d7ed0fe6c83ff0c53891c7f44e2913d71887442a0c212f2df95d",
     }),
+    # recorded from the float-uniform walk steps and the per-edge dict tallies
+    # that the integer thresholds and the sorted tally arrays replaced: the
+    # root row has one threshold, the inner rows two, and 4,092 ordered edges
+    # and 188 frequency rows are tallied
+    (["walk", "--model", "tree", "--N", "10", "--start", "0", "--steps", "20",
+      "--trials", "20000", "--seed", "3"], {
+        "stdout": "ab517e21a468421bf255de3a641dc520564889aa944aa9c2f8f67974f9deb285",
+        "walk_frequencies.csv":
+            "6e3d3a1af739fb421bda2cc5d393d5b8a7228edff2186b3e3ab9380367d21960",
+    }),
 ]
 
 # comments, blank lines, tabs, CRLF, a leading '+', exponents, -0.0, a
@@ -585,6 +596,37 @@ def _shuffled_tree_text(N=8, seed=12, relabel=False):
     return (f"graph {child.size + 1} {child.size} 0\n"
             + "".join(f"edge {x} {y} {c!r}\n" for x, y, c in zip(
                 first[rows].tolist(), second[rows].tolist(), conductances[rows].tolist())))
+
+
+JSON_DOCS = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [{}], "d": [[]], "e": {"f": {"g": [], "h": {}}}, "i": ()},
+    [[], [[]], [{}], {"x": []}],
+    [{"b": 1, "a": 2}, {"c": [3, {"d": ()}]}, (4, (5, 6), ()), ({"e": 7},)],
+    {"z": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 0.1, 1 / 3]},
+    {"s": "h\u00e9llo \u2603 \U0001f600 \"q\" \\ \t\n", "\u00fc": ["\u00df", {"\u2603": "x"}]},
+    {"t": True, "f": False, "n": None, "l": [True, False, None, 0, -1, 2 ** 70]},
+    {10: "ten", 9: [1, 2], 2.5: {"k": None}, -1: []},
+    [[[[1, [2]]]], {"deep": [[{"deeper": [[], {}]}]]}],
+    "text", 7, -0.0, math.nan, None, True,
+]
+
+
+@pytest.mark.parametrize("doc", JSON_DOCS)
+def test_json_text_matches_the_indenting_stdlib_encoder(doc):
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_without_the_c_encoder(monkeypatch):
+    # where the json module has no C encoder, JSONEncoder.encode stands in
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    cli._json_flat.cache_clear()
+    try:
+        for doc in JSON_DOCS:
+            assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    finally:
+        cli._json_flat.cache_clear()
 
 
 @pytest.mark.parametrize("argv,hashes", PINNED_OUTPUTS)

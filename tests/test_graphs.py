@@ -347,6 +347,38 @@ def test_graph_serialization_roundtrip():
     assert g3.edges == g2.edges
 
 
+def _path(ex, ey, ec, **kwargs):
+    return WeightedGraph(3, (np.array(ex), np.array(ey), np.array(ec)), **kwargs)
+
+
+def test_equality_compares_the_edge_columns_as_values():
+    g = _path([0, 1], [1, 2], [1.0, 0.0])
+    assert g == _path(np.array([0, 1], np.int32), np.array([1, 2], np.int32), [1.0, -0.0])
+    assert hash(g) == hash(_path(np.array([0, 1], np.int32), [1, 2], [1.0, -0.0]))
+    assert g != _path([0, 1], [1, 2], [1.0, 0.5])
+    assert g != _path([0, 2], [1, 1], [1.0, 0.0])
+    assert g != _path([0, 1], [1, 2], [1.0, 0.0], base_vertex=1)
+    assert g != _path([0, 1], [1, 2], [1.0, 0.0], labels=("a", "b", "c"))
+    assert g != _path([0], [1], [1.0])
+    assert g != WeightedGraph(4, (np.array([0, 1]), np.array([1, 2]), np.array([1.0, 0.0])))
+    with_nan = _path([0, 1], [1, 2], [1.0, math.nan])
+    assert with_nan != _path([0, 1], [1, 2], [1.0, math.nan])
+    assert with_nan == with_nan
+    assert build_sym_line(2, 5) == build_sym_line(2.0, 5)
+    assert build_sym_line(2, 5) != build_ab_line(2, 2, 5)    # the families differ
+    assert build_dyadic_tree(1.0, 3) != build_dyadic_tree(0.5, 3)
+
+
+def test_equality_and_hash_build_no_edge_records():
+    a, b = build_dyadic_tree(1.0, 12), build_dyadic_tree(1.0, 12)
+    assert a == b and hash(a) == hash(b)
+    assert "edges" not in a.__dict__ and "edges" not in b.__dict__
+    c = read_graph(write_graph(a))
+    assert c != a     # a file records no truncation
+    assert c == read_graph(write_graph(a)) and hash(c) == hash(read_graph(write_graph(a)))
+    assert "edges" not in c.__dict__
+
+
 def test_read_graph_rejects_garbage():
     with pytest.raises(GraphStructureError):
         read_graph("edge 0 1 1.0\n")

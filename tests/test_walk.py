@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ from resistnet.graphs import (
     build_ab_line, build_dyadic_tree, build_half_line, build_sym_line, path_graph, read_graph,
 )
 from resistnet.walk import (
-    _check_kernel, apply_transfer, counter_uniforms, frequency_check,
-    kernel_from_graph, simulate, transfer_iterate,
+    WalkStats, _check_kernel, apply_transfer, counter_uniforms, frequency_check,
+    integer_cuts, kernel_from_graph, simulate, transfer_iterate,
 )
 
 from graph_oracles import adjacency_by_edges, graph_from_records
@@ -217,6 +218,70 @@ def test_simulate_matches_the_dense_reference(graph_factory, start):
         assert list(stats.edge_counts) == list(edge_counts)
         assert stats.visit_counts.dtype == visits.dtype
         assert np.array_equal(stats.visit_counts, visits)
+
+
+@pytest.mark.parametrize("cut", [0.0, -0.0, 0.5, 1 / 3, np.nextafter(1.0, 0.0), 1.0,
+                                 1 + 2.0 ** -52, np.inf])
+def test_integer_cut_picks_as_the_float_cut(cut):
+    [icut] = integer_cuts(np.array([cut])).tolist()
+    zs = {0, 2 ** 53 - 1}
+    if np.isfinite(cut):
+        scaled = cut * 2.0 ** 53
+        zs |= {int(np.floor(scaled)) - 1, int(np.floor(scaled)), int(np.floor(scaled)) + 1,
+               int(np.ceil(scaled))}
+    for z in sorted(v for v in zs if 0 <= v < 2 ** 53):
+        assert (z >= icut) == (z / 2.0 ** 53 >= cut), z
+
+
+def _frequency_rows_by_loop(stats, kernel, min_exits):
+    """The per-edge loop frequency_check replaced, as the exact reference."""
+    exits = {}
+    for (x, _y), n in stats.edge_counts.items():
+        exits[x] = exits.get(x, 0) + n
+    rows = []
+    for x, n_exits in sorted(exits.items()):
+        if n_exits < min_exits:
+            continue
+        for y, p in kernel.row(x):
+            emp = stats.edge_counts.get((x, y), 0) / n_exits
+            var = p * (1.0 - p) / n_exits
+            z = abs(emp - p) / math.sqrt(var) if var else 0.0 if emp == p else float("inf")
+            rows.append((x, y, p, emp, n_exits, z))
+    return tuple(rows)
+
+
+def _assert_same_rows(got, want):
+    assert repr(got) == repr(want)
+    assert all(type(a) is type(b) for g, w in zip(got, want) for a, b in zip(g, w))
+
+
+@pytest.mark.parametrize("graph_factory,start", [
+    (lambda: build_dyadic_tree(1.0, 6), 0),
+    (lambda: build_ab_line(2, 3, 8), 8),
+    (lambda: _star(40), 0),
+    (_random_multigraph, 0),
+], ids=["tree-N6", "ab-line", "star", "multigraph"])
+def test_frequency_check_matches_the_row_loop(graph_factory, start):
+    k = kernel_from_graph(graph_factory())
+    stats = simulate(k, start, 6, 20000, seed=4)
+    for min_exits in (0, 1, 1000):
+        _assert_same_rows(frequency_check(stats, k, min_exits=min_exits).rows,
+                          _frequency_rows_by_loop(stats, k, min_exits))
+    assert stats.total_transitions == 6 * 20000
+    assert list(stats.to_dict()["edge_counts"]) == [f"{x}->{y}" for x, y in stats.edge_counts]
+
+
+def test_frequency_check_scores_deterministic_rows():
+    # on the path 0 - 1 - 2 - 3 with a zero conductance on (1, 2), row 1
+    # moves to 0 with p = 1 and to 2 with p = 0; the hand-made tallies break
+    # both, so each scores infinity, while row 0 (p = 1, matched) scores 0
+    k = kernel_from_graph(path_graph([1.0, 0.0, 1.0]))
+    tallies = (np.array([0, 1, 1]), np.array([1, 0, 2]), np.array([5, 9, 1]))
+    stats = WalkStats(0, 0, 1, 15, tallies, np.array([9, 5, 1, 0]))
+    check = frequency_check(stats, k, min_exits=1)
+    _assert_same_rows(check.rows, _frequency_rows_by_loop(stats, k, 1))
+    assert [row[5] for row in check.rows] == [0.0, math.inf, math.inf]
+    assert not check.all_within_band
 
 
 def test_simulate_memory_is_not_quadratic():
