@@ -21,10 +21,11 @@ import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy, project_fin_harm
 from .graphs import (
-    HALF_LINE_GEOM, LINE_GEOM_SYM, WeightedGraph, build_half_line, build_sym_line, record_dict,
+    HALF_LINE_GEOM, LINE_GEOM_SYM, WeightedGraph, build_half_line, build_sym_line, format_rows,
+    record_dict,
 )
 from .linsolve import solve_reduced
-from .polynomials import _float_quotient, _scaled_pairs, _split_two, _times
+from .polynomials import _float_quotient, _float_ratio, _scaled_pairs, _split_two, _times
 
 HARM_TRIVIAL = "HARM_TRIVIAL"
 CONVERGENT = "CONVERGENT"
@@ -327,9 +328,10 @@ def _deficiency_solution(graph):
     sides = (graph.n_vertices - 1) // N
     xi, rows, seed_ok, zero_row_ok = _side(M, N, Fraction(1, sides))
     a, b = xi.numerator, xi.denominator
-    flux_ok, interior_ok = _exact_rows_zero([Q for _, Q, _, _ in rows], a, b)
-    u = [_float_quotient(Q, 1, D, 1) for _P, Q, _R, D in rows]
-    du = [_float_quotient(R, 1, D, 1) for _P, _Q, R, D in rows[1:]]
+    _, Q, R, D = zip(*rows)
+    flux_ok, interior_ok = _exact_rows_zero(Q, a, b)
+    u = list(map(_float_ratio, Q, D))
+    du = list(map(_float_ratio, R[1:], D[1:]))
     half = np.array(u)
     # coordinate x is stored at index x + origin_offset
     values = half[np.abs(np.arange(graph.n_vertices) - graph.truncation.origin_offset)]
@@ -342,7 +344,7 @@ def _deficiency_solution(graph):
     energy_flag, energy_marks = tail_flag(cumulative, depths)
     l2_flag, l2_marks = _l2_flag_for(half, depths)
 
-    monotone = all(R > 0 for _P, _Q, R, _D in rows[1:])
+    monotone = all(r > 0 for r in R[1:])
     a_obs = float(np.max(terms))
     bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
     return DeficiencySolution(
@@ -670,9 +672,5 @@ def boundary_curves_csv(report: BoundaryReport) -> str:
     curves = report.curves
     keys = [k for k in ("coordinate", "u", "du", "h", "energy_partial",
                         "l2_partial") if k in curves]
-    lines = [",".join(keys)]
-    length = len(curves[keys[0]])
-    for i in range(length):
-        lines.append(",".join(repr(curves[k][i]) if k != "coordinate"
-                              else str(curves[k][i]) for k in keys))
-    return "\n".join(lines) + "\n"
+    row = ",".join("%s" if k == "coordinate" else "%r" for k in keys) + "\n"
+    return ",".join(keys) + "\n" + format_rows(row, [curves[k] for k in keys])

@@ -259,8 +259,18 @@ def read_vector(graph: WeightedGraph, text: str) -> EnergyVector:
     for first, rows in read_chunks(text, *_stripped_span(text)):
         if first == 0 and rows[0].strip().lower() == "vertex,value":
             rows = rows[1:]
-        rows = [row for row in rows if row.strip()]
+        # loadtxt skips "" rows and rejects whitespace-only ones: a parse that
+        # succeeds with one record per non-blank row has skipped just the
+        # blank rows; otherwise they are dropped and the rest parsed again.
+        # Either way table[k] is the record of rows[k]
         table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
+        if failed is not None or len(table) != len(rows):
+            kept = [row for row in rows if row.strip()]
+            if failed is None and len(table) == len(kept):
+                rows = kept
+            elif len(kept) != len(rows):
+                rows = kept
+                table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
         vertices, values = table["vertex"], table["value"]
         marked = np.flatnonzero((vertices < 0) | (vertices >= n) | ~np.isfinite(values))
         bad = int(marked[0]) if marked.size else failed

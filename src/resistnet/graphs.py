@@ -485,7 +485,7 @@ def read_rows(rows, dtype, delimiter=None, usecols=None):
     syntax is recognized.
     """
     def parse(part):
-        if not part:    # loadtxt warns on empty input
+        if not any(part):   # loadtxt warns on input with no data; it skips "" rows
             return np.zeros(0, dtype)
         return np.loadtxt(part, dtype=dtype, delimiter=delimiter, usecols=usecols,
                           comments=None, ndmin=1)

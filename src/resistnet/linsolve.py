@@ -78,33 +78,53 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
     with values a float array over every vertex. A connected piece of the
     unpinned subgraph with no pinned neighbour and shift == 0 makes the
     system singular and raises SolverError, as does a backward residual
-    above tol. A vertex outside the graph raises ValueError.
+    above tol. A vertex outside the graph raises ValueError naming the
+    first one in (*rhs, *pinned) order.
+
+    Each dict's keys and values are converted to arrays once, and every
+    later step indexes with those; a key that is not an integer makes
+    that indexing raise IndexError.
     """
     n = graph.n_vertices
-    for v in (*rhs, *pinned):
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} is not in the graph's range 0..{n - 1}")
-    if any(v in pinned for v in rhs):
+    sources, held = _vertices(rhs), _vertices(pinned)
+    for given, at in ((rhs, sources), (pinned, held)):
+        outside = np.flatnonzero(~((at >= 0) & (at < n)))
+        if outside.size:
+            raise ValueError(f"vertex {list(given)[outside[0]]} is not in the graph's "
+                             f"range 0..{n - 1}")
+    if not pinned.keys().isdisjoint(rhs):
         raise ValueError("a source vertex is pinned")
     fixed = np.zeros(n, dtype=bool)
-    fixed[list(pinned)] = True
+    fixed[held] = True
     forest = _numbered_forest(graph, fixed, bool(pinned))
     if forest is None:
         forest = _searched_forest(graph, fixed, shift)
     elif not (pinned or shift > 0):
         raise _singular(0, shift)   # a parent-first graph is one connected tree
-    excess, beta = _reduced_terms(graph, shift, rhs, pinned, fixed)
+    b = np.zeros(n)
+    b[sources] = _values(rhs)
+    held_values = _values(pinned)
+    excess, beta = _reduced_terms(graph, shift, b, held, held_values, fixed)
     if forest is None:
         method, values = "dense", _solve_dense(graph, fixed, excess, beta)
     else:
         method, values = "tree", _eliminate_forest(*forest, excess, beta)
-    for v, value in pinned.items():
-        values[v] = value
-    diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, rhs, fixed), tol)
+    values[held] = held_values
+    diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, b, fixed), tol)
     if not diag.residual <= tol:
         raise SolverError(f"{method} solve backward residual {diag.residual:g} "
                           f"exceeds {tol:g}", diag)
     return values, diag
+
+
+def _vertices(vertex_map):
+    """The keys of a vertex -> value dict as an index array ([] as an integer one)."""
+    return np.array(list(vertex_map)) if vertex_map else np.zeros(0, dtype=np.intp)
+
+
+def _values(vertex_map):
+    """The values of a vertex -> value dict as a float array, each one float(value)."""
+    return np.fromiter(map(float, vertex_map.values()), float, len(vertex_map))
 
 
 def _bad_pivot(d, v):
@@ -116,26 +136,25 @@ def _singular(root, shift):
                        f"shift {float(shift)!r} is not > 0: the system is singular")
 
 
-def _reduced_terms(graph, shift, rhs, pinned, fixed):
-    """(excess, beta) before elimination: shift and rhs plus the pinned neighbours' terms.
+def _reduced_terms(graph, shift, b, held, held_values, fixed):
+    """(excess, beta) before elimination: shift and b plus the pinned neighbours' terms.
 
     A vertex adds its pinned neighbours' conductances, and those times the
     pinned values, in the order of its edges.
     """
     n = graph.n_vertices
     excess = np.full(n, float(shift))
-    beta = np.zeros(n)
-    beta[list(rhs)] = [float(value) for value in rhs.values()]
-    if pinned:
-        held = np.zeros(n)
-        held[list(pinned)] = [float(value) for value in pinned.values()]
+    beta = b.copy()
+    if held.size:
+        at_held = np.zeros(n)
+        at_held[held] = held_values
         ex, ey, ec = graph.edge_arrays
         at_x = fixed[ex]
         contact = np.flatnonzero(at_x != fixed[ey])
         inner = np.where(at_x[contact], ey[contact], ex[contact])
         c = ec[contact]
         np.add.at(excess, inner, c)
-        np.add.at(beta, inner, c * held[ex[contact] + ey[contact] - inner])
+        np.add.at(beta, inner, c * at_held[ex[contact] + ey[contact] - inner])
     return excess, beta
 
 
@@ -274,6 +293,9 @@ def _eliminate(order, parent, up, excess, beta):
 
     order lists every unpinned vertex after its children, and the
     children of a vertex in the order of its edges; all five are lists.
+    Both passes run on Python floats, u included, and the array is built
+    once at the end: IEEE arithmetic gives the floats numpy scalars would,
+    without a numpy scalar per step.
     """
     pivot = [0.0] * len(parent)
     for v in order:
@@ -285,11 +307,11 @@ def _eliminate(order, parent, up, excess, beta):
         if p >= 0:
             excess[p] += c * excess[v] / d
             beta[p] += c * beta[v] / d
-    u = np.zeros(len(parent))
+    u = [0.0] * len(parent)
     for v in reversed(order):
         p = parent[v]
         u[v] = (beta[v] if p < 0 else beta[v] + up[v] * u[p]) / pivot[v]
-    return u
+    return np.array(u)
 
 
 def _eliminate_levels(order, bounds, parent, up, excess, beta):
@@ -341,11 +363,9 @@ def _solve_dense(graph, fixed, excess, beta):
     return u
 
 
-def _backward_residual(graph, shift, u, rhs, fixed):
-    """Normwise backward residual of (shift I + Lap) u = rhs over the unpinned rows."""
+def _backward_residual(graph, shift, u, b, fixed):
+    """Normwise backward residual of (shift I + Lap) u = b over the unpinned rows."""
     n = graph.n_vertices
-    b = np.zeros(n)
-    b[list(rhs)] = [float(value) for value in rhs.values()]
     rows = ~fixed
     if not np.all(np.isfinite(u)):
         return float("nan")

@@ -281,6 +281,29 @@ def _float_quotient(n1, n2, d1, d2):
     return n1 * n2 / (d1 * d2)
 
 
+def _float_ratio(n, d):
+    """float(n / d) for ints, correctly rounded: _float_quotient(n, 1, d, 1) on two factors.
+
+    The same bracket, with no product to form: each factor cut to its
+    leading 64 bits, the quotient rounded exactly when the two ends differ.
+    """
+    if n > 0 and d > 0:
+        cn, cd = max(n.bit_length() - 64, 0), max(d.bit_length() - 64, 0)
+        n_low, d_low = n >> cn, d >> cd
+        n_high, d_high = n_low + (cn > 0), d_low + (cd > 0)
+        shift = cn - cd
+        try:
+            if shift >= 0:
+                lo, hi = (n_low << shift) / d_high, (n_high << shift) / d_low
+            else:
+                lo, hi = n_low / (d_high << -shift), n_high / (d_low << -shift)
+        except OverflowError:   # at the top of the float range: round exactly
+            lo, hi = 0.0, None
+        if lo == hi:
+            return lo
+    return n / d
+
+
 def pair_values_sequence(xi, n_max: int) -> list:
     """Exact values (p_n(xi), q_n(xi)) for n = 0 .. n_max at rational xi.
 

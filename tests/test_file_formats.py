@@ -15,6 +15,7 @@ chunks a few characters or rows long, so that records sit at every cut.
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,8 @@ VECTORS_ACCEPTED = {
     "no-header": "0,1.0\n2,3.0\n",
     "upper-case-header": "\n\n  VERTEX,Value  \n0,1.5\n",
     "blank-rows": "vertex,value\n\n0,1.0\n   \n\t\n1,2.0\n\n",
+    "empty-rows-only": "vertex,value\n0,1.0\n\n\n1,2.0\n\n2,3.0\n",
+    "whitespace-rows-only": "0,1.0\n \n1,2.0\n\t\xa0\n2,3.0\n",
     "whitespace-and-tabs": "vertex,value\n 0 , 1.0 \n1\t,\t2.0\n\t2,3.0\t\n",
     "crlf": "vertex,value\r\n0,1.0\r\n1,2.0\r\n",
     "crlf-no-final-newline": "\r\n \r\n vertex,value\r\n0,1.0\r\n\r\n1,2.0",
@@ -333,6 +336,12 @@ VECTORS_REJECTED = {
     "spaces-before-first-row": "\n  \n \t0;1.0\n1,2.0\n",
     "spaces-after-last-row": "vertex,value\r\n0,1.0\r\n1;2 \t\r\n \r\n",
     "crlf-fault-on-last-line": "vertex,value\r\n0,1.0\r\n9,1.0",
+    # blank rows before the fault: the row named is the faulty one
+    "empty-rows-then-range": "vertex,value\n\n0,1.0\n\n\n9,1.0\n1,2.0\n",
+    "empty-rows-then-malformed": "vertex,value\n0,1.0\n\n1;2\n\n3,1.0\n",
+    "whitespace-rows-then-range": "vertex,value\n0,1.0\n  \n-2,1.0\n",
+    "whitespace-rows-then-malformed": "vertex,value\n\t\n0,1.0\n \n0,one\n",
+    "both-blank-rows-then-range": "vertex,value\n\n0,1.0\n\t\n\n7,1.0\n",
 }
 
 
@@ -404,6 +413,14 @@ def test_read_vector_matches_the_reference_on_random_spellings(seed):
 def test_read_vector_in_tiny_chunks_matches_the_reference_on_random_spellings(
         seed, in_tiny_chunks):
     in_tiny_chunks(_vector_matches, _random_vector_text(np.random.default_rng(seed), 9), 9)
+
+
+def test_read_rows_of_empty_rows_is_an_empty_table_without_a_warning():
+    dtype = np.dtype([("vertex", np.int64), ("value", np.float64)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, failed = graphs.read_rows(["", ""], dtype, delimiter=",")
+    assert failed is None and table.dtype == dtype and len(table) == 0
 
 
 def test_edges_built_from_arrays_keep_their_record_form():

@@ -159,6 +159,15 @@ def test_pinned_source_is_rejected():
     ({-1: 1.0}, {3: 0.0}, -1),      # -1 would alias the pinned vertex 3
     ({7: 1.0}, {}, 7),
     ({1: 1.0}, {4: 0.0}, 4),
+    # the first vertex outside 0..3 in (*rhs, *pinned) order is named
+    ({1: 1.0, 9: 1.0, -3: 1.0}, {12: 0.0}, 9),
+    ({-3: 1.0, 9: 1.0}, {12: 0.0}, -3),
+    ({1: 1.0}, {0: 0.0, 5: 1.0, -1: 2.0}, 5),
+    ({1: 1.0, 2: 1.0}, {0: 0.0, -4: 1.0, 6: 2.0}, -4),
+    ({np.int64(7): 1.0}, {np.int32(2): 0.0}, 7),
+    ({1: 1.0}, {np.uint8(4): 0.0}, 4),
+    ({7.0: 1.0}, {}, 7.0),
+    ({float("nan"): 1.0}, {9: 0.0}, "nan"),
 ])
 def test_vertex_outside_the_graph_is_rejected(rhs, pinned, vertex):
     with pytest.raises(ValueError, match=rf"^vertex {vertex} is not in the graph's range 0\.\.3$"):
@@ -314,3 +323,101 @@ def test_scalar_and_level_kernels_give_the_same_bits(name, graph, shift, rhs, pi
         assert levels_ran == ([1] if k == 0 else [])
         results.append(u)
     assert results[0].tobytes() == results[1].tobytes()
+
+
+def _eliminate_into_an_array(order, parent, up, excess, beta):
+    """The former _eliminate: back-substitution into a float array, one numpy scalar a step."""
+    pivot = [0.0] * len(parent)
+    for v in order:
+        p = parent[v]
+        c = up[v]
+        pivot[v] = d = excess[v] + c
+        if not d > 0:
+            raise linsolve._bad_pivot(d, v)
+        if p >= 0:
+            excess[p] += c * excess[v] / d
+            beta[p] += c * beta[v] / d
+    u = np.zeros(len(parent))
+    for v in reversed(order):
+        p = parent[v]
+        u[v] = (beta[v] if p < 0 else beta[v] + up[v] * u[p]) / pivot[v]
+    return u
+
+
+def _back_substitution_cases():
+    tree, sym = build_dyadic_tree(1.0, 9), build_sym_line(2.0, 64)
+    yield "half-line", build_half_line(2.0, 600), 1.0, {300: 1.0}, {}
+    yield "half-line-pinned", build_half_line(3.0, 200), 0.0, {50: 1.0}, {0: 0.0, 200: -1.0}
+    yield "sym-line", sym, 1.0, {sym.index_of(3): 1.0}, {}
+    yield "sym-line-pinned", build_sym_line(1.5, 40), 0.0, {41: 1.0}, {40: 0.0}
+    yield "tree", tree, 1.0, {5: 1.0}, {}
+    yield "tree-leaves", tree, 0.0, {}, _tree_leaves(tree, 9)
+    yield "tree-frontier", tree, 0.0, {0: -1.0}, dict.fromkeys(tree.truncation.frontier, 0.0)
+
+
+@pytest.mark.parametrize("name, graph, shift, rhs, pinned", list(_back_substitution_cases()),
+                         ids=[case[0] for case in _back_substitution_cases()])
+def test_back_substitution_on_floats_gives_the_array_bits(name, graph, shift, rhs, pinned,
+                                                          monkeypatch):
+    monkeypatch.setattr(linsolve, "LEVEL_MIN_VERTICES", 10 ** 9)     # the scalar loop
+    u, diag = solve_reduced(graph, shift, rhs, pinned)
+    monkeypatch.setattr(linsolve, "_eliminate", _eliminate_into_an_array)
+    w, wdiag = solve_reduced(graph, shift, rhs, pinned)
+    assert diag.method == wdiag.method == "tree"
+    assert u.dtype == w.dtype == np.float64
+    assert u.tobytes() == w.tobytes()
+    assert diag.residual == wdiag.residual
+
+
+def test_numpy_integer_vertices_solve_as_python_ints():
+    graph = build_dyadic_tree(1.0, 5)
+    rhs, pinned = {9: 1.0, 40: -2.0}, {0: 0.5, 3: 1.0, 62: -1.0}
+    u, diag = solve_reduced(graph, 0.0, rhs, pinned)
+    for kind in (np.int64, np.int32, np.uint16):
+        w, wdiag = solve_reduced(graph, 0.0, {kind(v): c for v, c in rhs.items()},
+                                 {kind(v): c for v, c in pinned.items()})
+        assert w.tobytes() == u.tobytes()
+        assert wdiag == diag
+
+
+@pytest.mark.parametrize("rhs, pinned", [
+    ({1: 1.0}, {2.0: 0.0}),
+    ({2.0: 1.0}, {0: 0.0}),
+    ({2.0: 1.0}, {}),
+    ({1: 1.0}, {0: 0.0, 3.5: 1.0}),
+])
+def test_float_vertex_is_not_cast_to_an_index(rhs, pinned):
+    # a float key is rejected, as a numpy index of floats is, never rounded
+    with pytest.raises(IndexError):
+        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+
+
+@pytest.mark.parametrize("rhs, pinned", [
+    ({"a": 1.0}, {}),
+    ({1: 1.0}, {None: 0.0}),
+    # float(value) rejects a value; it is never read as nan
+    ({1: None}, {}),
+    ({1: 1.0}, {0: None}),
+])
+def test_vertex_or_value_that_is_not_a_number_is_rejected(rhs, pinned):
+    with pytest.raises(TypeError):
+        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+
+
+@pytest.mark.parametrize("rhs, pinned", [
+    ({0: 1.0, 2: 1.0}, {1: 0.0, 2: 0.0}),
+    ({np.int64(2): 1.0}, {2: 0.0}),
+    ({2: 1.0}, {np.int32(2): 0.0}),
+    ({2: 1.0}, {2.0: 0.0}),         # 2.0 == 2, as a dict key
+])
+def test_pinned_source_among_several_is_rejected(rhs, pinned):
+    with pytest.raises(ValueError, match=r"^a source vertex is pinned$"):
+        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+
+
+def test_pinned_values_are_written_as_floats():
+    graph = path_graph([1.0, 2.0, 3.0])
+    u, _ = solve_reduced(graph, 0.0, {1: 1}, {0: 0, 3: np.float32(0.5)})
+    v, _ = solve_reduced(graph, 0.0, {1: 1.0}, {0: 0.0, 3: float(np.float32(0.5))})
+    assert u.dtype == np.float64 and u.tobytes() == v.tobytes()
+    assert u[3] == 0.5 and u[0] == 0.0
