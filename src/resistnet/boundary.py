@@ -25,7 +25,7 @@ from .graphs import (
     record_dict,
 )
 from .linsolve import solve_reduced
-from .polynomials import _float_quotient, _float_ratio, _scaled_pairs, _split_two, _times
+from .polynomials import _float_quotient, _scaled_pairs, _split_two, _times
 
 HARM_TRIVIAL = "HARM_TRIVIAL"
 CONVERGENT = "CONVERGENT"
@@ -330,8 +330,8 @@ def _deficiency_solution(graph):
     a, b = xi.numerator, xi.denominator
     _, Q, R, D = zip(*rows)
     flux_ok, interior_ok = _exact_rows_zero(Q, a, b)
-    u = list(map(_float_ratio, Q, D))
-    du = list(map(_float_ratio, R[1:], D[1:]))
+    u = [_float_quotient(q, 1, d, 1) for q, d in zip(Q, D)]
+    du = [_float_quotient(r, 1, d, 1) for r, d in zip(R[1:], D[1:])]
     half = np.array(u)
     # coordinate x is stored at index x + origin_offset
     values = half[np.abs(np.arange(graph.n_vertices) - graph.truncation.origin_offset)]

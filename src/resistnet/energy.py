@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import (
-    WeightedGraph, float_texts, format_rows, read_chunks, read_rows, record_dict, write_chunks,
+    WeightedGraph, float_texts, format_rows, parse_rows, read_chunks, read_rows, record_dict,
+    write_chunks,
 )
 from .linsolve import solve_reduced
 
@@ -259,18 +260,18 @@ def read_vector(graph: WeightedGraph, text: str) -> EnergyVector:
     for first, rows in read_chunks(text, *_stripped_span(text)):
         if first == 0 and rows[0].strip().lower() == "vertex,value":
             rows = rows[1:]
-        # loadtxt skips "" rows and rejects whitespace-only ones: a parse that
-        # succeeds with one record per non-blank row has skipped just the
-        # blank rows; otherwise they are dropped and the rest parsed again.
+        # one parse of the rows as they stand; loadtxt skips "" rows, so those
+        # leave the row list too, and rejects whitespace-only ones, which are
+        # then dropped with the other blank rows and the rest parsed again.
         # Either way table[k] is the record of rows[k]
-        table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
-        if failed is not None or len(table) != len(rows):
-            kept = [row for row in rows if row.strip()]
-            if failed is None and len(table) == len(kept):
-                rows = kept
-            elif len(kept) != len(rows):
-                rows = kept
-                table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
+        try:
+            table, failed = parse_rows(rows, _VECTOR_ROW, delimiter=","), None
+        except ValueError:
+            rows = [row for row in rows if row.strip()]
+            table, failed = read_rows(rows, _VECTOR_ROW, delimiter=",")
+        else:
+            if len(table) != len(rows):
+                rows = [row for row in rows if row]
         vertices, values = table["vertex"], table["value"]
         marked = np.flatnonzero((vertices < 0) | (vertices >= n) | ~np.isfinite(values))
         bad = int(marked[0]) if marked.size else failed

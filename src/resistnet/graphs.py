@@ -474,21 +474,30 @@ def write_graph(graph: WeightedGraph) -> str:
     return "".join(parts)
 
 
+def parse_rows(rows, dtype, delimiter=None, usecols=None):
+    """Text rows as a structured array, one bulk parse by numpy's text reader.
+
+    A row the reader rejects raises ValueError; "" rows are skipped, so
+    the table has fewer records than rows when there are any. Fields are
+    split at the delimiter (whitespace when None); no comment or quote
+    syntax is recognized.
+    """
+    if not any(rows):   # loadtxt warns on input with no data
+        return np.zeros(0, dtype)
+    return np.loadtxt(rows, dtype=dtype, delimiter=delimiter, usecols=usecols,
+                      comments=None, ndmin=1)
+
+
 def read_rows(rows, dtype, delimiter=None, usecols=None):
-    """Parse text rows into a structured array with numpy's text reader.
+    """Parse text rows into a structured array with parse_rows.
 
     Returns (table, failed). When every row parses, table holds them all
     and failed is None. Otherwise failed is the index of the first row the
     reader rejects and table holds the rows before it: the one bulk parse
-    raised, and a bisection over row prefixes located that row. Fields are
-    split at the delimiter (whitespace when None); no comment or quote
-    syntax is recognized.
+    raised, and a bisection over row prefixes located that row.
     """
     def parse(part):
-        if not any(part):   # loadtxt warns on input with no data; it skips "" rows
-            return np.zeros(0, dtype)
-        return np.loadtxt(part, dtype=dtype, delimiter=delimiter, usecols=usecols,
-                          comments=None, ndmin=1)
+        return parse_rows(part, dtype, delimiter, usecols)
 
     try:
         return parse(rows), None

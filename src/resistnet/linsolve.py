@@ -82,16 +82,21 @@ def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
     first one in (*rhs, *pinned) order.
 
     Each dict's keys and values are converted to arrays once, and every
-    later step indexes with those; a key that is not an integer makes
-    that indexing raise IndexError.
+    later step indexes with those. The range is checked on the key array
+    when it is an integer one and every key is inside; otherwise key by
+    key, as given, so a key that cannot be compared with an int raises
+    TypeError where it stands. A key inside the range that is not an
+    integer makes the indexing raise IndexError.
     """
     n = graph.n_vertices
     sources, held = _vertices(rhs), _vertices(pinned)
     for given, at in ((rhs, sources), (pinned, held)):
-        outside = np.flatnonzero(~((at >= 0) & (at < n)))
-        if outside.size:
-            raise ValueError(f"vertex {list(given)[outside[0]]} is not in the graph's "
-                             f"range 0..{n - 1}")
+        if at.dtype.kind not in "iu" or not np.all((at >= 0) & (at < n)):
+            # one comparison per key names the first vertex outside the
+            # range, and fails on a key that is not a number as it comes
+            for v in given:
+                if not 0 <= v < n:
+                    raise ValueError(f"vertex {v} is not in the graph's range 0..{n - 1}")
     if not pinned.keys().isdisjoint(rhs):
         raise ValueError("a source vertex is pinned")
     fixed = np.zeros(n, dtype=bool)

@@ -261,47 +261,23 @@ def _float_quotient(n1, n2, d1, d2):
     both round to the same float the quotient does too, and the big
     products are never formed; otherwise the exact quotient is rounded.
     """
-    factors = (n1, n2, d1, d2)
-    if min(factors) > 0:
-        cuts = [max(v.bit_length() - 64, 0) for v in factors]
-        low = [v >> c for v, c in zip(factors, cuts)]
-        high = [t + (c > 0) for t, c in zip(low, cuts)]
-        shift = cuts[0] + cuts[1] - cuts[2] - cuts[3]
-
-        def scaled(num, den):
-            return (num << shift) / den if shift >= 0 else num / (den << -shift)
-
+    if n1 > 0 and n2 > 0 and d1 > 0 and d2 > 0:
+        c1, c2 = max(n1.bit_length() - 64, 0), max(n2.bit_length() - 64, 0)
+        c3, c4 = max(d1.bit_length() - 64, 0), max(d2.bit_length() - 64, 0)
+        t1, t2, t3, t4 = n1 >> c1, n2 >> c2, d1 >> c3, d2 >> c4
+        num_low, num_high = t1 * t2, (t1 + (c1 > 0)) * (t2 + (c2 > 0))
+        den_low, den_high = t3 * t4, (t3 + (c3 > 0)) * (t4 + (c4 > 0))
+        shift = c1 + c2 - c3 - c4
         try:
-            lo = scaled(low[0] * low[1], high[2] * high[3])
-            hi = scaled(high[0] * high[1], low[2] * low[3])
+            if shift >= 0:
+                lo, hi = (num_low << shift) / den_high, (num_high << shift) / den_low
+            else:
+                lo, hi = num_low / (den_high << -shift), num_high / (den_low << -shift)
         except OverflowError:   # at the top of the float range: round exactly
             lo, hi = 0.0, None
         if lo == hi:
             return lo
     return n1 * n2 / (d1 * d2)
-
-
-def _float_ratio(n, d):
-    """float(n / d) for ints, correctly rounded: _float_quotient(n, 1, d, 1) on two factors.
-
-    The same bracket, with no product to form: each factor cut to its
-    leading 64 bits, the quotient rounded exactly when the two ends differ.
-    """
-    if n > 0 and d > 0:
-        cn, cd = max(n.bit_length() - 64, 0), max(d.bit_length() - 64, 0)
-        n_low, d_low = n >> cn, d >> cd
-        n_high, d_high = n_low + (cn > 0), d_low + (cd > 0)
-        shift = cn - cd
-        try:
-            if shift >= 0:
-                lo, hi = (n_low << shift) / d_high, (n_high << shift) / d_low
-            else:
-                lo, hi = n_low / (d_high << -shift), n_high / (d_low << -shift)
-        except OverflowError:   # at the top of the float range: round exactly
-            lo, hi = 0.0, None
-        if lo == hi:
-            return lo
-    return n / d
 
 
 def pair_values_sequence(xi, n_max: int) -> list:

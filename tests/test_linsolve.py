@@ -168,6 +168,13 @@ def test_pinned_source_is_rejected():
     ({1: 1.0}, {np.uint8(4): 0.0}, 4),
     ({7.0: 1.0}, {}, 7.0),
     ({float("nan"): 1.0}, {9: 0.0}, "nan"),
+    # keys of mixed types are compared one at a time, so the first vertex
+    # outside the range is named before a later key that is not a number
+    ({9: 1.0, "a": 1.0}, {}, 9),
+    ({9: 1.0, None: 1.0}, {}, 9),
+    ({1: 1.0}, {9: 0.0, "b": 1.0}, 9),
+    ({1: 1.0, np.uint64(2 ** 63): 1.0}, {}, 2 ** 63),
+    ({1: 1.0}, {2: 0.0, 2 ** 70: 1.0}, 2 ** 70),
 ])
 def test_vertex_outside_the_graph_is_rejected(rhs, pinned, vertex):
     with pytest.raises(ValueError, match=rf"^vertex {vertex} is not in the graph's range 0\.\.3$"):
@@ -385,6 +392,7 @@ def test_numpy_integer_vertices_solve_as_python_ints():
     ({2.0: 1.0}, {0: 0.0}),
     ({2.0: 1.0}, {}),
     ({1: 1.0}, {0: 0.0, 3.5: 1.0}),
+    ({1: 1.0, np.uint64(2): 1.0}, {}),    # an int and a uint64 make a float array
 ])
 def test_float_vertex_is_not_cast_to_an_index(rhs, pinned):
     # a float key is rejected, as a numpy index of floats is, never rounded
@@ -395,6 +403,9 @@ def test_float_vertex_is_not_cast_to_an_index(rhs, pinned):
 @pytest.mark.parametrize("rhs, pinned", [
     ({"a": 1.0}, {}),
     ({1: 1.0}, {None: 0.0}),
+    # a key that is not a number, met before any vertex outside the range
+    ({"a": 1.0, 9: 1.0}, {}),
+    ({1: 1.0, "a": 1.0}, {9: 0.0}),
     # float(value) rejects a value; it is never read as nan
     ({1: None}, {}),
     ({1: 1.0}, {0: None}),
