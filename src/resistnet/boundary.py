@@ -24,7 +24,7 @@ from .graphs import (
     HALF_LINE_GEOM, LINE_GEOM_SYM, WeightedGraph, build_half_line, build_sym_line, format_rows,
     record_dict,
 )
-from .linsolve import solve_reduced
+from .linsolve import point_source, solve_reduced
 from .polynomials import _float_quotient, _scaled_pairs, _split_two, _times
 
 HARM_TRIVIAL = "HARM_TRIVIAL"
@@ -520,22 +520,18 @@ def resolvent_delta(graph: WeightedGraph, x: int, tol: float = 1e-10,
     """
     n = graph.n_vertices
     if boundary == "free":
-        pinned = {}
+        row_mask = np.ones(n, dtype=bool)
     elif boundary == "dirichlet":
-        frontier = graph.truncation.frontier if graph.truncation else ()
-        if x in frontier:
+        if graph.truncation and x in graph.truncation.frontier:
             raise ValueError("the source vertex is pinned by the Dirichlet frontier")
-        pinned = dict.fromkeys(frontier, 0.0)
+        row_mask = graph.interior_mask
     else:
         raise ValueError(f"unknown boundary policy {boundary!r}")
-    sol, diag = solve_reduced(graph, 1.0, {x: 1.0}, pinned, tol)
+    target = point_source(graph, x)
+    sol, diag = solve_reduced(graph, 1.0, target, ~row_mask, np.zeros(n), tol)
     u = EnergyVector(graph, sol)
     lap = apply_laplacian(u).values
     full = sol + lap
-    target = np.zeros(n)
-    target[x] = 1.0
-    row_mask = np.ones(n, dtype=bool)
-    row_mask[list(pinned)] = False
     residual = float(np.max(np.abs((full - target)[row_mask])))
     punct_mask = row_mask.copy()
     punct_mask[x] = False

@@ -183,10 +183,9 @@ def _polys_table_csv(pairs):
 
 
 def _polys_eval_csv(xi, values):
-    lines = ["n,xi,p,q"]
-    for n, (p, q) in enumerate(values):
-        lines.append(f"{n},{_fraction_str(xi)},{_fraction_str(p)},{_fraction_str(q)}")
-    return "\n".join(lines) + "\n"
+    columns = (range(len(values)), [_fraction_str(xi)] * len(values),
+               *([_fraction_str(f) for f in column] for column in zip(*values)))
+    return "n,xi,p,q\n" + graphs.format_rows("%d,%s,%s,%s\n", columns)
 
 
 def run_polys(config):
@@ -262,10 +261,9 @@ def run_classify(config):
 # -- walk ----------------------------------------------------------------------
 
 def _walk_csv(check):
-    lines = ["x,y,exact_p,empirical_p,n_exits,z_score"]
-    for x, y, p, emp, n, z in check.rows:
-        lines.append(f"{x},{y},{p!r},{emp!r},{n},{z!r}")
-    return "\n".join(lines) + "\n"
+    columns = list(zip(*check.rows)) or [()] * 6
+    return ("x,y,exact_p,empirical_p,n_exits,z_score\n"
+            + graphs.format_rows("%s,%s,%r,%r,%s,%r\n", columns))
 
 
 def run_walk(config):

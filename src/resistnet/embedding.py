@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy
 from .graphs import WeightedGraph, build_dyadic_tree, build_half_line, record_dict
-from .linsolve import solve_reduced
+from .linsolve import point_source, solve_reduced
 
 
 class MissingCertificateError(RuntimeError):
@@ -244,8 +244,8 @@ def dirichlet_monopole(graph: WeightedGraph, tol: float = 1e-10) -> EnergyVector
     """
     if graph.truncation is None or not graph.truncation.frontier:
         raise ValueError("a Dirichlet monopole needs a truncation frontier to pin")
-    pinned = dict.fromkeys(graph.truncation.frontier, 0.0)
-    values, _diag = solve_reduced(graph, 0.0, {graph.base_vertex: -1.0}, pinned, tol)
+    values, _diag = solve_reduced(graph, 0.0, point_source(graph, graph.base_vertex, -1.0),
+                                  ~graph.interior_mask, np.zeros(graph.n_vertices), tol)
     return EnergyVector(graph, values)
 
 
@@ -277,10 +277,11 @@ def tree_harmonic_direct(c_const: float, N: int, tol: float = 1e-10) -> TreeHarm
     if N < 3:
         raise ValueError("N must be >= 3 so the tree has interior structure")
     graph = build_dyadic_tree(c_const, N)
-    leaves = graph.truncation.frontier      # under child 0, then under child 1
-    boundary = (dict.fromkeys(leaves[:len(leaves) // 2], 1.0)
-                | dict.fromkeys(leaves[len(leaves) // 2:], -1.0))
-    values, _diag = solve_reduced(graph, 0.0, {}, boundary, tol)
+    leaves = graph.truncation.frontier      # a range: under child 0, then under child 1
+    half = len(leaves) // 2
+    boundary = np.repeat([0.0, 1.0, -1.0], [leaves.start, half, half])
+    values, _diag = solve_reduced(graph, 0.0, np.zeros_like(boundary), ~graph.interior_mask,
+                                  boundary, tol)
     h = EnergyVector(graph, values)
     lap = apply_laplacian(h).values
     interior_residual = float(np.max(np.abs(lap[graph.interior_mask])))

@@ -25,7 +25,7 @@ from .graphs import (
     WeightedGraph, float_texts, format_rows, parse_rows, read_chunks, read_rows, record_dict,
     write_chunks,
 )
-from .linsolve import solve_reduced
+from .linsolve import point_source, solve_reduced
 
 
 class ProjectionError(RuntimeError):
@@ -114,7 +114,9 @@ def solve_dipole(graph: WeightedGraph, x: int, tol: float = 1e-10,
     o = graph.base_vertex
     if x == o:
         raise ValueError("dipole pole must differ from the base vertex")
-    values, diag = solve_reduced(graph, 0.0, {x: 1.0}, {o: 0.0}, tol)
+    n = graph.n_vertices
+    values, diag = solve_reduced(graph, 0.0, point_source(graph, x), np.arange(n) == o,
+                                 np.zeros(n), tol)
     out = EnergyVector(graph, values, normalized=True)
     if with_diagnostics:
         return out, diag

@@ -83,7 +83,8 @@ class WeightedGraph:
     a function of the vertex index, is a tuple when first read. Graphs are
     immutable and compare equal when their vertex counts, base vertices,
     truncations, labels and edge columns are equal; comparing or hashing
-    builds no edge records.
+    builds no edge records, nor label tuples for two graphs that share
+    their label function.
     """
 
     def __init__(self, n_vertices: int, edge_arrays: tuple, base_vertex: int = 0,
@@ -122,7 +123,7 @@ class WeightedGraph:
         return other is self or (
             (self.n_vertices, self.n_edges, self.base_vertex, self.truncation)
             == (other.n_vertices, other.n_edges, other.base_vertex, other.truncation)
-            and self.labels == other.labels
+            and (self._labels is other._labels or self.labels == other.labels)
             and all(map(np.array_equal, self.edge_arrays, other.edge_arrays)))
 
     def __hash__(self):
@@ -380,7 +381,12 @@ def build_dyadic_tree(c_const: float, N: int) -> WeightedGraph:
     child = np.arange(1, n)
     edges = ((child - 1) // 2, child, np.full(n - 1, c_const))
     info = TruncationInfo(DYADIC_TREE, N, {"c_const": c_const}, frontier=range(n - 2 ** N, n))
-    return WeightedGraph(n, edges, labels=lambda i: bin(i + 1)[3:], truncation=info)
+    return WeightedGraph(n, edges, labels=_heap_label, truncation=info)
+
+
+def _heap_label(i):
+    """The bit-word of heap vertex i: the digits of bin(i + 1) after the leading 1."""
+    return bin(i + 1)[3:]
 
 
 def path_graph(conductances: Sequence[float], base_vertex: int = 0) -> WeightedGraph:

@@ -1,10 +1,14 @@
 """The one linear solver behind every dipole, resolvent and Dirichlet solve.
 
 solve_reduced solves (shift I + Lap) u = rhs on the unpinned vertices of a
-graph, with u fixed on the pinned ones. Every built-in model is a tree, and
-so is the unpinned subgraph it leaves, so the solve eliminates leaf to root
-with no fill-in in O(V). Each vertex carries its "excess", the part of its
-pivot not owed to its parent edge:
+graph, with u fixed on the pinned ones, given as arrays over the vertices:
+the right-hand side, a bool mask of the pinned vertices (a frontier is
+~graph.interior_mask) and their values. point_source builds the right-hand
+side of one vertex given from outside, a pole or a source, and checks it.
+
+Every built-in model is a tree, and so is the unpinned subgraph it leaves,
+so the solve eliminates leaf to root with no fill-in in O(V). Each vertex
+carries its "excess", the part of its pivot not owed to its parent edge:
 
     excess(v) = shift + sum of pinned conductances at v
                 + sum over children w of c(v, w) excess(w) / (excess(w) + c(v, w))
@@ -70,66 +74,58 @@ class SolveDiagnostics:
     to_dict = record_dict
 
 
-def solve_reduced(graph, shift, rhs, pinned, tol=1e-10):
-    """Solve (shift I + Lap) u = rhs off the pinned set, u = pinned there.
+def solve_reduced(graph, shift, rhs, fixed, fixed_values, tol=1e-10):
+    """Solve (shift I + Lap) u = rhs off the pinned vertices, u = fixed_values on them.
 
-    rhs maps unpinned vertices to their source values (zero elsewhere);
-    pinned maps vertices to their fixed values. Returns (values, diagnostics)
-    with values a float array over every vertex. A connected piece of the
-    unpinned subgraph with no pinned neighbour and shift == 0 makes the
-    system singular and raises SolverError, as does a backward residual
-    above tol. A vertex outside the graph raises ValueError naming the
-    first one in (*rhs, *pinned) order.
-
-    Each dict's keys and values are converted to arrays once, and every
-    later step indexes with those. The range is checked on the key array
-    when it is an integer one and every key is inside; otherwise key by
-    key, as given, so a key that cannot be compared with an int raises
-    TypeError where it stands. A key inside the range that is not an
-    integer makes the indexing raise IndexError.
+    rhs and fixed_values are float arrays over every vertex and fixed a bool
+    mask of the pinned ones; fixed_values is read only where fixed is set,
+    and rhs must be zero there. Returns (values, diagnostics) with values a
+    float array over every vertex. A connected piece of the unpinned
+    subgraph with no pinned neighbour and shift == 0 makes the system
+    singular and raises SolverError, as does a backward residual above tol.
     """
     n = graph.n_vertices
-    sources, held = _vertices(rhs), _vertices(pinned)
-    for given, at in ((rhs, sources), (pinned, held)):
-        if at.dtype.kind not in "iu" or not np.all((at >= 0) & (at < n)):
-            # one comparison per key names the first vertex outside the
-            # range, and fails on a key that is not a number as it comes
-            for v in given:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} is not in the graph's range 0..{n - 1}")
-    if not pinned.keys().isdisjoint(rhs):
+    rhs, fixed, fixed_values = (np.asarray(rhs, dtype=float), np.asarray(fixed),
+                                np.asarray(fixed_values, dtype=float))
+    if not rhs.shape == fixed.shape == fixed_values.shape == (n,):
+        raise ValueError(f"rhs, fixed and fixed_values must be arrays of length {n}")
+    if fixed.dtype != bool:
+        raise TypeError(f"fixed must be a bool mask, not {fixed.dtype} entries")
+    if rhs[fixed].any():
         raise ValueError("a source vertex is pinned")
-    fixed = np.zeros(n, dtype=bool)
-    fixed[held] = True
-    forest = _numbered_forest(graph, fixed, bool(pinned))
+    any_fixed = bool(fixed.any())
+    forest = _numbered_forest(graph, fixed, any_fixed)
     if forest is None:
         forest = _searched_forest(graph, fixed, shift)
-    elif not (pinned or shift > 0):
+    elif not (any_fixed or shift > 0):
         raise _singular(0, shift)   # a parent-first graph is one connected tree
-    b = np.zeros(n)
-    b[sources] = _values(rhs)
-    held_values = _values(pinned)
-    excess, beta = _reduced_terms(graph, shift, b, held, held_values, fixed)
+    excess, beta = _reduced_terms(graph, shift, rhs, fixed, fixed_values, any_fixed)
     if forest is None:
         method, values = "dense", _solve_dense(graph, fixed, excess, beta)
     else:
         method, values = "tree", _eliminate_forest(*forest, excess, beta)
-    values[held] = held_values
-    diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, b, fixed), tol)
+    np.copyto(values, fixed_values, where=fixed)
+    diag = SolveDiagnostics(method, 0, _backward_residual(graph, shift, values, rhs, fixed), tol)
     if not diag.residual <= tol:
         raise SolverError(f"{method} solve backward residual {diag.residual:g} "
                           f"exceeds {tol:g}", diag)
     return values, diag
 
 
-def _vertices(vertex_map):
-    """The keys of a vertex -> value dict as an index array ([] as an integer one)."""
-    return np.array(list(vertex_map)) if vertex_map else np.zeros(0, dtype=np.intp)
+def point_source(graph, x, value=1.0):
+    """The float array that is float(value) at vertex x and 0 elsewhere.
 
-
-def _values(vertex_map):
-    """The values of a vertex -> value dict as a float array, each one float(value)."""
-    return np.fromiter(map(float, vertex_map.values()), float, len(vertex_map))
+    A vertex outside 0..V-1 raises ValueError naming it, one that cannot be
+    compared with an int TypeError, and one inside that is not an integer
+    IndexError; float() refuses a value that is not a number (numpy would
+    store None as NaN).
+    """
+    n = graph.n_vertices
+    if not 0 <= x < n:
+        raise ValueError(f"vertex {x} is not in the graph's range 0..{n - 1}")
+    b = np.zeros(n)
+    b[np.array([x])] = float(value)     # an index array: a bool or float x is refused
+    return b
 
 
 def _bad_pivot(d, v):
@@ -141,25 +137,22 @@ def _singular(root, shift):
                        f"shift {float(shift)!r} is not > 0: the system is singular")
 
 
-def _reduced_terms(graph, shift, b, held, held_values, fixed):
-    """(excess, beta) before elimination: shift and b plus the pinned neighbours' terms.
+def _reduced_terms(graph, shift, rhs, fixed, fixed_values, any_fixed):
+    """(excess, beta) before elimination: shift and rhs plus the pinned neighbours' terms.
 
     A vertex adds its pinned neighbours' conductances, and those times the
     pinned values, in the order of its edges.
     """
-    n = graph.n_vertices
-    excess = np.full(n, float(shift))
-    beta = b.copy()
-    if held.size:
-        at_held = np.zeros(n)
-        at_held[held] = held_values
+    excess = np.full(graph.n_vertices, float(shift))
+    beta = rhs.copy()
+    if any_fixed:
         ex, ey, ec = graph.edge_arrays
         at_x = fixed[ex]
         contact = np.flatnonzero(at_x != fixed[ey])
         inner = np.where(at_x[contact], ey[contact], ex[contact])
         c = ec[contact]
         np.add.at(excess, inner, c)
-        np.add.at(beta, inner, c * at_held[ex[contact] + ey[contact] - inner])
+        np.add.at(beta, inner, c * fixed_values[ex[contact] + ey[contact] - inner])
     return excess, beta
 
 

@@ -126,6 +126,17 @@ def test_walk_band_and_determinism(capsys, tmp_path):
     assert csv2 == csv1
 
 
+def test_walk_with_no_checked_row_writes_the_header_alone(capsys, tmp_path):
+    # no vertex reaches --min-exits, so the frequency check has no rows
+    code, out = run_cli(capsys, ["walk", "--model", "tree", "--N", "4", "--start", "0",
+                                 "--steps", "3", "--trials", "100", "--seed", "1",
+                                 "--min-exits", "1000000", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads(out)["frequency"]["rows"] == []
+    assert (tmp_path / "walk_frequencies.csv").read_bytes() == \
+        b"x,y,exact_p,empirical_p,n_exits,z_score\n"
+
+
 def test_walk_ab_line(capsys):
     code, out = run_cli(capsys, ["walk", "--model", "ab-line", "--A", "2",
                                  "--B", "3", "--N", "10", "--start", "0",

@@ -219,26 +219,27 @@ def test_tree_harmonic_pins_the_leaves_under_each_child(monkeypatch):
     captured = []
     embedding_solve = embedding.solve_reduced
 
-    def solve(graph, shift, rhs, pinned, tol):
-        captured.append(dict(pinned))
-        return embedding_solve(graph, shift, rhs, pinned, tol)
+    def solve(graph, shift, rhs, fixed, fixed_values, tol):
+        captured.append((rhs.copy(), fixed.copy(), fixed_values.copy()))
+        return embedding_solve(graph, shift, rhs, fixed, fixed_values, tol)
 
     monkeypatch.setattr(embedding, "solve_reduced", solve)
     N = 6
     tree_harmonic_direct(1.0, N)
-    [pinned] = captured
+    [(rhs, fixed, fixed_values)] = captured
     leaves = range(2 ** N - 1, 2 ** (N + 1) - 1)
-    assert sorted(pinned) == list(leaves)
+    assert not rhs.any()
+    assert np.flatnonzero(fixed).tolist() == list(leaves)
     for i in leaves:
-        assert pinned[i] == (1.0 if bin(i + 1)[3:].startswith("0") else -1.0)
+        assert fixed_values[i] == (1.0 if bin(i + 1)[3:].startswith("0") else -1.0)
 
 
 @pytest.mark.parametrize("word", ["1", "10", "1110"])
 def test_tree_harmonic_mirror_check_fails_on_a_perturbed_value(monkeypatch, word):
     embedding_solve = embedding.solve_reduced
 
-    def solve(graph, shift, rhs, pinned, tol):
-        values, diag = embedding_solve(graph, shift, rhs, pinned, tol)
+    def solve(graph, shift, rhs, fixed, fixed_values, tol):
+        values, diag = embedding_solve(graph, shift, rhs, fixed, fixed_values, tol)
         values[int("1" + word, 2) - 1] += 1e-3     # the heap index of the word
         return values, diag
 

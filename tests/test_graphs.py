@@ -379,6 +379,20 @@ def test_equality_and_hash_build_no_edge_records():
     assert "edges" not in c.__dict__
 
 
+def test_equality_of_trees_builds_no_label_tuples():
+    a, b = build_dyadic_tree(1.0, 16), build_dyadic_tree(1.0, 16)
+    assert a == b and hash(a) == hash(b)
+    assert "labels" not in a.__dict__ and "labels" not in b.__dict__
+    assert a != build_dyadic_tree(1.0, 15)
+    # labels held as tuples are still compared label by label
+    labels = ("", "left", "right")
+    c = read_graph(write_graph(_path([0, 1], [1, 2], [1.0, 2.0], labels=labels)))
+    assert c == read_graph(write_graph(_path([0, 1], [1, 2], [1.0, 2.0], labels=labels)))
+    assert c == _path([0, 1], [1, 2], [1.0, 2.0], labels=labels)
+    assert c != _path([0, 1], [1, 2], [1.0, 2.0], labels=("", "left", "Right"))
+    assert c != _path([0, 1], [1, 2], [1.0, 2.0])
+
+
 def test_read_graph_rejects_garbage():
     with pytest.raises(GraphStructureError):
         read_graph("edge 0 1 1.0\n")

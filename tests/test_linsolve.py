@@ -7,12 +7,28 @@ import pytest
 
 from resistnet import linsolve
 from resistnet.boundary import resolvent_delta
-from resistnet.embedding import tree_harmonic_direct
+from resistnet.embedding import dirichlet_monopole, tree_harmonic_direct
 from resistnet.energy import solve_dipole
 from resistnet.graphs import (
     WeightedGraph, build_dyadic_tree, build_half_line, build_sym_line, path_graph, read_graph,
 )
-from resistnet.linsolve import SolverError, solve_reduced
+from resistnet.linsolve import SolverError, point_source, solve_reduced
+
+
+def solve_dicts(graph, shift, rhs, pinned):
+    """solve_reduced on {vertex: value} cases, the three arrays built entry by entry.
+
+    Each entry goes through point_source, rhs first, so every vertex is
+    checked as solve_dipole and resolvent_delta check theirs.
+    """
+    n = graph.n_vertices
+    b, fixed, fixed_values = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n)
+    for v, c in rhs.items():
+        b += point_source(graph, v, c)
+    for v, c in pinned.items():
+        fixed_values += point_source(graph, v, c)
+        fixed[v] = True
+    return solve_reduced(graph, shift, b, fixed, fixed_values)
 
 
 def exact_reduced_solve(graph, shift, rhs, pinned):
@@ -78,7 +94,7 @@ def _tree_leaves(graph, depth):
      {2: 1.0, 3: 1.0}, {}),
 ])
 def test_tree_elimination_matches_exact_reference(graph, shift, rhs, pinned):
-    u, diag = solve_reduced(graph, shift, rhs, pinned)
+    u, diag = solve_dicts(graph, shift, rhs, pinned)
     ref = exact_reduced_solve(graph, shift, rhs, pinned)
     assert diag.method == "tree"
     assert graph.n_vertices - len(pinned) <= 64
@@ -109,7 +125,7 @@ def test_backward_residual_scale_does_not_overflow():
     x = graph.index_of(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u, diag = solve_reduced(graph, 1.0, {x: 1.0}, {})
+        u, diag = solve_dicts(graph, 1.0, {x: 1.0}, {})
     ex, ey, ec = graph.edge_arrays
     n = graph.n_vertices
     flow = ec * (u[ex] - u[ey])
@@ -126,7 +142,7 @@ def test_backward_residual_scale_does_not_overflow():
 def test_cyclic_graph_uses_dense_fallback():
     graph = read_graph("graph 4 4 0\nedge 0 1 1.0\nedge 1 2 2.0\n"
                        "edge 2 3 3.0\nedge 0 3 4.0\n")
-    u, diag = solve_reduced(graph, 1.0, {2: 1.0}, {})
+    u, diag = solve_dicts(graph, 1.0, {2: 1.0}, {})
     assert diag.method == "dense"
     shifted = np.array([[6.0, -1.0, 0.0, -4.0], [-1.0, 4.0, -2.0, 0.0],
                         [0.0, -2.0, 6.0, -3.0], [-4.0, 0.0, -3.0, 8.0]])
@@ -141,25 +157,26 @@ def test_cyclic_graph_uses_dense_fallback():
 ])
 def test_free_component_without_shift_is_singular(graph):
     with pytest.raises(SolverError):
-        solve_reduced(graph, 0.0, {1: 1.0}, {})
+        solve_dicts(graph, 0.0, {1: 1.0}, {})
 
 
 def test_nonpositive_pivot_raises_solver_error():
     graph = path_graph([-1.0])
     with pytest.raises(SolverError):
-        solve_reduced(graph, 1.0, {0: 1.0}, {})
+        solve_dicts(graph, 1.0, {0: 1.0}, {})
 
 
 def test_pinned_source_is_rejected():
     with pytest.raises(ValueError):
-        solve_reduced(path_graph([1.0]), 0.0, {0: 1.0}, {0: 0.0})
+        solve_dicts(path_graph([1.0]), 0.0, {0: 1.0}, {0: 0.0})
 
 
 @pytest.mark.parametrize("rhs, pinned, vertex", [
     ({-1: 1.0}, {3: 0.0}, -1),      # -1 would alias the pinned vertex 3
     ({7: 1.0}, {}, 7),
     ({1: 1.0}, {4: 0.0}, 4),
-    # the first vertex outside 0..3 in (*rhs, *pinned) order is named
+    # point_source checks one vertex at a time, rhs first: the first outside
+    # 0..3 is named
     ({1: 1.0, 9: 1.0, -3: 1.0}, {12: 0.0}, 9),
     ({-3: 1.0, 9: 1.0}, {12: 0.0}, -3),
     ({1: 1.0}, {0: 0.0, 5: 1.0, -1: 2.0}, 5),
@@ -168,8 +185,8 @@ def test_pinned_source_is_rejected():
     ({1: 1.0}, {np.uint8(4): 0.0}, 4),
     ({7.0: 1.0}, {}, 7.0),
     ({float("nan"): 1.0}, {9: 0.0}, "nan"),
-    # keys of mixed types are compared one at a time, so the first vertex
-    # outside the range is named before a later key that is not a number
+    # so a vertex outside the range is named before a later key that is
+    # not a number is compared
     ({9: 1.0, "a": 1.0}, {}, 9),
     ({9: 1.0, None: 1.0}, {}, 9),
     ({1: 1.0}, {9: 0.0, "b": 1.0}, 9),
@@ -178,13 +195,54 @@ def test_pinned_source_is_rejected():
 ])
 def test_vertex_outside_the_graph_is_rejected(rhs, pinned, vertex):
     with pytest.raises(ValueError, match=rf"^vertex {vertex} is not in the graph's range 0\.\.3$"):
-        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+        solve_dicts(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
 
 
 def test_dipole_pole_outside_the_graph_is_rejected():
     # -1 would put the pole at vertex 3
     with pytest.raises(ValueError, match=r"^vertex -1 is not in the graph's range 0\.\.3$"):
         solve_dipole(path_graph([1.0, 2.0, 3.0]), -1)
+
+
+_PUBLIC_SOLVERS = {
+    "dipole": solve_dipole,
+    "resolvent-free": resolvent_delta,
+    "resolvent-dirichlet": lambda graph, x: resolvent_delta(graph, x, boundary="dirichlet"),
+}
+
+
+@pytest.mark.parametrize("solver", list(_PUBLIC_SOLVERS))
+@pytest.mark.parametrize("x, error, message", [
+    (-1, ValueError, "vertex -1 is not in the graph's range 0..3"),     # would alias 3
+    (4, ValueError, "vertex 4 is not in the graph's range 0..3"),
+    (np.int64(7), ValueError, "vertex 7 is not in the graph's range 0..3"),
+    (np.uint8(4), ValueError, "vertex 4 is not in the graph's range 0..3"),
+    (np.uint64(2 ** 63), ValueError, "vertex 9223372036854775808 is not in the graph's "
+                                     "range 0..3"),
+    (7.0, ValueError, "vertex 7.0 is not in the graph's range 0..3"),
+    (float("nan"), ValueError, "vertex nan is not in the graph's range 0..3"),
+    (2 ** 70, ValueError, f"vertex {2 ** 70} is not in the graph's range 0..3"),
+    ("a", TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    (None, TypeError, "'<=' not supported between instances of 'int' and 'NoneType'"),
+    # inside the range, a float or a bool is refused as an index (numpy's
+    # message), never cast
+    (2.0, IndexError, None),
+    (np.float64(2.0), IndexError, None),
+    (True, IndexError, None),
+])
+def test_public_solvers_check_their_vertex(solver, x, error, message):
+    with pytest.raises(error) as raised:
+        _PUBLIC_SOLVERS[solver](build_half_line(2.0, 3), x)
+    assert message is None or str(raised.value) == message
+
+
+@pytest.mark.parametrize("solver", list(_PUBLIC_SOLVERS))
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+def test_public_solvers_take_numpy_integer_vertices_as_python_ints(solver, kind):
+    graph = build_half_line(2.0, 6)
+    u, v = (_PUBLIC_SOLVERS[solver](graph, x) for x in (2, kind(2)))
+    u, v = (getattr(w, "vector", w).values for w in (u, v))
+    assert u.tobytes() == v.tobytes()
 
 
 def _sha256(values):
@@ -200,6 +258,12 @@ def test_tree_solves_are_pinned():
     assert _sha256(harmonic.vector.values) == \
         "57521bf9dae07bb85ffc74885ee553ac1a0101e2256c8163767d21bec08ca4cb"
     assert harmonic.energy_value == 1.0078740157480313
+    # recorded while solve_reduced took its pins as {vertex: value} dicts
+    assert _sha256(dirichlet_monopole(build_dyadic_tree(1.0, 7)).values) == \
+        "07a2c2b053f43c254878100ac968191de9a34628dbb9ebf4e771f9a466fd8aee"
+    assert _sha256(resolvent_delta(build_sym_line(2.0, 20), 25,
+                                   boundary="dirichlet").vector.values) == \
+        "78135fe674e4df59143e328add1230a230595a771290b1074568fda03885c3e7"
 
 
 def _random_tree(n, rng, width=None):
@@ -232,9 +296,9 @@ def test_relabelled_tree_takes_the_search_and_agrees(seed):
     assert linsolve._numbered_forest(relabelled, fixed, False) is None
     pinned = {7: 0.5, 100: -1.0}
     for shift, rhs in ((1.0, {3: 1.0}), (0.0, {3: 1.0, 250: -2.0})):
-        u, diag = solve_reduced(graph, shift, rhs, pinned)
-        w, wdiag = solve_reduced(relabelled, shift, {int(label[v]): c for v, c in rhs.items()},
-                                 {int(label[v]): c for v, c in pinned.items()})
+        u, diag = solve_dicts(graph, shift, rhs, pinned)
+        w, wdiag = solve_dicts(relabelled, shift, {int(label[v]): c for v, c in rhs.items()},
+                               {int(label[v]): c for v, c in pinned.items()})
         assert diag.method == wdiag.method == "tree"
         np.testing.assert_allclose(w[label], u, rtol=1e-12, atol=1e-300)
 
@@ -245,7 +309,7 @@ def test_cyclic_graph_with_a_tree_edge_count_goes_dense():
     # finds the cycle
     graph = read_graph("graph 4 3 0\nedge 0 1 1.0\nedge 1 2 2.0\nedge 0 2 4.0\n")
     assert linsolve._numbered_forest(graph, np.zeros(4, dtype=bool), False) is None
-    u, diag = solve_reduced(graph, 1.0, {2: 1.0}, {})
+    u, diag = solve_dicts(graph, 1.0, {2: 1.0}, {})
     assert diag.method == "dense"
     shifted = np.array([[6.0, -1.0, -4.0, 0.0], [-1.0, 4.0, -2.0, 0.0],
                         [-4.0, -2.0, 7.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -263,7 +327,7 @@ def test_singular_component_message_names_its_smallest_vertex(graph, pinned, roo
     # a shift that is not > 0 (zero, negative or NaN) anchors no component
     for shift in (0.0, -1.0, float("nan")):
         with pytest.raises(SolverError) as error:
-            solve_reduced(graph, shift, {1: 1.0}, pinned)
+            solve_dicts(graph, shift, {1: 1.0}, pinned)
         assert str(error.value) == (f"the component of vertex {root} has no pinned vertex "
                                     f"and shift {shift!r} is not > 0: the system is singular")
 
@@ -284,7 +348,7 @@ def test_bad_pivot_is_named_in_elimination_order():
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(linsolve, "LEVEL_MIN_VERTICES", k)
                 with pytest.raises(SolverError) as error:
-                    solve_reduced(graph, 1.0, {0: 1.0}, {})
+                    solve_dicts(graph, 1.0, {0: 1.0}, {})
             assert str(error.value) == f"elimination reached pivot -4.0 at vertex {vertex}"
 
 
@@ -325,7 +389,7 @@ def test_scalar_and_level_kernels_give_the_same_bits(name, graph, shift, rhs, pi
     for k in (0, 10 ** 9):
         monkeypatch.setattr(linsolve, "LEVEL_MIN_VERTICES", k)
         levels_ran.clear()
-        u, diag = solve_reduced(graph, shift, rhs, pinned)
+        u, diag = solve_dicts(graph, shift, rhs, pinned)
         assert diag.method == "tree"
         assert levels_ran == ([1] if k == 0 else [])
         results.append(u)
@@ -367,9 +431,9 @@ def _back_substitution_cases():
 def test_back_substitution_on_floats_gives_the_array_bits(name, graph, shift, rhs, pinned,
                                                           monkeypatch):
     monkeypatch.setattr(linsolve, "LEVEL_MIN_VERTICES", 10 ** 9)     # the scalar loop
-    u, diag = solve_reduced(graph, shift, rhs, pinned)
+    u, diag = solve_dicts(graph, shift, rhs, pinned)
     monkeypatch.setattr(linsolve, "_eliminate", _eliminate_into_an_array)
-    w, wdiag = solve_reduced(graph, shift, rhs, pinned)
+    w, wdiag = solve_dicts(graph, shift, rhs, pinned)
     assert diag.method == wdiag.method == "tree"
     assert u.dtype == w.dtype == np.float64
     assert u.tobytes() == w.tobytes()
@@ -379,10 +443,10 @@ def test_back_substitution_on_floats_gives_the_array_bits(name, graph, shift, rh
 def test_numpy_integer_vertices_solve_as_python_ints():
     graph = build_dyadic_tree(1.0, 5)
     rhs, pinned = {9: 1.0, 40: -2.0}, {0: 0.5, 3: 1.0, 62: -1.0}
-    u, diag = solve_reduced(graph, 0.0, rhs, pinned)
+    u, diag = solve_dicts(graph, 0.0, rhs, pinned)
     for kind in (np.int64, np.int32, np.uint16):
-        w, wdiag = solve_reduced(graph, 0.0, {kind(v): c for v, c in rhs.items()},
-                                 {kind(v): c for v, c in pinned.items()})
+        w, wdiag = solve_dicts(graph, 0.0, {kind(v): c for v, c in rhs.items()},
+                               {kind(v): c for v, c in pinned.items()})
         assert w.tobytes() == u.tobytes()
         assert wdiag == diag
 
@@ -392,12 +456,11 @@ def test_numpy_integer_vertices_solve_as_python_ints():
     ({2.0: 1.0}, {0: 0.0}),
     ({2.0: 1.0}, {}),
     ({1: 1.0}, {0: 0.0, 3.5: 1.0}),
-    ({1: 1.0, np.uint64(2): 1.0}, {}),    # an int and a uint64 make a float array
 ])
 def test_float_vertex_is_not_cast_to_an_index(rhs, pinned):
     # a float key is rejected, as a numpy index of floats is, never rounded
     with pytest.raises(IndexError):
-        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+        solve_dicts(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
 
 
 @pytest.mark.parametrize("rhs, pinned", [
@@ -412,23 +475,66 @@ def test_float_vertex_is_not_cast_to_an_index(rhs, pinned):
 ])
 def test_vertex_or_value_that_is_not_a_number_is_rejected(rhs, pinned):
     with pytest.raises(TypeError):
-        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+        solve_dicts(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
 
 
 @pytest.mark.parametrize("rhs, pinned", [
     ({0: 1.0, 2: 1.0}, {1: 0.0, 2: 0.0}),
     ({np.int64(2): 1.0}, {2: 0.0}),
     ({2: 1.0}, {np.int32(2): 0.0}),
-    ({2: 1.0}, {2.0: 0.0}),         # 2.0 == 2, as a dict key
 ])
 def test_pinned_source_among_several_is_rejected(rhs, pinned):
     with pytest.raises(ValueError, match=r"^a source vertex is pinned$"):
-        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
+        solve_dicts(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, pinned)
 
 
 def test_pinned_values_are_written_as_floats():
     graph = path_graph([1.0, 2.0, 3.0])
-    u, _ = solve_reduced(graph, 0.0, {1: 1}, {0: 0, 3: np.float32(0.5)})
-    v, _ = solve_reduced(graph, 0.0, {1: 1.0}, {0: 0.0, 3: float(np.float32(0.5))})
+    fixed = np.array([True, False, False, True])
+    # fixed_values is read only where fixed is set
+    u, _ = solve_reduced(graph, 0.0, np.array([0, 1, 0, 0]), fixed,
+                         np.array([0, 7, 7, 0.5], dtype=np.float32))
+    v, _ = solve_reduced(graph, 0.0, np.array([0.0, 1.0, 0.0, 0.0]), fixed,
+                         np.array([0.0, 0.0, 0.0, float(np.float32(0.5))]))
     assert u.dtype == np.float64 and u.tobytes() == v.tobytes()
     assert u[3] == 0.5 and u[0] == 0.0
+
+
+@pytest.mark.parametrize("rhs, fixed, fixed_values", [
+    (np.zeros(3), np.zeros(4, dtype=bool), np.zeros(4)),
+    (np.zeros(4), np.zeros(5, dtype=bool), np.zeros(4)),
+    (np.zeros(4), np.zeros(4, dtype=bool), np.zeros(40)),
+    (np.zeros((4, 1)), np.zeros(4, dtype=bool), np.zeros(4)),
+    (np.zeros(4), np.zeros((1, 4), dtype=bool), np.zeros(4)),
+    (np.zeros(4), np.zeros(4, dtype=bool), 0.0),
+])
+def test_arrays_of_the_wrong_length_are_rejected(rhs, fixed, fixed_values):
+    with pytest.raises(ValueError, match=r"^rhs, fixed and fixed_values must be arrays of "
+                                         r"length 4$"):
+        solve_reduced(path_graph([1.0, 2.0, 3.0]), 1.0, rhs, fixed, fixed_values)
+
+
+@pytest.mark.parametrize("fixed", [
+    np.array([1, 0, 0, 0]),             # as an index array it would pin vertices 1 and 0
+    np.array([0, 0, 0, 3]),
+    np.array([1.0, 0.0, 0.0, 0.0]),
+])
+def test_mask_that_is_not_bool_is_rejected(fixed):
+    with pytest.raises(TypeError, match=r"^fixed must be a bool mask"):
+        solve_reduced(path_graph([1.0, 2.0, 3.0]), 0.0, np.array([0.0, 1.0, 0.0, 0.0]),
+                      fixed, np.zeros(4))
+
+
+@pytest.mark.parametrize("source", [1.0, -2.0, 5e-324, float("nan"), float("inf")])
+def test_nonzero_source_on_a_pinned_vertex_is_rejected(source):
+    graph = path_graph([1.0, 2.0, 3.0])
+    rhs = np.array([0.0, 1.0, source, 0.0])
+    fixed = np.array([True, False, True, False])
+    with pytest.raises(ValueError, match=r"^a source vertex is pinned$"):
+        solve_reduced(graph, 1.0, rhs, fixed, np.zeros(4))
+    # a zero of either sign on a pinned vertex is no source
+    expected = solve_dicts(graph, 1.0, {1: 1.0}, {0: 0.0, 2: 0.0})[0]
+    for zero in (0.0, -0.0):
+        rhs[2] = zero
+        assert solve_reduced(graph, 1.0, rhs, fixed, np.zeros(4))[0].tobytes() == \
+            expected.tobytes()
