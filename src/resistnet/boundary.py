@@ -184,19 +184,19 @@ def _harmonic_zline(graph, t):
 class DeficiencySolution:
     """Exact solution of Lap u = -u on a truncated line model.
 
-    The exact values are the scaled integers of the pair recursion at
-    xi = a/b: `scaled[n] = (P_n, Q_n, R_n, D_n)` with
+    The exact values are the scaled integers (P_n, Q_n, R_n, D_n) of the
+    pair recursion at xi = a/b, with
 
         u(n) = Q_n / D_n,   du(n) = u(n) - u(n-1) = R_n / D_n,   D_n = d b^T(n),
 
     T(n) = n(n+1)/2 and d the denominator of the seed. On the half line
     (d = 1) Q_n and R_n are coprime to b for n >= 1, so these quotients are
-    already in lowest terms. `u_exact` and `du_exact` are the same values
-    as Fractions, built on first read; `u_float`, `du_float` and the floated
-    copy in `vector` are int / int quotients, correctly rounded exactly as
-    Fraction.__float__ rounds. The defining relations are checked as
-    integer identities (exact zero) and in floats (backward-style relative
-    residual).
+    already in lowest terms. No field holds the rows: `u_exact` and
+    `du_exact` rerun the recursion from xi and the side's share on first
+    read. `u_float`, `du_float` and the floated copy in `vector` are int /
+    int quotients, correctly rounded exactly as Fraction.__float__ rounds.
+    The defining relations are checked as integer identities (exact zero)
+    and in floats (backward-style relative residual).
     """
 
     family: str
@@ -205,7 +205,6 @@ class DeficiencySolution:
     N: int
     graph: WeightedGraph
     vector: EnergyVector
-    scaled: list                    # (P_n, Q_n, R_n, D_n) for n = 0..N
     seed_relation_ok: bool
     flux_recursion_ok: bool
     interior_residual_exact_zero: bool
@@ -225,49 +224,29 @@ class DeficiencySolution:
 
     @cached_property
     def u_exact(self):
-        """u(0..N) by coordinate, Fractions."""
-        return _q_values(self.scaled)
+        """u(0..N) by coordinate, Fractions; each side's share is N / (vertices - 1)."""
+        return _q_values(_side_rows(self.xi, self.N, Fraction(self.N, self.graph.n_vertices - 1)))
 
     @cached_property
     def du_exact(self):
         """u(x) - u(x-1) for x = 1..N, Fractions."""
-        return tuple(Fraction(R, D) for _P, _Q, R, D in self.scaled[1:])
+        rows = _side_rows(self.xi, self.N, Fraction(self.N, self.graph.n_vertices - 1))
+        return tuple(Fraction(R, D) for _P, _Q, R, D in islice(rows, 1, None))
 
     def to_dict(self):
         """The scalar fields and partials, xi as "a/b", and u(0..7) as u_head."""
         curves = ("energy_cumulative", "l2_cumulative", "u_float", "du_float")
-        return {**record_dict(self, ("graph", "vector", "scaled") + curves),
+        return {**record_dict(self, ("graph", "vector") + curves),
                 "xi": str(self.xi), "u_head": list(self.u_float[:8])}
 
 
-def _side(ratio, N, lam):
-    """xi = 1/ratio exactly and the scaled pair rows for n = 0..N of one side.
-
-    The seed (p_0, q_0) = (lam - 1, 1) gives (p_1, q_1) = (lam, 1 + lam xi):
-    the side takes the share lam of the vertex-0 row (1 on the half line,
-    1/2 per side on the symmetric line). With lam = n/d the seed check is
-    d R_1 == n a Q_0 and d Q_1 == (d b + n a) Q_0, and the vertex-0 row
-    (1/lam) mu(1) (u(0) - u(1)) + u(0) = 0 times n a D_1 / b is
-    d (b Q_0 - Q_1) + n a Q_0 == 0. Returns (xi, rows, seed_ok, zero_row_ok).
-    """
-    xi = 1 / Fraction(float(ratio))
-    rows = list(islice(_scaled_pairs(xi, (lam - 1, 1)), N + 1))
-    a, b = xi.numerator, xi.denominator
-    n, d = lam.numerator, lam.denominator
-    (_, Q0, _, _), (_, Q1, R1, _) = rows[:2]
-    seed_ok = d * R1 == n * a * Q0 and d * Q1 == (d * b + n * a) * Q0
-    zero_row_ok = d * (b * Q0 - Q1) + n * a * Q0 == 0
-    return xi, rows, seed_ok, zero_row_ok
+def _side_rows(xi, N, lam):
+    """The scaled pair rows (P_n, Q_n, R_n, D_n), n = 0..N, of a side with share lam."""
+    return islice(_scaled_pairs(xi, (lam - 1, 1)), N + 1)
 
 
 def _q_values(rows):
     return tuple(Fraction(Q, D) for _P, Q, _R, D in rows)
-
-
-def _energy_terms(rows):
-    """Floats of xi^n p_n^2 = R_n P_n / (D_n D_(n-1)) for n = 1..N."""
-    return np.array([_float_quotient(R, P, D, D_prev)
-                     for (_, _, _, D_prev), (P, _, R, D) in zip(rows, rows[1:])])
 
 
 def _energy_cumulative(terms, sides=1):
@@ -275,41 +254,59 @@ def _energy_cumulative(terms, sides=1):
     return np.concatenate([[0.0], np.cumsum(sides * terms)])
 
 
-def _exact_rows_zero(Q, a, b):
-    """Flux recursion and interior rows of Lap u = -u as integer identities.
+def _side(xi, N, lam):
+    """Check and float the rows n = 0..N of one side, share lam, in one pass.
 
-    With u(x) = Q_x / D_x, D_x = d b^T(x) and mu(x) = (b/a)^x, multiplying
-    the flux recursion mu(x+1) du(x+1) = mu(x) du(x) + u(x) by
-    a^(x+1) D_(x+1) / b^(x+1) clears every denominator:
+    The seed (p_0, q_0) = (lam - 1, 1) gives (p_1, q_1) = (lam, 1 + lam xi):
+    the side takes the share lam of the vertex-0 row (1 on the half line,
+    1/2 per side on the symmetric line). With xi = a/b and lam = n/d the
+    seed check is d R_1 == n a Q_0 and d Q_1 == (d b + n a) Q_0, and the
+    vertex-0 row (1/lam) mu(1) (u(0) - u(1)) + u(0) = 0 times n a D_1 / b
+    is d (b Q_0 - Q_1) + n a Q_0 == 0.
+
+    With mu(x) = (b/a)^x, the flux recursion mu(x+1) du(x+1) = mu(x) du(x)
+    + u(x) times a^(x+1) D_(x+1) / b^(x+1) is the integer identity
 
         outflow_x = inflow_x + source_x,   with
         outflow_x = Q_(x+1) - b^(x+1) Q_x           (mu(x+1) du(x+1)),
         inflow_x  = a b^x outflow_(x-1)             (mu(x) du(x)),
         source_x  = a^(x+1) Q_x                     (u(x)),
 
-    so each step forms one product b^(x+1) Q_x and reuses its outflow as
-    the next inflow. The interior row mu(x) du(x) + mu(x+1) (u(x) - u(x+1))
-    + u(x) = 0, scaled the same way, is inflow - outflow + source = 0: the
-    same identity rearranged, so one comparison decides both, for
-    x = 1 .. N-1. The vertex-0 row depends on the seed and is checked by
-    _side. The powers of two in a = a_odd 2^sa and b = b_odd 2^sb are
-    applied as shifts, so only the odd parts are multiplied: a is a power
-    of two for every float M, and when b is one too (M = 2) the check
-    costs O(N^3) word operations, as the kernel does, not O(N^4).
-    Returns (flux_ok, interior_ok), which are equal.
+    and the interior row mu(x) du(x) + mu(x+1) (u(x) - u(x+1)) + u(x) = 0,
+    scaled the same way, is that identity rearranged, so one comparison
+    decides both for x = 1 .. N-1. Each step forms b^(x+1) Q_x itself, not
+    from the recursion's own product, with the powers of two in a and b as
+    shifts. Each row is floated and checked as it comes, then dropped.
+
+    Returns (head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, terms): rows
+    0 and 1, the three checks, du(n) > 0 for n >= 1, and the floats of u, du
+    and the energy terms xi^n p_n^2 = R_n P_n / (D_n D_(n-1)), an array.
     """
-    a_odd, sa = _split_two(a)
-    b_odd, sb = _split_two(b)
-    a_x, b_x = a_odd, b_odd         # odd parts of a^x and b^x
-    outflow = Q[1] - _times(Q[0], b_x, sb)
-    for x in range(1, len(Q) - 1):
-        inflow = _times(outflow, a_odd * b_x, sa + sb * x)
-        a_x *= a_odd
-        b_x *= b_odd
-        outflow = Q[x + 1] - _times(Q[x], b_x, sb * (x + 1))
-        if outflow != inflow + _times(Q[x], a_x, sa * (x + 1)):
-            return False, False
-    return True, True
+    a, b = xi.numerator, xi.denominator
+    (a_odd, sa), (b_odd, sb) = _split_two(a), _split_two(b)
+    a_x = b_x = 1                   # odd parts of a^(x-1) and b^(x-1)
+    head, u, du, terms = [], [], [], []
+    rows_ok = monotone = True
+    for x, (P, Q, R, D) in enumerate(_side_rows(xi, N, lam)):
+        u.append(_float_quotient(Q, 1, D, 1))
+        if x < 2:
+            head.append((P, Q, R, D))
+        if x:
+            du.append(_float_quotient(R, 1, D, 1))
+            terms.append(_float_quotient(R, P, D, D_prev))
+            monotone = monotone and R > 0
+            # the identity at x - 1, from outflow_(x-2) and rows x - 1 and x
+            inflow = _times(outflow, a_odd * b_x, sa + sb * (x - 1)) if x > 1 else 0
+            a_x *= a_odd
+            b_x *= b_odd
+            outflow = Q - _times(Q_prev, b_x, sb * x)
+            rows_ok = rows_ok and (x == 1 or outflow == inflow + _times(Q_prev, a_x, sa * x))
+        Q_prev, D_prev = Q, D
+    (_, Q0, _, _), (_, Q1, R1, _) = head
+    n, d = lam.numerator, lam.denominator
+    seed_ok = d * R1 == n * a * Q0 and d * Q1 == (d * b + n * a) * Q0
+    zero_row_ok = d * (b * Q0 - Q1) + n * a * Q0 == 0
+    return head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, np.array(terms)
 
 
 def _l2_flag_for(u_floats, depths):
@@ -326,12 +323,8 @@ def _deficiency_solution(graph):
     """Defect candidate u(x) = u(|x|) on a line graph, each side with share 1/sides."""
     M, N = graph.truncation.params["M"], graph.truncation.depth
     sides = (graph.n_vertices - 1) // N
-    xi, rows, seed_ok, zero_row_ok = _side(M, N, Fraction(1, sides))
-    a, b = xi.numerator, xi.denominator
-    _, Q, R, D = zip(*rows)
-    flux_ok, interior_ok = _exact_rows_zero(Q, a, b)
-    u = [_float_quotient(q, 1, d, 1) for q, d in zip(Q, D)]
-    du = [_float_quotient(r, 1, d, 1) for r, d in zip(R[1:], D[1:])]
+    xi = 1 / Fraction(float(M))
+    _, seed_ok, zero_row_ok, rows_ok, monotone, u, du, terms = _side(xi, N, Fraction(1, sides))
     half = np.array(u)
     # coordinate x is stored at index x + origin_offset
     values = half[np.abs(np.arange(graph.n_vertices) - graph.truncation.origin_offset)]
@@ -339,17 +332,15 @@ def _deficiency_solution(graph):
     float_rel = _backward_residual(graph, values, values)
 
     depths = _dyadic_depths(N)
-    terms = _energy_terms(rows)
     cumulative = _energy_cumulative(terms, sides)
     energy_flag, energy_marks = tail_flag(cumulative, depths)
     l2_flag, l2_marks = _l2_flag_for(half, depths)
 
-    monotone = all(r > 0 for r in R[1:])
     a_obs = float(np.max(terms))
     bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
     return DeficiencySolution(
-        graph.truncation.family, M, xi, N, graph, vector, rows,
-        seed_ok, flux_ok, zero_row_ok and interior_ok, float_rel, monotone,
+        graph.truncation.family, M, xi, N, graph, vector,
+        seed_ok, rows_ok, zero_row_ok and rows_ok, float_rel, monotone,
         tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
         bound, u[-1] <= bound + 1e-12,
         "FINITE" if energy_flag == CONVERGENT else
@@ -394,9 +385,9 @@ class ABDeficiencyReport:
     combined normalization evaluates to 2, not 1, so the literal candidate
     cannot satisfy the vertex-0 row. Both the literal candidate and a
     repaired candidate with per-side scale factors summing to 1 are
-    reported; nothing is silently fixed. The per-side values are carried as
-    scaled pair rows (see DeficiencySolution) and built as Fractions on
-    first read.
+    reported; nothing is silently fixed. No field holds the per-side rows
+    (see DeficiencySolution): the four value tuples rerun each side's
+    recursion from alpha or beta and its share on first read.
     """
 
     A: float
@@ -416,12 +407,13 @@ class ABDeficiencyReport:
     repaired_vertex0_residual: Fraction
     literal_energy_partials: tuple
     repaired_energy_partials: tuple
-    scaled: tuple                     # rows: literal +, literal -, repaired +, repaired -
 
-    literal_values_pos = cached_property(lambda self: _q_values(self.scaled[0]))
-    literal_values_neg = cached_property(lambda self: _q_values(self.scaled[1]))
-    repaired_values_pos = cached_property(lambda self: _q_values(self.scaled[2]))
-    repaired_values_neg = cached_property(lambda self: _q_values(self.scaled[3]))
+    literal_values_pos = cached_property(lambda self: _q_values(_side_rows(self.alpha, self.N, 1)))
+    literal_values_neg = cached_property(lambda self: _q_values(_side_rows(self.beta, self.N, 1)))
+    repaired_values_pos = cached_property(lambda self: _q_values(
+        _side_rows(self.alpha, self.N, self.repaired_lambda_plus)))
+    repaired_values_neg = cached_property(lambda self: _q_values(
+        _side_rows(self.beta, self.N, self.repaired_lambda_minus)))
 
     def to_dict(self):
         return {
@@ -446,8 +438,8 @@ class ABDeficiencyReport:
         }
 
 
-def _two_sided_energy_partials(pos_rows, neg_rows, depths):
-    pos, neg = (_energy_cumulative(_energy_terms(rows)) for rows in (pos_rows, neg_rows))
+def _two_sided_energy_partials(pos_terms, neg_terms, depths):
+    pos, neg = (_energy_cumulative(terms) for terms in (pos_terms, neg_terms))
     return tuple((d, float(pos[d]) + float(neg[d])) for d in depths)
 
 
@@ -455,12 +447,13 @@ def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
     """Analyze the defect system on the line with ratios A right, B left."""
     if not (A > 1 and B > 1):
         raise ValueError("A and B must both be > 1")
+    alpha, beta = 1 / Fraction(float(A)), 1 / Fraction(float(B))
     # the literal candidate runs each side with the whole vertex-0 row
-    alpha, pos, _, _ = _side(A, N, Fraction(1))
-    beta, neg, _, _ = _side(B, N, Fraction(1))
+    pos, *_, pos_terms = _side(alpha, N, Fraction(1))
+    neg, *_, neg_terms = _side(beta, N, Fraction(1))
     a_f, b_f = 1 / alpha, 1 / beta
 
-    (u0, u1), (_, um1) = _q_values(pos[:2]), _q_values(neg[:2])
+    (u0, u1), (_, um1) = _q_values(pos), _q_values(neg)
     literal_res = (a_f + b_f + 1) * u0 - a_f * u1 - b_f * um1
     # p_1 = P_1 / D_0 at each ratio; identically 1 + 1
     norm_sum = Fraction(pos[1][0], pos[0][3]) + Fraction(neg[1][0], neg[0][3])
@@ -469,9 +462,9 @@ def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
     # the repaired candidate gives the sides shares summing to 1
     lam_p = Fraction(1, 2)
     lam_m = 1 - lam_p
-    _, rep_pos, _, _ = _side(A, N, lam_p)
-    _, rep_neg, _, _ = _side(B, N, lam_m)
-    (_, rep_u1), (_, rep_um1) = _q_values(rep_pos[:2]), _q_values(rep_neg[:2])
+    rep_pos, *_, rep_pos_terms = _side(alpha, N, lam_p)
+    rep_neg, *_, rep_neg_terms = _side(beta, N, lam_m)
+    (_, rep_u1), (_, rep_um1) = _q_values(rep_pos), _q_values(rep_neg)
     rep_res = (a_f + b_f + 1) * u0 - a_f * rep_u1 - b_f * rep_um1
 
     depths = _dyadic_depths(N)
@@ -479,9 +472,8 @@ def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
         float(A), float(B), N, alpha, beta,
         u1, um1, literal_res, norm_sum, norm_flag,
         lam_p, lam_m, rep_u1, rep_um1, rep_res,
-        _two_sided_energy_partials(pos, neg, depths),
-        _two_sided_energy_partials(rep_pos, rep_neg, depths),
-        (pos, neg, rep_pos, rep_neg))
+        _two_sided_energy_partials(pos_terms, neg_terms, depths),
+        _two_sided_energy_partials(rep_pos_terms, rep_neg_terms, depths))
 
 
 # -- resolvent ----------------------------------------------------------------

@@ -267,6 +267,10 @@ def _walk_csv(check):
 
 
 def run_walk(config):
+    if not 0 < config["sigma_band"] < float("inf"):
+        raise UsageError(f"--sigma-band must be finite and > 0, not {config['sigma_band']}")
+    if config["min_exits"] < 0:
+        raise UsageError(f"--min-exits must be >= 0, not {config['min_exits']}")
     graph = _model_graph(config)
     kernel = walk.kernel_from_graph(graph)
     start = graph.index_of(config["start"])
@@ -346,6 +350,8 @@ def run_energy(config):
 # -- resolvent ---------------------------------------------------------------------
 
 def run_resolvent(config):
+    if not 0 < config["tol"] < float("inf"):
+        raise UsageError(f"--tol must be finite and > 0, not {config['tol']}")
     if config.get("graph"):
         graph = _read_file(config["graph"], graphs.read_graph)
         x = config["x"]

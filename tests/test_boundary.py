@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -9,7 +10,7 @@ import pytest
 
 from resistnet import boundary, cli
 from resistnet.boundary import (
-    _exact_rows_zero, _side, build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
+    _side, build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
     build_harmonic_zplus, classify_model, resolvent_delta,
     solve_ab_deficiency, space_decomposition_check, tail_flag,
 )
@@ -149,11 +150,14 @@ def test_sym_line_deficiency_matrix_product_oracle():
 @pytest.mark.parametrize("ratio", [2, 1.5, 3])
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 2)])
 def test_side_kernel_checks_hold_for_any_share(ratio, lam):
-    xi, rows, seed_ok, zero_row_ok = _side(ratio, 10, lam)
-    assert seed_ok and zero_row_ok
-    u0, u1 = (Fraction(Q, D) for _P, Q, _R, D in rows[:2])
+    xi = 1 / Fraction(ratio)
+    head, seed_ok, zero_row_ok, rows_ok, *_ = _side(xi, 10, lam)
+    assert seed_ok and zero_row_ok and rows_ok
+    u0, u1 = (Fraction(Q, D) for _P, Q, _R, D in head)
     assert u1 == (1 + lam * xi) * u0
     assert (1 / lam) * (1 / xi) * (u0 - u1) + u0 == 0
+    # the kept head rows are rows 0 and 1 of the recursion
+    assert head == list(islice(_scaled_pairs(xi, (lam - 1, 1)), 2))
 
 
 ROW_CHECK_XIS = [Fraction(1, 2), Fraction(2, 3), 1 / Fraction(1.1), Fraction(5, 12)]
@@ -161,27 +165,41 @@ ROW_CHECK_XIS = [Fraction(1, 2), Fraction(2, 3), 1 / Fraction(1.1), Fraction(5, 
 
 @pytest.mark.parametrize("xi", ROW_CHECK_XIS)
 @pytest.mark.parametrize("seed", [(0, 1), (Fraction(-1, 2), 1)])
-def test_exact_rows_zero_agrees_with_the_rational_rows(xi, seed):
-    # the interior rows of Lap u = -u with mu(x) = xi^-x, on Fractions, hold
-    # for the kernel's rows and fail once any one Q_x is off by one
+def test_side_row_checks_agree_with_the_rational_rows(xi, seed, monkeypatch):
+    # the rows of Lap u = -u with mu(x) = xi^-x, on Fractions, hold for the
+    # recursion's rows and fail once any one Q_x is off by one; the side
+    # kernel, fed those rows, agrees each time: the interior rows fail for
+    # every x, the seed and vertex-0 checks for x = 0 and 1 only
     N = 30
+    lam = seed[0] + 1
     rows = list(islice(_scaled_pairs(xi, seed), N + 1))
     Q = [Q for _P, Q, _R, _D in rows]
-    a, b = xi.numerator, xi.denominator
 
     def rational_rows_hold(Q):
         u = [Fraction(q, D) for q, (_P, _Q, _R, D) in zip(Q, rows)]
         return all((u[x] - u[x - 1]) / xi ** x + (u[x] - u[x + 1]) / xi ** (x + 1) + u[x] == 0
                    for x in range(1, N))
 
-    assert rational_rows_hold(Q)
-    assert _exact_rows_zero(Q, a, b) == (True, True)
-    for x in (0, N // 2, N):
+    def rational_zero_row_holds(Q):
+        u0, u1 = Fraction(Q[0], rows[0][3]), Fraction(Q[1], rows[1][3])
+        return (u0 - u1) / (lam * xi) + u0 == 0
+
+    def kernel_checks(Q):
+        # rows beyond N + 1 would raise: the kernel reads exactly rows 0..N
+        fed = [(P, q, R, D) for q, (P, _Q, R, D) in zip(Q, rows)]
+        monkeypatch.setattr(boundary, "_scaled_pairs", lambda xi_, seed_: iter(fed + [None]))
+        _head, seed_ok, zero_row_ok, rows_ok, *_ = _side(xi, N, lam)
+        return seed_ok, zero_row_ok, rows_ok
+
+    assert rational_rows_hold(Q) and rational_zero_row_holds(Q)
+    assert kernel_checks(Q) == (True, True, True)
+    for x in (0, 1, N // 2, N):
         for delta in (1, -1):
             bad = list(Q)
             bad[x] += delta
             assert not rational_rows_hold(bad)
-            assert _exact_rows_zero(bad, a, b) == (False, False), (x, delta)
+            assert rational_zero_row_holds(bad) == (x > 1)
+            assert kernel_checks(bad) == (x > 1, x > 1, False), (x, delta)
 
 
 # -- two-ratio model -------------------------------------------------------------
@@ -279,6 +297,52 @@ def _transfer(f, k_max, tol):
 @pytest.mark.parametrize("build,digest", PINNED_REPORTS)
 def test_defect_reports_are_pinned(build, digest):
     assert _digest(build().to_dict()) == digest
+
+
+def _exact_curves(sol):
+    """Every float curve of a DeficiencySolution and its exact views as "a/b" strings."""
+    return {"u_float": sol.u_float, "du_float": sol.du_float,
+            "energy_cumulative": sol.energy_cumulative,
+            "u_exact": [str(v) for v in sol.u_exact],
+            "du_exact": [str(v) for v in sol.du_exact]}
+
+
+AB_VALUES = ("literal_values_pos", "literal_values_neg",
+             "repaired_values_pos", "repaired_values_neg")
+
+
+def _ab_values(rep):
+    """An ABDeficiencyReport's to_dict() and its four value tuples as "a/b" strings."""
+    return {**rep.to_dict(), **{name: [str(v) for v in getattr(rep, name)] for name in AB_VALUES}}
+
+
+# sha256 of json.dumps(data, sort_keys=True), recorded from the solutions that
+# kept every scaled row; xi = 2/3 and xi = 1/3 both have an odd denominator b
+PINNED_EXACT = [
+    (lambda: _exact_curves(build_deficiency_zplus(1.5, 120)),
+     "7d9c5b93b36d45afbf65f80b2e31367bd8b110580165b91a6b033273d031829b"),
+    (lambda: _exact_curves(build_deficiency_zline(3, 80)),
+     "1da29bf90da868ae6edb5ee0551b734b28447159ce5dd9f52797ccfcb2a61645"),
+    (lambda: _ab_values(solve_ab_deficiency(1.5, 3, 40)),
+     "91f01f2ec3ba9796005d5b6b89f197cfdd464ed89ac5df64dda3a9408cd02960"),
+]
+
+
+@pytest.mark.parametrize("build,digest", PINNED_EXACT)
+def test_exact_views_and_float_curves_are_pinned(build, digest):
+    assert _digest(build()) == digest
+
+
+def test_classify_keeps_no_scaled_rows():
+    # the scaled rows of the half line at M = 2, N = 600 hold about 15 MB of
+    # ints; the side kernel keeps two at a time, so the whole call stays far below
+    tracemalloc.start()
+    try:
+        classify_model(build_half_line(2, 600))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # the line families classify_model accepts, and their builders and CLI names

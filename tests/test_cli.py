@@ -321,6 +321,14 @@ def test_exit_codes_stable_contract(capsys):
      "--c-const", "1e308"],
     ["resolvent", "--model", "tree", "--N", "3", "--x", "1", "--c-const", "7e307"],
     ["resolvent", "--model", "tree", "--N", "3", "--x", "1", "--c-const", "nan"],
+    # a residual gate that is not finite and > 0 checks nothing, or fails every solve
+    *(["resolvent", "--model", "half-line", "--M", "2", "--N", "10", "--x", "3", "--tol", tol]
+      for tol in ("nan", "-1", "inf", "0")),
+    # so does a z-score band that is not finite and > 0; no count of exits is negative
+    *(["walk", "--model", "half-line", "--M", "2", "--N", "10", "--start", "2", "--trials", "10",
+       *option] for option in (("--sigma-band", "nan"), ("--sigma-band", "-1"),
+                               ("--sigma-band", "inf"), ("--sigma-band", "0"),
+                               ("--min-exits", "-1"))),
 ])
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
