@@ -43,7 +43,7 @@ print("bounded energy across depths:",
 print()
 print("=== a nonconstant harmonic vector on the tree, directly ===")
 for depth in (4, 6, 8):
-    res = rn.tree_harmonic_direct(1.0, depth)
+    res = rn.tree_harmonic_direct(rn.build_dyadic_tree(1.0, depth))
     print(f"depth {depth}: root value {res.root_value}, "
           f"interior residual {res.interior_residual:.2e}, "
           f"energy {res.energy_value:.6f}")

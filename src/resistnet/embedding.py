@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy
-from .graphs import WeightedGraph, build_dyadic_tree, build_half_line, record_dict
+from .graphs import DYADIC_TREE, WeightedGraph, build_dyadic_tree, build_half_line, record_dict
 from .linsolve import point_source, solve_reduced
 
 
@@ -145,8 +145,10 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
     of that row gives) and Laplacian (a bincount that adds each row's
     terms in edge order) add in the order of energy and apply_laplacian,
     so the certificate is byte-identical to checking one vector at a
-    time. The worst residuals are folded in Python over the block's row
-    lists: max(worst, nan) keeps worst, where np.max would give nan.
+    time. The worst residuals are folded over each block with
+    np.fmax.reduce, from the worst so far: fmax skips a nan row, as
+    max(worst, nan) does in a one-at-a-time fold, where np.max would give
+    nan.
     """
     if test_vectors < 1:
         raise ValueError(f"need at least one test vector (got {test_vectors})")
@@ -159,7 +161,7 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
     px, py = phi[sx], phi[sy]
     interior = np.flatnonzero(source.interior_mask)
     phi_in, psi_in = phi[interior], gmap.psi[interior]
-    block = _block_rows(gmap)
+    block = min(_block_rows(gmap), test_vectors)
     target_ends, source_ends = _block_ends(target, block), _block_ends(source, block)
     rng = np.random.default_rng(seed)
     worst_iso = 0.0
@@ -175,11 +177,11 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
         lhs = np.take(lap_h, phi_in, axis=1)
         rhs = psi_in * np.take(lap_g, interior, axis=1)
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        intertwine = np.max(np.abs(lhs - rhs) / scale, axis=1).tolist()
-        rows = zip(e_target.sum(axis=1).tolist(), e_source.sum(axis=1).tolist(), intertwine)
-        for et, es, resid in rows:
-            worst_iso = max(worst_iso, abs(es - et) / max(et, 1e-300))
-            worst_int = max(worst_int, resid)
+        et, es = e_target.sum(axis=1), e_source.sum(axis=1)
+        isometry = np.abs(es - et) / np.maximum(et, 1e-300)
+        worst_iso = float(np.fmax.reduce(isometry, initial=worst_iso))
+        intertwine = np.max(np.abs(lhs - rhs) / scale, axis=1)
+        worst_int = float(np.fmax.reduce(intertwine, initial=worst_int))
     passed = worst_iso <= tol and worst_int <= tol
     return CompatibilityCertificate(passed, test_vectors, seed,
                                     worst_iso, worst_int, tol)
@@ -265,31 +267,36 @@ class TreeHarmonicResult:
         return record_dict(self, ("vector",))
 
 
-def tree_harmonic_direct(c_const: float, N: int, tol: float = 1e-10) -> TreeHarmonicResult:
-    """Solve Lap h = 0 on the depth-N tree with leaf values +/-1.
+def tree_harmonic_direct(tree: WeightedGraph, tol: float = 1e-10) -> TreeHarmonicResult:
+    """Solve Lap h = 0 on a dyadic tree with leaf values +/-1.
 
-    Leaves under child 0 of the root are pinned at +1 and leaves under
-    child 1 at -1; by the odd symmetry of the boundary data the solution
-    vanishes at the root and mirrors across the two subtrees. Nonzero
-    energy with a small interior residual is direct evidence of a
-    nonconstant harmonic vector of finite energy.
+    tree is a build_dyadic_tree graph of depth N >= 3 (dyadic_pair's
+    source is one); N and c_const are read from its truncation, and any
+    other graph is a ValueError. Leaves under child 0 of the root are
+    pinned at +1 and leaves under child 1 at -1; by the odd symmetry of
+    the boundary data the solution vanishes at the root and mirrors across
+    the two subtrees. Nonzero energy with a small interior residual is
+    direct evidence of a nonconstant harmonic vector of finite energy.
     """
-    if N < 3:
-        raise ValueError("N must be >= 3 so the tree has interior structure")
-    graph = build_dyadic_tree(c_const, N)
-    leaves = graph.truncation.frontier      # a range: under child 0, then under child 1
+    info = tree.truncation
+    if info is None or info.family != DYADIC_TREE or info.depth < 3:
+        got = "no truncation" if info is None else f"{info.family} of depth {info.depth}"
+        raise ValueError(f"need a dyadic tree of depth N >= 3 so the tree has interior "
+                         f"structure (got {got})")
+    N = info.depth
+    leaves = info.frontier      # a range: under child 0, then under child 1
     half = len(leaves) // 2
     boundary = np.repeat([0.0, 1.0, -1.0], [leaves.start, half, half])
-    values, _diag = solve_reduced(graph, 0.0, np.zeros_like(boundary), ~graph.interior_mask,
+    values, _diag = solve_reduced(tree, 0.0, np.zeros_like(boundary), ~tree.interior_mask,
                                   boundary, tol)
-    h = EnergyVector(graph, values)
+    h = EnergyVector(tree, values)
     lap = apply_laplacian(h).values
-    interior_residual = float(np.max(np.abs(lap[graph.interior_mask])))
+    interior_residual = float(np.max(np.abs(lap[tree.interior_mask])))
     # the elimination treats mirrored subtrees identically, so the odd boundary
     # data gives exactly opposite values in the two halves of every heap level
     levels = (values[2 ** n - 1:2 ** (n + 1) - 1] for n in range(1, N + 1))
     anti_ok = all(np.array_equal(level[:len(level) // 2], -level[len(level) // 2:])
                   for level in levels)
-    return TreeHarmonicResult(h, N, float(c_const), interior_residual,
-                              float(values[graph.base_vertex]), anti_ok,
+    return TreeHarmonicResult(h, N, info.params["c_const"], interior_residual,
+                              float(values[tree.base_vertex]), anti_ok,
                               energy(h))

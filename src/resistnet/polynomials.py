@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import exp, lcm, sqrt
+from math import exp, inf, lcm, sqrt
 from typing import Optional, Sequence
 
 from .graphs import record_dict
@@ -608,13 +608,14 @@ def q_limit(xi, tol: float = 1e-12, max_n: int = 5000) -> QLimitResult:
     sequence increases; both that and q_n > 1 are asserted on every step
     rather than assumed, as identities of the scaled integers (q_n > q_(n-1)
     is Q_n > b^n Q_(n-1) and q_n > 1 is Q_n > D_n). Since every increment
-    is positive, tol must be > 0 to be reachable.
+    is positive, tol must be > 0 to be reachable, and finite to iterate
+    past the first term.
     """
     xi = Fraction(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0 (got {tol!r}); the increments are positive")
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be finite and > 0 (got {tol!r}); the increments are positive")
     b_odd, sb = _split_two(xi.denominator)
     monotone_ok = True
     above_one_ok = True

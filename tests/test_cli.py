@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from resistnet import cli, polynomials
+from resistnet import cli, embedding, graphs, polynomials
 from resistnet.energy import vector, write_vector
 from resistnet.graphs import build_dyadic_tree, path_graph, write_graph
 
@@ -226,10 +226,29 @@ def test_resolvent_past_former_size_cliff(capsys):
     assert doc["exit_code"] == code
 
 
+def test_embed_builds_one_tree(monkeypatch, capsys):
+    # the certificate, the monopole transport and the tree harmonic share dyadic_pair's tree
+    built = []
+    build = graphs.build_dyadic_tree
+
+    def counting(c_const, N):
+        built.append(N)
+        return build(c_const, N)
+
+    monkeypatch.setattr(graphs, "build_dyadic_tree", counting)
+    monkeypatch.setattr(embedding, "build_dyadic_tree", counting)
+    code, out = run_cli(capsys, ["embed", "--N", "5", "--seed", "0"])
+    assert code == 0 and "tree_harmonic" in json.loads(out)
+    assert built == [5]
+
+
 def test_resolvent_solver_failure_is_structured(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
-    graph_file.write_text(write_graph(path_graph([-1.0])))
-    code, out = run_cli(capsys, ["resolvent", "--graph", str(graph_file), "--x", "0"])
+    # a residual gate of 1e-300 that the solve's rounding (about 2e-18) misses; a
+    # negative conductance, which used to reach a failing pivot, is now refused first
+    graph_file.write_text(write_graph(path_graph([0.1, 0.7, 3.3])))
+    code, out = run_cli(capsys, ["resolvent", "--graph", str(graph_file), "--x", "1",
+                                 "--tol", "1e-300"])
     assert code == 2
     doc = json.loads(out)
     assert doc["error"]["class"] == "SolverError"
@@ -329,6 +348,12 @@ def test_exit_codes_stable_contract(capsys):
        *option] for option in (("--sigma-band", "nan"), ("--sigma-band", "-1"),
                                ("--sigma-band", "inf"), ("--sigma-band", "0"),
                                ("--min-exits", "-1"))),
+    # so does a q-limit tolerance: an infinite one stops q_limit at its first term
+    *(["polys", "--xi", "1/2", "--q-limit", f"--q-limit-tol={tol}"]
+      for tol in ("nan", "-1", "inf")),
+    # a negative conductance makes the energy form indefinite
+    ["energy", "--graph", "{dir}/negative.txt", "--vector", "{dir}/v3.csv"],
+    ["resolvent", "--graph", "{dir}/negative.txt", "--x", "0"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
@@ -347,6 +372,8 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "inf_edge.txt").write_text("graph 2 1 0\nedge 0 1 -inf\n")
     (tmp_path / "nan_value.csv").write_text("vertex,value\n0,nan\n")
     (tmp_path / "inf_value.csv").write_text("vertex,value\n0,1.0\n1,inf\n")
+    (tmp_path / "negative.txt").write_text("graph 3 2 0\nedge 0 1 -1.0\nedge 1 2 1.0\n")
+    (tmp_path / "v3.csv").write_text("vertex,value\n0,0\n1,1\n2,1\n")
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "incomplete.json").write_text(json.dumps({"command": "walk"}))
     polys = _resolved(["polys"])
@@ -359,6 +386,31 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("resistnet: error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["energy", "--vector", "{dir}/v.csv"],
+                                     ["resolvent", "--x", "0"]])
+def test_negative_conductance_names_the_first_such_edge(command, capsys, tmp_path):
+    # read_graph takes the file, and the zero conductances (-0.0 too) pass
+    (tmp_path / "g.txt").write_text("graph 4 4 0\nedge 0 1 0\nedge 1 2 -0.0\n"
+                                    "edge 2 3 -2.5\nedge 0 3 -1\n")
+    (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n")
+    code = cli.main([arg.format(dir=tmp_path) for arg in command]
+                    + ["--graph", str(tmp_path / "g.txt")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (64, "")
+    assert captured.err == (f"resistnet: error: {tmp_path / 'g.txt'}: edge (2, 3) has "
+                            "conductance -2.5; energy and resolvent need conductances >= 0\n")
+
+
+@pytest.mark.parametrize("command", [["energy", "--vector", "{dir}/v.csv"],
+                                     ["resolvent", "--x", "0"]])
+def test_zero_conductances_are_taken_like_missing_edges(command, capsys, tmp_path):
+    (tmp_path / "g.txt").write_text("graph 3 2 0\nedge 0 1 1.0\nedge 1 2 -0.0\n")
+    (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n2,5.0\n")
+    code = cli.main([arg.format(dir=tmp_path) for arg in command]
+                    + ["--graph", str(tmp_path / "g.txt")])
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 @pytest.mark.parametrize("labels,named", [("label 0 x\n", "huge.txt"), ("", "huge.txt")])
@@ -475,6 +527,30 @@ PINNED_OUTPUTS = [
     }),
     (["embed", "--N", "7", "--trials", "100", "--seed", "1", "--wrong-psi"], {
         "stdout": "08968b9048f6f7d43e90774d0b1f8266c5603762412bfe4bab7c414268d23711",
+    }),
+    # recorded while the tree harmonic built a second tree of its own and the
+    # certificate folded its worst residuals row by row in Python; the N = 19
+    # tree has 1,048,575 vertices
+    (["embed", "--N", "3", "--seed", "0"], {
+        "stdout": "41d97dceb70cd7c473d73d74650973e81ba3d4d82816a2b2763ef389b19eb083",
+    }),
+    (["embed", "--N", "7", "--seed", "0"], {
+        "stdout": "4fe361b33356710e92bdc352a152e380f0578bc7036fd498ba76d280a1b46a51",
+    }),
+    (["embed", "--N", "7", "--seed", "0", "--wrong-psi"], {
+        "stdout": "1c7df6724b2ceb2832baea1e40b18c2345192c0560cad557181b2c8c541692ff",
+    }),
+    (["embed", "--N", "10", "--seed", "0"], {
+        "stdout": "fd865d427f811fe48ba159632a0fd4303615b050cde7f12bf36b4347bbdcac60",
+    }),
+    (["embed", "--N", "12", "--seed", "0", "--wrong-psi"], {
+        "stdout": "3ae3c201f282136ad55eff53cb4c72e8b30b55becdc06d482b6ef4fd8964debf",
+    }),
+    (["embed", "--N", "13", "--seed", "0"], {
+        "stdout": "713ac0580d6ec12a9ece103687f0d8107a8719753ac97e5223542efc07af930c",
+    }),
+    (["embed", "--N", "19", "--trials", "2", "--seed", "1"], {
+        "stdout": "0bb3287ad86405e36ed4172cd4560f7f1996aa40c8a007396fe7358be5f907c2",
     }),
     # recorded from the per-step rehash of (seed, trial) and the single
     # all-trials pass that the trial blocks replaced; 50,000 trials span

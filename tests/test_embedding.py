@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,42 @@ def test_blocked_certificate_matches_on_other_maps():
     _assert_matches_oracle(GraphMap(tree, tree, np.arange(tree.n_vertices), psi), seed=4)
     path = path_graph([1.0, 0.25, 8.0, 2.0])
     _assert_matches_oracle(GraphMap(path, path, [0, 1, 2, 3, 4], [1, 2, 1, 3, 1]), seed=5)
+
+
+def _poison_target_rows(monkeypatch, gmap, energy_rows, laplacian_rows):
+    """Make nan the target energy terms of energy_rows and the target Laplacian
+    of laplacian_rows, in every block of check_compatible."""
+    terms_and_laplacian = embedding._energy_terms_and_laplacian
+
+    def poisoned(graph, at_x, at_y, ends):
+        terms, lap = terms_and_laplacian(graph, at_x, at_y, ends)
+        if graph is gmap.target:
+            terms[[r for r in energy_rows if r < len(terms)]] = np.nan
+            lap[[r for r in laplacian_rows if r < len(lap)]] = np.nan
+        return terms, lap
+
+    monkeypatch.setattr(embedding, "_energy_terms_and_laplacian", poisoned)
+
+
+# recorded while the worst residuals were folded in Python, max(worst, x) per row,
+# which keeps worst when x is nan
+NAN_ROW_CERTIFICATES = [
+    # (N, wrong_psi, trials, seed, energy rows, Laplacian rows) -> worst isometry,
+    # worst intertwining, passed
+    ((6, False, 20, 3, [0, 7], [0, 12]), (6.361683335949625e-16, 0.0, True)),
+    ((6, True, 20, 5, [3], [0, 19]), (3.7440607168488316e-16, 0.9687500000000001, False)),
+    # blocks of two rows: the energy of every first row, the Laplacian of every second
+    ((12, True, 5, 2, [0], [1]), (1.8289119331663685e-16, 0.9995117187500001, False)),
+]
+
+
+@pytest.mark.parametrize("case,want", NAN_ROW_CERTIFICATES)
+def test_nan_residual_rows_are_skipped_by_the_fold(monkeypatch, case, want):
+    N, wrong_psi, trials, seed, energy_rows, laplacian_rows = case
+    gmap = dyadic_pair(1.0, N, wrong_psi=wrong_psi)
+    _poison_target_rows(monkeypatch, gmap, energy_rows, laplacian_rows)
+    cert = check_compatible(gmap, trials, seed)
+    assert (cert.max_isometry_rel, cert.max_intertwine_resid, cert.passed) == want
 
 
 def test_pullback_constant():
@@ -208,7 +247,7 @@ def test_monopole_transport_constant_shift_invariant():
 
 def test_tree_harmonic_direct():
     for N in (5, 10):
-        res = tree_harmonic_direct(1.0, N)
+        res = tree_harmonic_direct(build_dyadic_tree(1.0, N))
         assert res.root_value == 0.0
         assert res.antisymmetric_ok
         assert res.interior_residual <= 1e-10
@@ -225,7 +264,7 @@ def test_tree_harmonic_pins_the_leaves_under_each_child(monkeypatch):
 
     monkeypatch.setattr(embedding, "solve_reduced", solve)
     N = 6
-    tree_harmonic_direct(1.0, N)
+    tree_harmonic_direct(build_dyadic_tree(1.0, N))
     [(rhs, fixed, fixed_values)] = captured
     leaves = range(2 ** N - 1, 2 ** (N + 1) - 1)
     assert not rhs.any()
@@ -244,11 +283,12 @@ def test_tree_harmonic_mirror_check_fails_on_a_perturbed_value(monkeypatch, word
         return values, diag
 
     monkeypatch.setattr(embedding, "solve_reduced", solve)
-    assert not tree_harmonic_direct(1.0, 5).antisymmetric_ok
+    assert not tree_harmonic_direct(build_dyadic_tree(1.0, 5)).antisymmetric_ok
 
 
 def test_tree_harmonic_energy_increments_decay():
-    energies = [tree_harmonic_direct(1.0, n).energy_value for n in (4, 5, 6, 7)]
+    energies = [tree_harmonic_direct(build_dyadic_tree(1.0, n)).energy_value
+                for n in (4, 5, 6, 7)]
     increments = np.diff(energies)
     ratios = increments[1:] / increments[:-1]
     assert np.all(ratios < 0.95)
@@ -256,9 +296,49 @@ def test_tree_harmonic_energy_increments_decay():
     assert np.all(np.abs(ratios - 0.5) < 0.2)
 
 
-def test_tree_harmonic_needs_depth():
-    with pytest.raises(ValueError):
-        tree_harmonic_direct(1.0, 2)
+# sha256 of json.dumps(to_dict(), sort_keys=True) and of the vector's values as
+# little-endian float64, recorded while tree_harmonic_direct took (c_const, N)
+# and built its own tree
+TREE_HARMONIC_DIGESTS = {
+    3: ("c83413ebe27c10df75644497d32521bde96c9e624437a051ed7830e2fd196412",
+        "c00aa2315774a9fdd7567001d68c5959661d68272d2bda7b4991de16eb39dc10"),
+    4: ("64d375730990c5448f648e679831af83238ab1e611eb91bab6c51b9c8e21aa37",
+        "93326c9b078990029e987f41f208469279a253c3531450ca9154c6210a67f728"),
+    5: ("76c5f3d14e7f68c223cfafe5fa3f871ee8c7fda82b829f5f4fde2305d9762461",
+        "b15c0382abea7c79a5ad09473cf6e3c138ecb061d2866b630edeec851a3d3f5e"),
+    6: ("8cbb2488385074554dcea45eee84ede6c69ae65024b0cae8f8fdba0a1d101814",
+        "6449ff56e65c7db7d43366659a4d208794a31e661e9ae7040cb1e0c77c8febe0"),
+    7: ("cb66c9c5205f210970f73567f2014c53e67607ce13016151d38baccb761e084a",
+        "57521bf9dae07bb85ffc74885ee553ac1a0101e2256c8163767d21bec08ca4cb"),
+    8: ("d72a0bfdb3c4bc8d99c3c10b8e1aa1da5f26fb2a4c5017b8a5d5e0ccff5797e6",
+        "e5aa4852da7784391c98c02651de8b86655d3bd598b5675df834ce78c3d0e0c8"),
+}
+
+
+@pytest.mark.parametrize("N", sorted(TREE_HARMONIC_DIGESTS))
+def test_tree_harmonic_on_a_built_tree_is_pinned(N):
+    res = tree_harmonic_direct(build_dyadic_tree(1.0, N))
+    record = json.dumps(res.to_dict(), sort_keys=True).encode()
+    values = np.asarray(res.vector.values, dtype="<f8").tobytes()
+    assert (hashlib.sha256(record).hexdigest(),
+            hashlib.sha256(values).hexdigest()) == TREE_HARMONIC_DIGESTS[N]
+
+
+def test_tree_harmonic_reads_depth_and_conductance_from_the_tree():
+    tree = build_dyadic_tree(0.25, 5)
+    res = tree_harmonic_direct(tree)
+    assert (res.N, res.c_const) == (5, 0.25)
+    assert res.vector.graph is tree
+
+
+@pytest.mark.parametrize("graph", [
+    build_half_line(2, 6),              # a truncation, but not a tree
+    build_dyadic_tree(1.0, 2),          # a tree too shallow for interior structure
+    path_graph([1.0, 1.0, 1.0]),        # no truncation at all
+], ids=["half-line", "depth-2-tree", "no-truncation"])
+def test_tree_harmonic_refuses_what_is_not_a_deep_enough_tree(graph):
+    with pytest.raises(ValueError, match="need a dyadic tree of depth N >= 3"):
+        tree_harmonic_direct(graph)
 
 
 def test_functoriality_identity_and_composition():

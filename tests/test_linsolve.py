@@ -254,7 +254,7 @@ def test_tree_solves_are_pinned():
     # that the parent-first numbering and level elimination replaced
     assert _sha256(solve_dipole(build_dyadic_tree(1.0, 6), 50).values) == \
         "b3ac32b89fce119f1fa0cc7bd361fb996974e7117e273c196830734b7126b695"
-    harmonic = tree_harmonic_direct(1.0, 7)
+    harmonic = tree_harmonic_direct(build_dyadic_tree(1.0, 7))
     assert _sha256(harmonic.vector.values) == \
         "57521bf9dae07bb85ffc74885ee553ac1a0101e2256c8163767d21bec08ca4cb"
     assert harmonic.energy_value == 1.0078740157480313
