@@ -171,25 +171,6 @@ def _read_file(path, parse):
                          + (f" ({exc})" if str(exc) else "")) from exc
 
 
-def _read_graph_file(path):
-    """read_graph of a --graph file; a negative conductance is a usage error.
-
-    read_graph takes any finite conductance, and validate reports the graph
-    axioms. A negative one makes the energy form indefinite, so energy and
-    resolvent refuse it, naming its first edge, as the walk kernel does. A
-    zero conductance (-0.0 too) adds nothing to the form, like a missing
-    edge, and is taken.
-    """
-    graph = _read_file(path, graphs.read_graph)
-    x, y, c = graph.edge_arrays
-    negative = c < 0
-    if negative.any():
-        k = int(negative.argmax())
-        raise UsageError(f"{path}: edge ({x[k]}, {y[k]}) has conductance {float(c[k])!r}; "
-                         "energy and resolvent need conductances >= 0")
-    return graph
-
-
 # -- polys --------------------------------------------------------------------
 
 def _polys_table_csv(pairs):
@@ -351,7 +332,7 @@ def run_embed(config):
 # -- energy ----------------------------------------------------------------------
 
 def run_energy(config):
-    graph = _read_graph_file(config["graph"])
+    graph = _read_file(config["graph"], graphs.read_graph)
     u = _read_file(config["vector"], lambda text: read_vector(graph, text))
     lap = apply_laplacian(u)
     doc = {
@@ -372,7 +353,7 @@ def run_resolvent(config):
     if not 0 < config["tol"] < float("inf"):
         raise UsageError(f"--tol must be finite and > 0, not {config['tol']}")
     if config.get("graph"):
-        graph = _read_graph_file(config["graph"])
+        graph = _read_file(config["graph"], graphs.read_graph)
         x = config["x"]
     else:
         graph = _model_graph(config)

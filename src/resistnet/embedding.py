@@ -135,8 +135,9 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
 
     Both checks run on seeded random interior-supported vectors on the
     target; residuals are recorded in the certificate, and passed is the
-    conjunction at the given tolerance; a certificate needs at least one
-    test vector.
+    conjunction at the given tolerance over every vector drawn: a row whose
+    residual is not finite (its energy overflowed) was not checked, and
+    fails the certificate. A certificate needs at least one test vector.
 
     The vectors are drawn and checked in blocks of rows, so memory is
     O(block * V) with block = max(1, 2**14 // V). One draw of a block is
@@ -166,6 +167,7 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
     rng = np.random.default_rng(seed)
     worst_iso = 0.0
     worst_int = 0.0
+    all_finite = True
     for lo in range(0, test_vectors, block):
         u = rng.standard_normal((min(block, test_vectors - lo), target.n_vertices))
         u[:, frontier] = 0.0
@@ -182,7 +184,9 @@ def check_compatible(gmap: GraphMap, test_vectors: int = 100, seed: int = 0,
         worst_iso = float(np.fmax.reduce(isometry, initial=worst_iso))
         intertwine = np.max(np.abs(lhs - rhs) / scale, axis=1)
         worst_int = float(np.fmax.reduce(intertwine, initial=worst_int))
-    passed = worst_iso <= tol and worst_int <= tol
+        all_finite = all_finite and bool(np.isfinite(isometry).all()
+                                         and np.isfinite(intertwine).all())
+    passed = all_finite and worst_iso <= tol and worst_int <= tol
     return CompatibilityCertificate(passed, test_vectors, seed,
                                     worst_iso, worst_int, tol)
 

@@ -561,11 +561,14 @@ def read_graph(text: str) -> WeightedGraph:
 
     The header is the first record and the only one, its edge count must
     match the edge records, every edge joins two vertices of the graph with
-    a finite conductance, and every label names a vertex of the graph.
-    Each violation raises GraphStructureError with its line number. The
-    numbers of all records are read by numpy's text reader, one chunk of
-    lines at a time. The vertex weights are computed here, so a vertex
-    count too large for memory fails while the graph is read.
+    a finite conductance >= 0, and every label names a vertex of the graph.
+    Each violation raises GraphStructureError with its line number, and the
+    first faulty line is the one named. A negative conductance would make
+    the energy form indefinite; a zero one (-0.0 too) adds nothing to it,
+    like a missing edge, and is read. The numbers of all records are read
+    by numpy's text reader, one chunk of lines at a time. The vertex
+    weights are computed here, so a vertex count too large for memory
+    fails while the graph is read.
     """
     header, columns, labels = None, [], None
     for first, lines in read_chunks(text):
@@ -638,11 +641,13 @@ def _read_records(first, lines, n_vertices, header):
         _, x, y, c = record
         if not math.isfinite(c):
             return f"conductance {c!r} is not finite"
+        if 0 <= x < n_vertices and 0 <= y < n_vertices:
+            return f"edge ({x}, {y}) has conductance {c!r} < 0"
         return f"edge ({x}, {y}) has a vertex outside 0..{n_vertices - 1}"
 
     edge_table, failed = read_rows(group("e"), _EDGE_ROW)
     ex, ey, ec = (np.ascontiguousarray(edge_table[name]) for name in ("x", "y", "c"))
-    bad = _outside(ex, n_vertices) | _outside(ey, n_vertices) | ~np.isfinite(ec)
+    bad = _outside(ex, n_vertices) | _outside(ey, n_vertices) | ~np.isfinite(ec) | (ec < 0)
     faults.append(_first_fault(lines, heads, "e", "edge", edge_table, failed, bad, edge_fault))
 
     label_rows = group("l")

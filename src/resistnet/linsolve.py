@@ -17,6 +17,10 @@ Every update is a sum of positive terms (the idea of Grassmann, Taksar and
 Heyman's elimination), so pivots keep high relative accuracy however many
 orders of magnitude the conductances span. A vertex adds its pinned
 neighbours' terms and then its children's, each in the order of its edges.
+A child passes up c * a / d, for a its excess or its right-hand side and d
+its pivot. Only where that overflows is the term formed as c / d * a,
+whose factor c / d <= 1 cannot overflow, so every term that did not
+overflow keeps its rounding.
 
 Orientation. Two orientations describe the unpinned forest alike: each
 vertex's parent and parent-edge conductance, and a rank under which every
@@ -49,6 +53,7 @@ or the residual exceeds the tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +301,7 @@ def _eliminate(order, parent, up, excess, beta):
     without a numpy scalar per step.
     """
     pivot = [0.0] * len(parent)
+    isfinite = math.isfinite
     for v in order:
         p = parent[v]
         c = up[v]
@@ -303,8 +309,10 @@ def _eliminate(order, parent, up, excess, beta):
         if not d > 0:
             raise _bad_pivot(d, v)
         if p >= 0:
-            excess[p] += c * excess[v] / d
-            beta[p] += c * beta[v] / d
+            t = c * excess[v] / d
+            excess[p] += t if isfinite(t) else c / d * excess[v]
+            t = c * beta[v] / d
+            beta[p] += t if isfinite(t) else c / d * beta[v]
     u = [0.0] * len(parent)
     for v in reversed(order):
         p = parent[v]
@@ -329,14 +337,22 @@ def _eliminate_levels(order, bounds, parent, up, excess, beta):
                 raise _bad_pivot(float(d[k]), int(v[k]))
             if v is not spans[-1]:     # the last level holds the roots
                 p = parent[v]
-                np.add.at(excess, p, c * e / d)
-                np.add.at(beta, p, c * beta[v] / d)
+                np.add.at(excess, p, _child_terms(c, e, d))
+                np.add.at(beta, p, _child_terms(c, beta[v], d))
     u = np.zeros(len(parent))
     roots = spans[-1]
     u[roots] = beta[roots] / pivot[roots]
     for v in reversed(spans[:-1]):
         u[v] = (beta[v] + up[v] * u[parent[v]]) / pivot[v]
     return u
+
+
+def _child_terms(c, a, d):
+    """c * a / d, formed as c / d * a where it overflows, as in _eliminate."""
+    t = c * a / d
+    if not np.isfinite(t).all():
+        t = np.where(np.isfinite(t), t, c / d * a)
+    return t
 
 
 def _solve_dense(graph, fixed, excess, beta):

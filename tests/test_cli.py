@@ -351,7 +351,7 @@ def test_exit_codes_stable_contract(capsys):
     # so does a q-limit tolerance: an infinite one stops q_limit at its first term
     *(["polys", "--xi", "1/2", "--q-limit", f"--q-limit-tol={tol}"]
       for tol in ("nan", "-1", "inf")),
-    # a negative conductance makes the energy form indefinite
+    # a negative conductance makes the energy form indefinite; read_graph refuses it
     ["energy", "--graph", "{dir}/negative.txt", "--vector", "{dir}/v3.csv"],
     ["resolvent", "--graph", "{dir}/negative.txt", "--x", "0"],
 ])
@@ -391,7 +391,8 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
 @pytest.mark.parametrize("command", [["energy", "--vector", "{dir}/v.csv"],
                                      ["resolvent", "--x", "0"]])
 def test_negative_conductance_names_the_first_such_edge(command, capsys, tmp_path):
-    # read_graph takes the file, and the zero conductances (-0.0 too) pass
+    # read_graph refuses the file at its first negative conductance; the
+    # zero conductances (-0.0 too) before it pass
     (tmp_path / "g.txt").write_text("graph 4 4 0\nedge 0 1 0\nedge 1 2 -0.0\n"
                                     "edge 2 3 -2.5\nedge 0 3 -1\n")
     (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n")
@@ -399,8 +400,8 @@ def test_negative_conductance_names_the_first_such_edge(command, capsys, tmp_pat
                     + ["--graph", str(tmp_path / "g.txt")])
     captured = capsys.readouterr()
     assert (code, captured.out) == (64, "")
-    assert captured.err == (f"resistnet: error: {tmp_path / 'g.txt'}: edge (2, 3) has "
-                            "conductance -2.5; energy and resolvent need conductances >= 0\n")
+    assert captured.err == (f"resistnet: error: {tmp_path / 'g.txt'}: line 4: edge (2, 3) has "
+                            "conductance -2.5 < 0\n")
 
 
 @pytest.mark.parametrize("command", [["energy", "--vector", "{dir}/v.csv"],

@@ -110,12 +110,13 @@ def _poison_target_rows(monkeypatch, gmap, energy_rows, laplacian_rows):
     monkeypatch.setattr(embedding, "_energy_terms_and_laplacian", poisoned)
 
 
-# recorded while the worst residuals were folded in Python, max(worst, x) per row,
-# which keeps worst when x is nan
+# the worst values were recorded while the residuals were folded in Python,
+# max(worst, x) per row, which keeps worst when x is nan; a nan row fails the
+# certificate (case 0 passed while a row it did not check could pass)
 NAN_ROW_CERTIFICATES = [
     # (N, wrong_psi, trials, seed, energy rows, Laplacian rows) -> worst isometry,
     # worst intertwining, passed
-    ((6, False, 20, 3, [0, 7], [0, 12]), (6.361683335949625e-16, 0.0, True)),
+    ((6, False, 20, 3, [0, 7], [0, 12]), (6.361683335949625e-16, 0.0, False)),
     ((6, True, 20, 5, [3], [0, 19]), (3.7440607168488316e-16, 0.9687500000000001, False)),
     # blocks of two rows: the energy of every first row, the Laplacian of every second
     ((12, True, 5, 2, [0], [1]), (1.8289119331663685e-16, 0.9995117187500001, False)),
@@ -129,6 +130,15 @@ def test_nan_residual_rows_are_skipped_by_the_fold(monkeypatch, case, want):
     _poison_target_rows(monkeypatch, gmap, energy_rows, laplacian_rows)
     cert = check_compatible(gmap, trials, seed)
     assert (cert.max_isometry_rel, cert.max_intertwine_resid, cert.passed) == want
+
+
+def test_certificate_fails_on_a_row_whose_energy_overflows():
+    # conductances 1e307: some rows' energies overflow on both graphs, and
+    # their isometry residual inf - inf is nan; the finite rows pass
+    with np.errstate(all="ignore"):
+        cert = check_compatible(dyadic_pair(1e307, 3), 100, 0)
+    assert (cert.passed, cert.n_vectors) == (False, 100)
+    assert (cert.max_isometry_rel, cert.max_intertwine_resid) == (6.633703806876183e-16, 0.0)
 
 
 def test_pullback_constant():

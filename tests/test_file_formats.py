@@ -65,7 +65,12 @@ def reference_read_graph(text):
         kind = parts[0]
         try:
             if kind == "edge":
-                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+                x, y, c = int(parts[1]), int(parts[2]), float(parts[3])
+                # a vertex outside the graph is reported after the loop
+                if c < 0 and 0 <= x < n_vertices and 0 <= y < n_vertices:
+                    raise GraphStructureError(
+                        f"line {lineno}: edge ({x}, {y}) has conductance {c!r} < 0")
+                edges.append((x, y, c))
             elif kind == "label":
                 vertex = int(parts[1])
                 if not 0 <= vertex < n_vertices:
@@ -148,7 +153,7 @@ GRAPHS_ACCEPTED = {
     "duplicate-label": "graph 2 1 0\nlabel 1 first\nedge 0 1 1.0\nlabel 1 second\n",
     "label-then-empty": "graph 2 1 0\nedge 0 1 1.0\nlabel 1 first\nlabel 1\n",
     "labels-before-edges": "graph 3 2 2\nlabel 2 top\nlabel 0 a b\nedge 0 1 1.0\nedge 1 2 3.0\n",
-    "negative-and-zero-conductance": "graph 3 2 0\nedge 0 1 -1.0\nedge 1 2 0\n",
+    "zero-conductance": "graph 3 2 0\nedge 0 1 0\nedge 1 2 -0.0\n",
     "self-loop-and-repeat": "graph 2 3 0\nedge 0 0 1.0\nedge 0 1 1.0\nedge 1 0 2.0\n",
 }
 
@@ -184,12 +189,17 @@ GRAPHS_REJECTED = {
     "edge-vertex-out-of-range": "graph 2 1 0\nedge 0 5 1.0\n",
     "edge-vertex-negative": "graph 2 1 0\nedge -1 1 1.0\n",
     "edge-vertex-huge": "graph 2 1 0\nedge 99999999999999999999 1 1.0\n",
+    "negative-conductance": "graph 3 2 0\nedge 0 1 -1.0\nedge 1 2 0\n",
+    "negative-subnormal-conductance": "graph 3 3 0\nedge 0 1 0\nedge 1 2 -0.0\nedge 2 0 -5e-324\n",
     # the first faulty line is reported, whatever the kinds of the later ones
     "label-fault-before-edge-fault": (
         "graph 2 2 0\nedge 0 1 1.0\nlabel 9 far\nedge 0 x 1.0\n"),
     "edge-fault-before-label-fault": (
         "graph 2 2 0\nedge 0 x 1.0\nlabel 9 far\nedge 0 1 1.0\n"),
     "unknown-before-label-fault": "graph 2 1 0\nedge 0 1 1.0\nnode 3\nlabel 9 far\n",
+    "malformed-before-negative": "graph 3 2 0\nedge 0 x 1.0\nedge 1 2 -1.0\n",
+    "negative-before-malformed": "graph 3 2 0\nedge 1 2 -1.0\nedge 0 x 1.0\n",
+    "label-fault-before-negative": "graph 3 1 0\nlabel 9 far\nedge 0 1 -1.0\n",
     "crlf-fault-on-last-line": "graph 2 1 0\r\nedge 0 1 1.0\r\n\r\nlabel 9 far",
     "crlf-edge-count": "graph 3 7 0\r\nedge 0 1 1.0\r\nedge 1 2 1.0",
     "fault-deep-in-many-edges": (
@@ -255,11 +265,16 @@ def test_read_graph_rejects_numbers_python_alone_accepts(text, lineno):
 
 
 def _random_graph_text(rng):
-    """A graph file in one of the many spellings the reader accepts."""
+    """A graph file in one of the many spellings the reader accepts.
+
+    In about half of the files the conductances take both signs, so the
+    file is refused at its first negative one.
+    """
     n = int(rng.integers(1, 12))
+    signs = [1, -1] if rng.random() < 0.5 else [1]
     edges = [(int(rng.integers(n)), int(rng.integers(n)),
               float(rng.choice([1.0, -0.0, 5e-324, 1e-310, 0.1 + 0.2, 1e300]))
-              * float(rng.choice([1, -1])) * float(10.0 ** rng.integers(-5, 5)))
+              * float(rng.choice(signs)) * float(10.0 ** rng.integers(-5, 5)))
              for _ in range(int(rng.integers(0, 15)))]
     floats = [repr, "{:.17g}".format, "{:.20e}".format, "{:+.17E}".format,
               lambda c: repr(c) if repr(c).startswith("-") else "+" + repr(c)]
@@ -286,16 +301,52 @@ def _random_graph_text(rng):
     return pick(["\n", "\r\n"]).join(lines) + pick(["", "\n"])
 
 
+def _graph_agrees(text):
+    """_graph_matches if the reference reads text, else _graph_rejected."""
+    try:
+        reference_read_graph(text)
+    except GraphStructureError:
+        _graph_rejected(text)
+    else:
+        _graph_matches(text)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_read_graph_matches_the_reference_on_random_spellings(seed):
-    text = _random_graph_text(np.random.default_rng(seed))
-    assert _bits(read_graph(text)) == _bits(reference_read_graph(text))
+    _graph_agrees(_random_graph_text(np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_read_graph_in_tiny_chunks_matches_the_reference_on_random_spellings(
         seed, in_tiny_chunks):
-    in_tiny_chunks(_graph_matches, _random_graph_text(np.random.default_rng(seed)))
+    in_tiny_chunks(_graph_agrees, _random_graph_text(np.random.default_rng(seed)))
+
+
+def test_random_spellings_are_read_and_refused():
+    texts = [_random_graph_text(np.random.default_rng(seed)) for seed in range(40)]
+    refused = 0
+    for text in texts:
+        try:
+            reference_read_graph(text)
+        except GraphStructureError as exc:
+            assert re.fullmatch(r"line \d+: edge \(\d+, \d+\) has conductance -\S+ < 0", str(exc))
+            refused += 1
+    assert 10 <= refused <= 30
+
+
+def test_negative_conductance_past_the_first_chunk_names_its_line():
+    # about 1.3 MB of edges: the negative one, on line 100,002, is read in a
+    # later chunk than the header
+    edges = ["edge 0 1 1.0\n"] * 100_000 + ["edge 1 0 -2.0\n"] + ["edge 0 1 0.5\n"] * 9_999
+    text = "graph 2 110000 0\n" + "".join(edges)
+    assert len(text) > 1.2 * graphs.READ_CHUNK_CHARS
+    message = "line 100002: edge (1, 0) has conductance -2.0 < 0"
+    with pytest.raises(GraphStructureError) as got:
+        read_graph(text)
+    assert str(got.value) == message
+    with pytest.raises(GraphStructureError) as expected:
+        reference_read_graph(text)
+    assert str(expected.value) == message
 
 
 VECTORS_ACCEPTED = {

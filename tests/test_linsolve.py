@@ -440,6 +440,68 @@ def test_back_substitution_on_floats_gives_the_array_bits(name, graph, shift, rh
     assert diag.residual == wdiag.residual
 
 
+def _overflow_cases():
+    """Pinned solves in which c * a / d overflows, for a the excess or the right-hand side."""
+    sym, sym10 = build_sym_line(2.0 ** 20, 50), build_sym_line(10.0, 20)
+    # a branch of conductances 1e300 pinned at its end, and one of small ones:
+    # each level holds terms that overflow and terms that do not
+    branches = WeightedGraph(9, (np.array([0, 1, 2, 3, 0, 5, 6, 7]), np.arange(1, 9),
+                                 np.array([1e300] * 4 + [0.1, 0.7, 3.3, 0.9])))
+    tree4, tree5 = build_dyadic_tree(2.0 ** 600, 4), build_dyadic_tree(2.0 ** 600, 5)
+    yield "half-line", build_half_line(2.0 ** 20, 50), 1.0, {25: 1.0}, {50: 0.0}
+    yield "sym-line", sym, 0.0, {}, {sym.index_of(-50): -1.0, sym.index_of(50): 1.0}
+    yield "two-branches", branches, 1.0, {8: 1.0}, {4: 0.5}
+    # only the right-hand side's terms overflow: to -inf on the left, +inf on the right
+    yield ("sym-line-rhs", sym10, 0.0, {},
+           {sym10.index_of(-20): -1e280, sym10.index_of(20): 1e280})
+    yield "tree-leaves", tree4, 0.0, {}, _tree_leaves(tree4, 4)
+    yield "tree-frontier", tree5, 1.0, {0: -1.0}, dict.fromkeys(tree5.truncation.frontier, 0.0)
+
+
+@pytest.mark.parametrize("name, graph, shift, rhs, pinned", list(_overflow_cases()),
+                         ids=[case[0] for case in _overflow_cases()])
+def test_overflowing_terms_match_exact_reference(name, graph, shift, rhs, pinned, monkeypatch):
+    results = []
+    for k in (0, 10 ** 9):      # the level kernel, then the scalar loop
+        monkeypatch.setattr(linsolve, "LEVEL_MIN_VERTICES", k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, diag = solve_dicts(graph, shift, rhs, pinned)
+        assert diag.method == "tree"
+        results.append(u)
+    assert results[0].tobytes() == results[1].tobytes()
+    ref = exact_reduced_solve(graph, shift, rhs, pinned)
+    nz = ref != 0
+    assert np.max(np.abs(u[nz] - ref[nz]) / np.abs(ref[nz])) <= 1e-14
+    assert np.max(np.abs(u[~nz]), initial=0.0) <= 1e-14 * np.max(np.abs(ref))
+    # every term formed as c * a / d: the former loop fails on each case
+    monkeypatch.setattr(linsolve, "_eliminate", _eliminate_into_an_array)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="nan"):
+        solve_dicts(graph, shift, rhs, pinned)
+
+
+@pytest.mark.parametrize("N", [600, 1000])
+def test_dirichlet_half_line_solves_past_the_float_range(N):
+    # c * excess passes 2**1024 near the pinned end; 4.909093465297727e-91 is
+    # the exact u(300) at N = 600 rounded, from a Fraction elimination
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = resolvent_delta(build_half_line(2.0, N), 300, boundary="dirichlet")
+    assert result.diagnostics["method"] == "tree"
+    assert result.vector.values[300] == 4.909093465297727e-91
+
+
+@pytest.mark.parametrize("N", [4, 9])
+def test_tree_harmonic_with_huge_conductances_is_the_unit_one(N):
+    # N = 4 runs the scalar loop, N = 9 the level kernel; c = 2**600 scales the
+    # system, not its solution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = tree_harmonic_direct(build_dyadic_tree(2.0 ** 600, N)).vector.values
+    unit = tree_harmonic_direct(build_dyadic_tree(1.0, N)).vector.values
+    assert np.max(np.abs(huge - unit)) <= np.finfo(float).eps
+
+
 def test_numpy_integer_vertices_solve_as_python_ints():
     graph = build_dyadic_tree(1.0, 5)
     rhs, pinned = {9: 1.0, 40: -2.0}, {0: 0.5, 3: 1.0, 62: -1.0}

@@ -28,13 +28,13 @@ def test_kernel_half_line_probabilities():
 
 
 def test_kernel_rejects_negative_conductances():
-    # read_graph and WeightedGraph take such edges; a walk would get
-    # probabilities 2.0 and -1.0 in row 1 of this path
+    # WeightedGraph takes such edges (read_graph refuses them); a walk would
+    # get probabilities 2.0 and -1.0 in row 1 of this path
     with pytest.raises(ValueError, match=r"edge \(1, 2\) has conductance -0.5;"):
         kernel_from_graph(path_graph([1.0, -0.5, 2.0]))
     with pytest.raises(ValueError, match=r"edge \(0, 1\) has conductance nan;"):
         kernel_from_graph(path_graph([float("nan"), 1.0]))
-    g = read_graph("graph 3 2 0\nedge 0 1 1.0\nedge 2 1 -2.5\n")
+    g = graph_from_records(3, [(0, 1, 1.0), (2, 1, -2.5)])
     with pytest.raises(ValueError, match=r"edge \(2, 1\) has conductance -2.5;"):
         kernel_from_graph(g)
 
