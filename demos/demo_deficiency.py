@@ -35,9 +35,9 @@ print("symmetric defect candidate: u(1) =", float(zsol.u_exact[1]),
 print()
 print("=== the dimension table, with evidence ===")
 for m_ratio in (1.5, 2.0, 4.0):
-    rep = rn.classify_model(rn.build_half_line(m_ratio, 120))
+    rep = rn.classify_model(rn.HALF_LINE_GEOM, m_ratio, 120)
     print(f"half line M={m_ratio}: (harm, def) = ({rep.harm_dim}, {rep.def_dim})")
-rep = rn.classify_model(rn.build_sym_line(2.0, 120))
+rep = rn.classify_model(rn.LINE_GEOM_SYM, 2.0, 120)
 print(f"sym line  M=2.0: harm = {rep.harm_dim}, "
       f"def = {rep.def_dim} (evidence only: {rep.def_evidence['classification']})")
 

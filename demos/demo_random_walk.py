@@ -41,12 +41,12 @@ identity = f.values - rn.apply_laplacian(f).values / g.vertex_weights
 print("max |T f - (f - Lap f / c)| =", np.max(np.abs(tf.values - identity)))
 
 sol = rn.build_deficiency_zplus(2, 40)
-tu = rn.apply_transfer(rn.kernel_from_graph(sol.graph), sol.vector)
+tu = rn.apply_transfer(rn.kernel_from_graph(sol.vector.graph), sol.vector)
 ratio = tu.values[5] / sol.vector.values[5]
 print("defect eigenvector: (T u)(5)/u(5) =", ratio,
-      " vs 1 + 1/c(5) =", 1 + 1 / sol.graph.vertex_weights[5])
+      " vs 1 + 1/c(5) =", 1 + 1 / sol.vector.graph.vertex_weights[5])
 
-res = rn.transfer_iterate(rn.kernel_from_graph(sol.graph), sol.vector,
+res = rn.transfer_iterate(rn.kernel_from_graph(sol.vector.graph), sol.vector,
                           k_max=500, tol=1e-10)
 print(f"iterating T: {res.iterations} steps, monotone on the interior:",
       res.monotone_interior, " final sup-change:", res.last_delta)

@@ -10,6 +10,7 @@ are excluded from every pointwise identity.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,8 +22,8 @@ import numpy as np
 
 from .energy import EnergyVector, apply_laplacian, energy, project_fin_harm
 from .graphs import (
-    HALF_LINE_GEOM, LINE_GEOM_SYM, WeightedGraph, build_half_line, build_sym_line, format_rows,
-    record_dict,
+    HALF_LINE_GEOM, LINE_GEOM_SYM, WeightedGraph, _require_depth, _require_ratio,
+    build_half_line, build_sym_line, format_rows, record_dict,
 )
 from .linsolve import point_source, solve_reduced
 from .polynomials import _float_quotient, _scaled_pairs, _split_two, _times
@@ -67,18 +68,25 @@ def tail_flag(cumulative, depths):
     return INCONCLUSIVE, marks
 
 
-def _backward_residual(graph, u_values, rhs_values):
-    """max_x |(Lap u + rhs)(x)| / rowscale(x) over interior vertices.
+# the line families classify_model takes: family -> (graph builder, sides)
+_LINES = {HALF_LINE_GEOM: (build_half_line, 1), LINE_GEOM_SYM: (build_sym_line, 2)}
 
-    rowscale is the backward-error normalization c(x) * local |u| scale
-    plus the right-hand-side magnitude, which keeps the measure meaningful
-    when conductances span many orders of magnitude.
+
+def _defect_residual(u, M, sides):
+    """max_x |(Lap u + u)(x)| / (c(x) (|u(x)| + max |u|) + |u(x)|) over the
+    interior rows of a line, u = u(0..N) on each side, c(0) = sides M.
+
+    Row x is divided through by M**(x+1), exactly at a power of two M, so no
+    conductance is formed and nothing overflows; xi**(x+1) may underflow.
     """
-    lap = apply_laplacian(EnergyVector(graph, u_values)).values
-    max_u = float(np.max(np.abs(u_values))) if len(u_values) else 0.0
-    scale = graph.vertex_weights * (np.abs(u_values) + max_u) + np.abs(rhs_values) + 1e-300
-    ratios = np.abs(lap + rhs_values) / scale
-    return float(np.max(ratios[graph.interior_mask], initial=0.0))
+    a, xi = np.abs(u), 1.0 / M
+    x = np.arange(1, len(u) - 1)
+    # Python's pow, as the builders use; numpy's vector pow may round otherwise
+    xi_x = np.array([xi ** k for k in range(2, len(u))])
+    rows = (np.abs(u[x] - u[x + 1] - xi * (u[x - 1] - u[x]) + xi_x * u[x])
+            / ((1 + xi) * (a[x] + a.max()) + xi_x * a[x]))
+    row_0 = abs(sides * (u[0] - u[1]) + xi * u[0]) / (sides * (a[0] + a.max()) + xi * a[0])
+    return float(np.max(rows, initial=row_0))
 
 
 # -- harmonic constructions -------------------------------------------------
@@ -107,23 +115,24 @@ def build_harmonic_zplus(M: float, N: int) -> HarmonicHalfLineResult:
     """
     if not M > 1:
         raise ValueError("M must be > 1")
-    mu = [float(M) ** x for x in range(N + 1)]
+    xi = 1.0 / float(M)
     h = np.zeros(N + 1)
     # row at 0: mu(1) (h(0) - h(1)) = 0
     h[1] = h[0]
     first_increment = h[1] - h[0]
-    # row at x: mu(x) dh(x) = mu(x+1) dh(x+1)
+    # row at x: mu(x) dh(x) = mu(x+1) dh(x+1), so dh(x+1) = xi dh(x)
     for x in range(1, N):
-        h[x + 1] = h[x] + (mu[x] / mu[x + 1]) * (h[x] - h[x - 1])
+        h[x + 1] = h[x] + xi * (h[x] - h[x - 1])
     return HarmonicHalfLineResult(HARM_TRIVIAL, float(M), N,
                                   first_increment, float(np.max(np.abs(h))))
 
 
 @dataclass(frozen=True)
 class HarmonicLineResult:
-    """Odd harmonic vector on the symmetric line, with its energy."""
+    """Odd harmonic vector h(0..N) on the symmetric line, with its energy;
+    `vector` builds the line graph on first read."""
 
-    vector: EnergyVector
+    h: np.ndarray
     M: float
     t: float
     N: int
@@ -134,8 +143,11 @@ class HarmonicLineResult:
     energy_limit: float             # closed form 2 t^2 xi / (1 - xi)
     antisymmetric_ok: bool
 
+    vector = cached_property(lambda self: EnergyVector(
+        build_sym_line(self.M, self.N), np.concatenate([-self.h[:0:-1], self.h]), normalized=True))
+
     def to_dict(self):
-        return record_dict(self, ("vector",))
+        return record_dict(self, ("h",))
 
 
 def build_harmonic_zline(M: float, t: float, N: int) -> HarmonicLineResult:
@@ -146,36 +158,34 @@ def build_harmonic_zline(M: float, t: float, N: int) -> HarmonicLineResult:
     hence Lap h = 0 at all interior vertices. The truncated energy is
     2 t^2 (xi + ... + xi^N) with limit 2 t^2 xi / (1 - xi).
     """
-    if not M > 1:
-        raise ValueError("M must be > 1")
+    _require_ratio(M, "M")
+    _require_depth(N)
     if t == 0:
         raise ValueError("t must be nonzero")
-    return _harmonic_zline(build_sym_line(M, N), t)
-
-
-def _harmonic_zline(graph, t):
-    M, N = graph.truncation.params["M"], graph.truncation.depth
-    xi = 1.0 / M
-    # h(x) = t (xi + ... + xi^x), summed in order; coordinate x is index x + N
+    M, xi = float(M), 1.0 / M
+    # h(x) = t (xi + ... + xi^x), summed in order
     half = np.concatenate([[0.0], t * np.cumsum([xi ** x for x in range(1, N + 1)])])
-    values = np.concatenate([-half[:0:-1], half])
-    h = EnergyVector(graph, values, normalized=True)
+    mu = []         # mu(x) = M**x as the builders form it, while it is finite
+    with suppress(OverflowError):
+        for x in range(1, N + 1):
+            mu.append(M ** x)
 
     # Harmonicity in flux form: every signed flux mu(x) * (t xi^x) equals t,
-    # so consecutive fluxes must agree; this stays meaningful at depths
-    # where the cumulative values saturate double precision. The pointwise
-    # residual of the floated value array is reported alongside, unasserted.
-    flux = np.array([(M ** x) * (t * xi ** x) for x in range(1, N + 1)])
-    flux_residual = float(np.max(np.abs(np.diff(flux)))) if N > 1 else 0.0
-    # the vertex-0 row vanishes exactly by antisymmetry of the two increments
-    lap = apply_laplacian(h).values
-    value_residual = float(np.max(np.abs(lap[graph.interior_mask])))
+    # so consecutive fluxes must agree, also where the values h(x) saturate.
+    # The pointwise residual of the floated values is reported, unasserted.
+    flux = np.array([c * (t * xi ** x) for x, c in enumerate(mu, 1)])
+    flux_residual = float(np.max(np.abs(np.diff(flux)), initial=0.0))
+    # The steps h(x-1) - h(x) vanish long before mu(x) overflows. Lap h at
+    # x >= 1 is flow(x+1) - flow(x), mirrored on the left, 0 at x = 0; the
+    # energy sums its terms in the graph's edge order, right and left alternating.
+    step = half[:-1] - half[1:]
+    flow = np.array(mu + [0.0] * (N - len(mu))) * step
+    value_residual = float(np.max(np.abs(np.diff(flow)), initial=0.0))
 
-    anti_ok = bool(np.array_equal(values[::-1], -values))
     partial_closed = 2.0 * t * t * xi * (1.0 - xi ** N) / (1.0 - xi)
-    return HarmonicLineResult(h, M, float(t), N, flux_residual, value_residual,
-                              energy(h), partial_closed,
-                              2.0 * t * t * xi / (1.0 - xi), anti_ok)
+    return HarmonicLineResult(half, M, float(t), N, flux_residual, value_residual,
+                              float(np.sum(np.repeat(flow * step, 2))), partial_closed,
+                              2.0 * t * t * xi / (1.0 - xi), bool(half[0] == -half[0]))
 
 
 # -- defect eigenvector constructions ---------------------------------------
@@ -193,18 +203,17 @@ class DeficiencySolution:
     (d = 1) Q_n and R_n are coprime to b for n >= 1, so these quotients are
     already in lowest terms. No field holds the rows: `u_exact` and
     `du_exact` rerun the recursion from xi and the side's share on first
-    read. `u_float`, `du_float` and the floated copy in `vector` are int /
-    int quotients, correctly rounded exactly as Fraction.__float__ rounds.
-    The defining relations are checked as integer identities (exact zero)
-    and in floats (backward-style relative residual).
+    read, and `vector` builds the line graph and the floated u over it.
+    `u_float` and `du_float` are int / int quotients, correctly rounded
+    exactly as Fraction.__float__ rounds. The defining relations are
+    checked as integer identities (exact zero) and in floats (backward-
+    style relative residual).
     """
 
     family: str
     M: float
     xi: Fraction
     N: int
-    graph: WeightedGraph
-    vector: EnergyVector
     seed_relation_ok: bool
     flux_recursion_ok: bool
     interior_residual_exact_zero: bool
@@ -224,19 +233,26 @@ class DeficiencySolution:
 
     @cached_property
     def u_exact(self):
-        """u(0..N) by coordinate, Fractions; each side's share is N / (vertices - 1)."""
-        return _q_values(_side_rows(self.xi, self.N, Fraction(self.N, self.graph.n_vertices - 1)))
+        """u(0..N) by coordinate, Fractions; each side's share is 1 / sides."""
+        return _q_values(_side_rows(self.xi, self.N, Fraction(1, _LINES[self.family][1])))
 
     @cached_property
     def du_exact(self):
         """u(x) - u(x-1) for x = 1..N, Fractions."""
-        rows = _side_rows(self.xi, self.N, Fraction(self.N, self.graph.n_vertices - 1))
+        rows = _side_rows(self.xi, self.N, Fraction(1, _LINES[self.family][1]))
         return tuple(Fraction(R, D) for _P, _Q, R, D in islice(rows, 1, None))
+
+    @cached_property
+    def vector(self):
+        """u(|x|) on the family's line graph, built on first read."""
+        graph = _LINES[self.family][0](self.M, self.N)
+        x = np.arange(graph.n_vertices) - graph.truncation.origin_offset
+        return EnergyVector(graph, np.array(self.u_float)[np.abs(x)])
 
     def to_dict(self):
         """The scalar fields and partials, xi as "a/b", and u(0..7) as u_head."""
         curves = ("energy_cumulative", "l2_cumulative", "u_float", "du_float")
-        return {**record_dict(self, ("graph", "vector") + curves),
+        return {**record_dict(self, curves),
                 "xi": str(self.xi), "u_head": list(self.u_float[:8])}
 
 
@@ -319,17 +335,15 @@ def _l2_flag_for(u_floats, depths):
     return (DIVERGENT if divergent else INCONCLUSIVE), marks
 
 
-def _deficiency_solution(graph):
-    """Defect candidate u(x) = u(|x|) on a line graph, each side with share 1/sides."""
-    M, N = graph.truncation.params["M"], graph.truncation.depth
-    sides = (graph.n_vertices - 1) // N
-    xi = 1 / Fraction(float(M))
+def _deficiency_solution(family, M, N):
+    """Defect candidate u(x) = u(|x|) on a line model, each side with share 1/sides."""
+    _require_ratio(M, "M")
+    _require_depth(N)
+    M, sides = float(M), _LINES[family][1]
+    xi = 1 / Fraction(M)
     _, seed_ok, zero_row_ok, rows_ok, monotone, u, du, terms = _side(xi, N, Fraction(1, sides))
     half = np.array(u)
-    # coordinate x is stored at index x + origin_offset
-    values = half[np.abs(np.arange(graph.n_vertices) - graph.truncation.origin_offset)]
-    vector = EnergyVector(graph, values)
-    float_rel = _backward_residual(graph, values, values)
+    float_rel = _defect_residual(half, M, sides)
 
     depths = _dyadic_depths(N)
     cumulative = _energy_cumulative(terms, sides)
@@ -339,7 +353,7 @@ def _deficiency_solution(graph):
     a_obs = float(np.max(terms))
     bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
     return DeficiencySolution(
-        graph.truncation.family, M, xi, N, graph, vector,
+        family, M, xi, N,
         seed_ok, rows_ok, zero_row_ok and rows_ok, float_rel, monotone,
         tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
         bound, u[-1] <= bound + 1e-12,
@@ -359,7 +373,7 @@ def build_deficiency_zplus(M: float, N: int) -> DeficiencySolution:
     Energy partial sums are expected CONVERGENT and square-sum partials
     DIVERGENT.
     """
-    return _deficiency_solution(build_half_line(M, N))
+    return _deficiency_solution(HALF_LINE_GEOM, M, N)
 
 
 def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
@@ -372,7 +386,7 @@ def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
     energy verdict (FINITE, INFINITE or INCONCLUSIVE) is reported as
     evidence, never asserted.
     """
-    return _deficiency_solution(build_sym_line(M, N))
+    return _deficiency_solution(LINE_GEOM_SYM, M, N)
 
 
 # -- the A-B two-sided model -------------------------------------------------
@@ -597,22 +611,19 @@ class BoundaryReport:
         return record_dict(self, ("curves",))
 
 
-def classify_model(graph: WeightedGraph) -> BoundaryReport:
-    """Assemble harmonic/defect evidence for a geometric line model's graph.
+def classify_model(family: str, M: float, N: int) -> BoundaryReport:
+    """Assemble harmonic/defect evidence for a geometric line model.
 
-    The family, the depth N and the ratio M are read from the graph's
-    truncation. A graph with no truncation, of another family, or a half
-    line built with a scale other than 1 raises ValueError.
+    family is HALF_LINE_GEOM or LINE_GEOM_SYM; another family, or an M or
+    N the line builders refuse, raises ValueError. No graph is built: the
+    float evidence reads arrays of N + 1 values, none of which overflows.
     """
-    if graph.truncation is None:
-        raise ValueError("classification needs a model graph; this graph has no truncation")
-    family, N = graph.truncation.family, graph.truncation.depth
+    if family not in _LINES:
+        raise ValueError(f"classification supports the geometric line models only, "
+                         f"not {family!r}")
+    deficiency = _deficiency_solution(family, M, N)
     if family == HALF_LINE_GEOM:
-        # the defect recursion solves Lap u = -u for conductances M**n exactly
-        if graph.truncation.params["scale"] != 1:
-            raise ValueError("classification needs the unscaled half line (scale 1)")
-        harm = build_harmonic_zplus(graph.truncation.params["M"], N)
-        deficiency = _deficiency_solution(graph)
+        harm = build_harmonic_zplus(deficiency.M, N)
         harm_dim = 0 if harm.verdict == HARM_TRIVIAL else 1
         # The paper gives the half line one defect vector for every M > 1.
         # The energy and square-sum flags read a finite window, so when one
@@ -626,9 +637,8 @@ def classify_model(graph: WeightedGraph) -> BoundaryReport:
         # def_dim == 1 holds only with the exact rows and both flags
         expectations_ok = harm_dim == 0 and def_dim == 1
         extra = {}
-    elif family == LINE_GEOM_SYM:
-        harm = _harmonic_zline(graph, 1.0)
-        deficiency = _deficiency_solution(graph)
+    else:
+        harm = build_harmonic_zline(deficiency.M, 1.0, N)
         harm_ok = (harm.interior_residual <= 1e-12
                    and harm.energy_partial > 0
                    and abs(harm.energy_partial - harm.energy_partial_closed)
@@ -637,10 +647,7 @@ def classify_model(graph: WeightedGraph) -> BoundaryReport:
         def_dim = {"FINITE": 1, "INFINITE": 0}.get(deficiency.classification)
         def_hard = False
         expectations_ok = harm_ok
-        extra = {"h": harm.vector.values[graph.index_of(0):].tolist()}
-    else:
-        raise ValueError(f"classification supports the geometric line models only, "
-                         f"not {family!r}")
+        extra = {"h": harm.h.tolist()}
     curves = {
         "coordinate": list(range(N + 1)),
         "u": list(deficiency.u_float),

@@ -30,6 +30,14 @@ CLAIM_EXIT = 2
 # also caps --order, whose identity checks take about 9 s at order 100
 POLYS_N_MAX = 100
 
+# classify's exact rows grow like n**2 bits, so its time grows like N**3: at
+# this limit --M 2 takes 4-7 s at 44 MB peak RSS on a 2-CPU x86-64 host (an
+# odd denominator in 1/M, as at --M 1.5, far longer)
+CLASSIFY_N_MAX = 4096
+
+# classify's model names -> the line families boundary.classify_model takes
+_CLASSIFIED = {"half-line": graphs.HALF_LINE_GEOM, "sym-line": graphs.LINE_GEOM_SYM}
+
 # model name -> the graph its family builder makes from a config
 _MODELS = {
     "half-line": lambda config: graphs.build_half_line(config["M"], config["N"]),
@@ -250,9 +258,14 @@ def run_polys(config):
 # -- classify ------------------------------------------------------------------
 
 def run_classify(config):
-    if config["model"] not in ("half-line", "sym-line"):
+    if config["model"] not in _CLASSIFIED:
         raise UsageError("classify supports --model half-line or sym-line")
-    report = boundary.classify_model(_model_graph(config))
+    if config["N"] > CLASSIFY_N_MAX:
+        raise UsageError(f"--N must be at most {CLASSIFY_N_MAX} (got {config['N']})")
+    try:
+        report = boundary.classify_model(_CLASSIFIED[config["model"]], config["M"], config["N"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     doc = {"report": report.to_dict()}
     files = {"boundary_curves.csv": boundary.boundary_curves_csv(report)}
     return (0 if report.hard_expectations_ok else CLAIM_EXIT), doc, files
@@ -411,7 +424,7 @@ def _build_parser(parser_class=_Parser):
     p.add_argument("--q-limit-tol", type=float, default=1e-10)
 
     c = sub.add_parser("classify", parents=[shared], help="harmonic/defect dimensions for a model")
-    c.add_argument("--model", required=True, choices=["half-line", "sym-line"])
+    c.add_argument("--model", required=True, choices=list(_CLASSIFIED))
     c.add_argument("--M", type=float, required=True)
     c.add_argument("--N", type=int, default=100)
 

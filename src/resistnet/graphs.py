@@ -23,6 +23,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,8 +56,7 @@ class TruncationInfo:
     """How a finite graph was cut out of its infinite model.
 
     family, depth N and params (the ratios, the half line's scale or
-    c_const) are the model; the graph records them once, and
-    boundary.classify_model reads them here.
+    c_const) are the model of a built graph; the graph records them once.
     """
 
     family: str
@@ -568,7 +568,9 @@ def read_graph(text: str) -> WeightedGraph:
     like a missing edge, and is read. The numbers of all records are read
     by numpy's text reader, one chunk of lines at a time. The vertex
     weights are computed here, so a vertex count too large for memory
-    fails while the graph is read.
+    fails while the graph is read, and a weight that is not a finite float
+    is refused at the edge that takes it past the float range, as the
+    model builders refuse it.
     """
     header, columns, labels = None, [], None
     for first, lines in read_chunks(text):
@@ -595,8 +597,34 @@ def read_graph(text: str) -> WeightedGraph:
                                   f"the file has {len(ec)}")
     graph = WeightedGraph(n_vertices, (ex, ey, ec), base_vertex=base,
                           labels=None if labels is None else tuple(labels))
-    graph.vertex_weights    # the per-vertex array, allocated while this file is read
+    # the per-vertex array, allocated while this file is read; its sums of
+    # finite conductances >= 0 are all finite when the largest one is
+    if not math.isfinite(graph.vertex_weights.max()):
+        raise GraphStructureError(_weight_overflow(text, ex, ey, ec))
     return graph
+
+
+def _weight_overflow(text, ex, ey, ec):
+    """The message naming the first edge, in file order, at which the running
+    weight of one of its ends stops being finite.
+
+    The weights add the conductances in edge order, as vertex_weights does,
+    and the conductances are finite and >= 0, so a weight that overflows
+    stays infinite. Edge k is the k-th line whose first character past any
+    indent is "e", as the reader groups them; the text is scanned again.
+    """
+    weights = {}
+    for k, (x, y, c) in enumerate(zip(ex.tolist(), ey.tolist(), ec.tolist())):
+        for vertex in (x, y):
+            weights[vertex] = weights.get(vertex, 0.0) + c
+        vertex = next((v for v in (x, y) if not math.isfinite(weights[v])), None)
+        if vertex is not None:
+            break
+    edge_lines = (first + i for first, lines in read_chunks(text)
+                  for i, raw in enumerate(lines) if raw.lstrip()[:1] == "e")
+    line = next(islice(edge_lines, k, None)) + 1
+    return (f"line {line}: edge ({x}, {y}) overflows the weight of vertex {vertex}: "
+            f"a vertex weight must stay below {sys.float_info.max:.4g}")
 
 
 def _read_header(line, header):

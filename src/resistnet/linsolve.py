@@ -392,6 +392,9 @@ def _backward_residual(graph, shift, u, b, fixed):
     # quotient is the same float as the unhalved one
     half_scale = (np.max(shift / 2 + graph.vertex_weights[rows]) * np.max(np.abs(u))
                   + np.max(np.abs(b[rows])) / 2)
+    # a scale that is not finite measures nothing, and must not read as exact
+    if not np.isfinite(half_scale):
+        return float("nan")
     if not half_scale > 0:
         return 0.0
     return float(np.max(np.abs(resid[rows])) / 2 / half_scale)

@@ -24,7 +24,8 @@ from resistnet.energy import (
     EnergyVector, apply_laplacian, energy, energy_inner, solve_dipole, vector,
 )
 from resistnet.graphs import (
-    build_ab_line, build_dyadic_tree, build_half_line, build_sym_line, path_graph,
+    HALF_LINE_GEOM, LINE_GEOM_SYM, build_ab_line, build_dyadic_tree, build_half_line,
+    build_sym_line, path_graph,
 )
 from resistnet.polynomials import (
     check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
@@ -113,10 +114,10 @@ def test_06_classification_hard_entries():
     with _Timer() as t:
         ok = True
         for m_ratio in (1.5, 2.0, 4.0):
-            rep = classify_model(build_half_line(m_ratio, 120))
+            rep = classify_model(HALF_LINE_GEOM, m_ratio, 120)
             ok = ok and rep.harm_dim == 0 and rep.def_dim == 1
             ok = ok and rep.hard_expectations_ok
-        rep = classify_model(build_sym_line(2.0, 120))
+        rep = classify_model(LINE_GEOM_SYM, 2.0, 120)
         ok = ok and rep.harm_dim == 1 and rep.hard_expectations_ok
     _report(6, "classification-hard-entries", ok, t, 30.0)
 

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import islice
 
@@ -18,8 +20,8 @@ from resistnet.energy import (
     EnergyVector, apply_laplacian, energy, random_interior_vector, sum_S2, vector,
 )
 from resistnet.graphs import (
-    WeightedGraph, build_ab_line, build_dyadic_tree, build_half_line, build_sym_line,
-    path_graph,
+    DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM, WeightedGraph, build_dyadic_tree,
+    build_half_line, build_sym_line, path_graph,
 )
 from resistnet.polynomials import _scaled_pairs
 from resistnet.walk import kernel_from_graph, transfer_iterate
@@ -116,7 +118,7 @@ def test_sym_line_deficiency_seed_and_symmetry():
     assert sol.u_exact[1] == Fraction(5, 4)        # 1 + xi/2 at xi = 1/2
     assert sol.seed_relation_ok
     assert sol.interior_residual_exact_zero
-    g = sol.graph
+    g = sol.vector.graph
     vals = sol.vector.values
     for x in range(101):
         assert vals[g.index_of(-x)] == vals[g.index_of(x)]
@@ -241,14 +243,15 @@ def _digest(data):
 # is the uncertified window of test_classify_half_line_uncertified_window_is_inconclusive.
 # The sum_S2, space_decomposition_check and transfer_iterate records reach no
 # pinned CLI output; their digests were recorded from the hand-listed to_dict
-# each had before record_dict.
+# each had before record_dict. The first three were re-recorded when the
+# defect residual stopped reading the graph (see RESIDUAL_MOVES).
 PINNED_REPORTS = [
     (lambda: build_deficiency_zplus(1.5, 40),
-     "d4d7a189f9e4a11b42db4fcbca7020cffa4edabc920185319346fcbe09677d4f"),
+     "e2c3c3df3a1b40cd79704ed3588fb8924230e872a0c86dcc51d7b52cc4905478"),
     (lambda: build_deficiency_zline(1.5, 40),
-     "fc6ff3b18a577eeeebdfa005113e1b55ebf48ddf4658e4a8b6a9c8900f16506a"),
+     "7e3f596474f8202ba6c335619fe8c5b5b288bf6d12400f627d182074da3df950"),
     (lambda: build_deficiency_zplus(1.1, 60),
-     "9b0088ec44aee8223a9f42c14b7a36bde9cdb8ded042bfc6c4f76ebedf2bfe77"),
+     "bc3aef00edf4c3eea97d8d011b3e1a4aca7fbdc5050dbe2ce1741bda69c531b2"),
     (lambda: solve_ab_deficiency(2, 3, 60),
      "f4c21d31e8a6943b49e82b9741bef0e988dda8f75fcc5416aef48a60cd0459a6"),
     (lambda: sum_S2(build_deficiency_zplus(2, 40).vector),
@@ -338,7 +341,7 @@ def test_classify_keeps_no_scaled_rows():
     # ints; the side kernel keeps two at a time, so the whole call stays far below
     tracemalloc.start()
     try:
-        classify_model(build_half_line(2, 600))
+        classify_model(HALF_LINE_GEOM, 2, 600)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -346,38 +349,137 @@ def test_classify_keeps_no_scaled_rows():
 
 
 # the line families classify_model accepts, and their builders and CLI names
-CLASSIFIED = {"HALF_LINE_GEOM": (build_half_line, "half-line"),
-              "LINE_GEOM_SYM": (build_sym_line, "sym-line")}
+CLASSIFIED = {HALF_LINE_GEOM: (build_half_line, "half-line"),
+              LINE_GEOM_SYM: (build_sym_line, "sym-line")}
 
-# (family, M, N): sha256 of the report's to_dict() and of its curves
+# (family, M, N): sha256 of the report's to_dict() and of its curves; the
+# report digests were re-recorded when the defect residual stopped reading
+# the graph (see RESIDUAL_MOVES), the curve digests are unchanged
 PINNED_CLASSIFY = [
-    ("HALF_LINE_GEOM", 1.5, 40,
-     "ae3197377ccb0de9b6b42cf7b71a8a468c28c42a26a49c4605cc34d688f22157",
+    (HALF_LINE_GEOM, 1.5, 40,
+     "6a752da121536d28d9a0632fc1cfe5ce918113ba9a6e4d511668679dfa2834f9",
      "a0b8c42b767a9bc7f3acb875845f6c37bc0185fa1cb5dc37ccb709bacc397f19"),
-    ("HALF_LINE_GEOM", 1.1, 60,
-     "6877595bdaf1ea6971bfc5125598f5a7fc2dd066222eace439ce310a89dde6b9",
+    (HALF_LINE_GEOM, 1.1, 60,
+     "039237afb82f0f7279f4b658a4065da35a533dc7f439ecb5687ee7f6b3bc80cc",
      "49e0696847f0900555917af7715c3b85815b011a64b6665d1ca24f03123a303d"),
-    ("LINE_GEOM_SYM", 1.5, 40,
-     "162a8f2685801a3ab511cba510b585f991aee48b360a1c0b91231bb52ef9aab5",
+    (LINE_GEOM_SYM, 1.5, 40,
+     "9eb417c07f5d68f01ea5f1f089005baef9038715d0fbc333e0111008d2c3a1b4",
      "2116787d5e5dfb2edfce94b184b5004c561d9c3c3d75d6f61ce3fadf5f01f14b"),
-    ("LINE_GEOM_SYM", 1.1, 60,
-     "fc795932690c8cc991d1583bab07e04e55ff8748ec73241aa3e92690c4073192",
+    (LINE_GEOM_SYM, 1.1, 60,
+     "d85e658c23a98e96cc9eb0a3797583a74fad9dadf6b9bb20cdf0184ed01fc656",
      "fc430410babb6fedd343c9a29794221388e65ce2fc72603c8d29b68894fce529"),
 ]
 
 
 @pytest.mark.parametrize("family,M,N,report_digest,curves_digest", PINNED_CLASSIFY)
 def test_classify_reports_are_pinned(family, M, N, report_digest, curves_digest):
-    report = classify_model(CLASSIFIED[family][0](M, N))
+    report = classify_model(family, M, N)
     assert _digest(report.to_dict()) == report_digest
     assert _digest(report.curves) == curves_digest
 
 
+# (family, M, N): float_residual_rel_max as the graph gave it, and the
+# digests it gave the classify report and the defect solution (the three
+# in PINNED_REPORTS)
+RESIDUAL_MOVES = [
+    (HALF_LINE_GEOM, 1.5, 40, 4.8690907152825655e-17,
+     "ae3197377ccb0de9b6b42cf7b71a8a468c28c42a26a49c4605cc34d688f22157",
+     "d4d7a189f9e4a11b42db4fcbca7020cffa4edabc920185319346fcbe09677d4f"),
+    (HALF_LINE_GEOM, 1.1, 60, 3.5055743371521503e-17,
+     "6877595bdaf1ea6971bfc5125598f5a7fc2dd066222eace439ce310a89dde6b9",
+     "9b0088ec44aee8223a9f42c14b7a36bde9cdb8ded042bfc6c4f76ebedf2bfe77"),
+    (LINE_GEOM_SYM, 1.5, 40, 5.963657149776288e-17,
+     "162a8f2685801a3ab511cba510b585f991aee48b360a1c0b91231bb52ef9aab5",
+     "fc6ff3b18a577eeeebdfa005113e1b55ebf48ddf4658e4a8b6a9c8900f16506a"),
+    (LINE_GEOM_SYM, 1.1, 60, 4.5494074733601543e-17,
+     "fc795932690c8cc991d1583bab07e04e55ff8748ec73241aa3e92690c4073192", None),
+]
+
+
+@pytest.mark.parametrize("family,M,N,graph_residual,report_digest,solution_digest",
+                         RESIDUAL_MOVES)
+def test_re_recorded_digests_moved_only_by_the_residual(family, M, N, graph_residual,
+                                                        report_digest, solution_digest):
+    # putting the graph's residual back restores the earlier digests, so no
+    # other field moved, and the residual moved by at most 5e-18
+    report = classify_model(family, M, N).to_dict()
+    evidence = report["def_evidence"]
+    assert abs(evidence["float_residual_rel_max"] - graph_residual) <= 5e-18
+    evidence["float_residual_rel_max"] = graph_residual
+    assert _digest(report) == report_digest
+    if solution_digest is not None:
+        assert _digest(evidence) == solution_digest
+
+
+def reference_defect_residual(sol):
+    """The residual as taken on the graph: max_x |(Lap u + u)(x)| / rowscale(x).
+
+    rowscale(x) = c(x) (|u(x)| + max |u|) + |u(x)| + 1e-300, over the
+    interior vertices of the line graph, with Lap from apply_laplacian.
+    """
+    u = sol.vector
+    graph, values = u.graph, u.values
+    lap = apply_laplacian(u).values
+    max_u = float(np.max(np.abs(values)))
+    scale = graph.vertex_weights * (np.abs(values) + max_u) + np.abs(values) + 1e-300
+    return float(np.max((np.abs(lap + values) / scale)[graph.interior_mask], initial=0.0))
+
+
 @pytest.mark.parametrize("family", list(CLASSIFIED))
-def test_classify_builds_its_graph_once(family, monkeypatch):
-    # every model builder constructs exactly one WeightedGraph, so counting
-    # constructions counts builder calls: the command builds the graph once
-    # and classify_model reads the model from it without building another
+def test_defect_residual_is_the_graphs_to_the_bit_at_powers_of_two(family):
+    for M, N_max in ((2, 1000), (4, 500)):    # the graph builds up to N_max
+        for N in (2, 3, 40, 300, N_max):
+            sol = boundary._deficiency_solution(family, M, N)
+            assert sol.float_residual_rel_max == reference_defect_residual(sol), (M, N)
+
+
+@pytest.mark.parametrize("family", list(CLASSIFIED))
+@pytest.mark.parametrize("M", [1.01, 1.1, 1.5, 3])
+def test_defect_residual_matches_the_graphs_to_rounding(family, M):
+    # rows divided by M**(x+1) round apart from the graph's where M**x is
+    # not a power of two; both stay rounding-level
+    for N in (2, 7, 30, 60, 100):
+        sol = boundary._deficiency_solution(family, M, N)
+        new, graph = sol.float_residual_rel_max, reference_defect_residual(sol)
+        assert 0 <= new < 1e-16 and 0 <= graph < 1e-16, (N, new, graph)
+
+
+@pytest.mark.parametrize("M", [1.01, 1.1, 1.5, 2, 3, 4])
+def test_sym_line_harmonic_evidence_is_the_graphs_to_the_bit(M):
+    # energy and pointwise residual from the line's arrays equal energy()
+    # and apply_laplacian on the built graph, and the flux residual is the
+    # former formula over every mu(x) = M**x, at every N the graph builds
+    for N in [N for N in (2, 30, 200, 500, 1000) if N * math.log2(M) < 1020]:
+        res = build_harmonic_zline(M, 1.0, N)
+        g = res.vector.graph
+        assert res.energy_partial == energy(res.vector), (M, N)
+        lap = apply_laplacian(res.vector).values
+        assert res.value_array_residual == float(np.max(np.abs(lap[g.interior_mask]))), (M, N)
+        xi = 1.0 / M
+        flux = np.array([(M ** x) * (1.0 * xi ** x) for x in range(1, N + 1)])
+        assert res.interior_residual == float(np.max(np.abs(np.diff(flux)))), (M, N)
+        assert np.array_equal(res.vector.values[g.index_of(0):], res.h)
+
+
+def test_line_evidence_runs_past_the_float_range():
+    # M**x overflows past x = 1023 at M = 2: the harmonic constructions and
+    # the defect residual run on, under warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zplus = build_harmonic_zplus(2.0, 1100)
+        zline = build_harmonic_zline(2.0, 1.0, 1100)
+        residual = boundary._defect_residual(np.ones(1101), 2.0, 2)
+    assert zplus.forced_first_increment == 0.0 and zplus.propagated_max_abs == 0.0
+    assert zline.interior_residual <= 1e-12
+    assert zline.energy_partial == build_harmonic_zline(2.0, 1.0, 1000).energy_partial
+    # u = 1 leaves only the source terms: the largest ratio is row 0's,
+    # xi u(0) / (sides (u(0) + max u) + xi u(0))
+    assert residual == 0.5 / (2 * 2 + 0.5)
+
+
+@pytest.mark.parametrize("family", list(CLASSIFIED))
+def test_classify_builds_no_graph(family, monkeypatch):
+    # neither the command nor classify_model constructs a WeightedGraph
     built = []
     init = WeightedGraph.__init__
 
@@ -390,12 +492,12 @@ def test_classify_builds_its_graph_once(family, monkeypatch):
         ["classify", "--model", CLASSIFIED[family][1], "--M", "2", "--N", "30"]))
     code, _text, _files = cli.execute(config)
     assert code == 0
-    assert len(built) == 1
-    assert built[0].truncation.family == family
-    graph = CLASSIFIED[family][0](2.0, 30)
-    assert len(built) == 2
-    classify_model(graph)
-    assert len(built) == 2
+    report = classify_model(family, 2.0, 30)
+    assert report.hard_expectations_ok
+    assert built == []
+    # the records build their graph only when asked for a vector
+    boundary._deficiency_solution(family, 2.0, 30).vector
+    assert len(built) == 1 and built[0].truncation.family == family
 
 
 # -- resolvent ----------------------------------------------------------------------
@@ -508,7 +610,7 @@ def test_space_decomposition_delta_example():
 
 @pytest.mark.parametrize("m_ratio", [1.5, 2.0, 4.0])
 def test_classify_half_line(m_ratio):
-    report = classify_model(build_half_line(m_ratio, 100))
+    report = classify_model(HALF_LINE_GEOM, m_ratio, 100)
     assert report.harm_dim == 0
     assert report.def_dim == 1
     assert report.hard_expectations_ok
@@ -519,7 +621,7 @@ def test_classify_half_line_uncertified_window_is_inconclusive():
     # at M = 1.1 the energy terms still grow at N = 60 (they peak near
     # n = 75), so the window flags cannot certify the defect vector; the
     # paper gives it for every M > 1, so the verdict is open, never 0
-    report = classify_model(build_half_line(1.1, 60))
+    report = classify_model(HALF_LINE_GEOM, 1.1, 60)
     assert report.def_evidence["interior_residual_exact_zero"]
     assert report.def_evidence["energy_flag"] != "CONVERGENT"
     assert report.def_dim is None
@@ -537,7 +639,7 @@ def test_deficiency_float_curves_round_the_exact_values():
 
 
 def test_classify_sym_line():
-    report = classify_model(build_sym_line(2.0, 100))
+    report = classify_model(LINE_GEOM_SYM, 2.0, 100)
     assert report.harm_dim == 1
     assert report.hard_expectations_ok
     # the defect verdict stays evidence-only for this model
@@ -548,10 +650,9 @@ def test_classify_sym_line():
 
 def test_classify_sym_line_fails_with_its_harmonic_check(monkeypatch):
     # a harmonic vector whose flux residual is off fails the sym-line expectations
-    build = boundary._harmonic_zline
-    monkeypatch.setattr(boundary, "_harmonic_zline", lambda graph, t: dataclasses.replace(
-        build(graph, t), interior_residual=1e-6))
-    report = classify_model(build_sym_line(2.0, 30))
+    monkeypatch.setattr(boundary, "build_harmonic_zline", lambda M, t, N: dataclasses.replace(
+        build_harmonic_zline(M, t, N), interior_residual=1e-6))
+    report = classify_model(LINE_GEOM_SYM, 2.0, 30)
     assert report.harm_dim == 0
     assert not report.hard_expectations_ok
     assert report.to_dict()["hard_expectations_ok"] is False
@@ -559,24 +660,32 @@ def test_classify_sym_line_fails_with_its_harmonic_check(monkeypatch):
 
 def test_classify_rejects_other_families():
     with pytest.raises(ValueError, match="not 'DYADIC_TREE'"):
-        classify_model(build_dyadic_tree(1.0, 4))
+        classify_model(DYADIC_TREE, 1.0, 4)
     with pytest.raises(ValueError, match="not 'LINE_AB'"):
-        classify_model(build_ab_line(2.0, 3.0, 10))
-    # a graph with no model behind it, as read from a file
-    with pytest.raises(ValueError, match="no truncation"):
-        classify_model(path_graph([2.0, 4.0, 8.0]))
-    # conductances 3 * 2**n: Lap u = -u is another equation there
-    with pytest.raises(ValueError, match="unscaled half line"):
-        classify_model(build_half_line(2.0, 10, scale=3.0))
+        classify_model(LINE_AB, 2.0, 10)
+    with pytest.raises(ValueError, match="not 'half-line'"):
+        classify_model("half-line", 2.0, 10)
 
 
-def test_classify_reads_the_model_from_the_graph():
-    # family, N and M come from the graph's truncation; an int M is recorded
-    # as the float the builder stores
-    report = classify_model(build_half_line(2, 30))
+@pytest.mark.parametrize("M,N,message", [
+    (1.0, 10, "M must be finite and > 1 \\(got 1.0\\)"),
+    (float("inf"), 10, "M must be finite and > 1 \\(got inf\\)"),
+    (float("nan"), 10, "M must be finite and > 1 \\(got nan\\)"),
+    (2.0, 1, "truncation depth N must be >= 2 \\(got 1\\)"),
+])
+@pytest.mark.parametrize("family", list(CLASSIFIED))
+def test_classify_checks_M_and_N_as_the_builders_do(family, M, N, message):
+    with pytest.raises(ValueError, match=message):
+        classify_model(family, M, N)
+    with pytest.raises(ValueError, match=message):
+        CLASSIFIED[family][0](M, N)
+
+
+def test_classify_reports_an_int_M_as_a_float():
+    report = classify_model(HALF_LINE_GEOM, 2, 30)
     assert (report.family, report.N) == ("HALF_LINE_GEOM", 30)
     assert type(report.M) is float and report.M == 2.0
-    assert report.to_dict() == classify_model(build_half_line(2.0, 30)).to_dict()
+    assert report.to_dict() == classify_model(HALF_LINE_GEOM, 2.0, 30).to_dict()
 
 
 def test_tail_flag_windows():

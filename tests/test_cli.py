@@ -94,8 +94,34 @@ def test_classify_sym_line(capsys):
 
 def test_classify_usage_error_exit_64(capsys):
     code = cli.main(["classify", "--model", "half-line", "--M", "1.0"])
-    capsys.readouterr()
+    assert capsys.readouterr().err == ("resistnet: error: M must be finite and > 1 (got 1.0); "
+                                       "the geometric models assume it\n")
     assert code == 64
+
+
+def strict_json(text):
+    """json.loads(text), refusing NaN and Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("model", ["half-line", "sym-line"])
+def test_classify_runs_past_the_float_range(model):
+    # M**N overflows past N = 1023 at M = 2; classify builds no graph, so
+    # it certifies the exact rows at N = 3000, and the first 301 rows of
+    # its curves are those of N = 300
+    code, text, files = cli.execute(_resolved(["classify", "--model", model, "--M", "2",
+                                               "--N", "3000"]))
+    assert code == 0
+    evidence = strict_json(text)["report"]["def_evidence"]
+    for key in ("interior_residual_exact_zero", "flux_recursion_ok", "seed_relation_ok"):
+        assert evidence[key] is True, key
+    _code, _text, short = cli.execute(_resolved(["classify", "--model", model, "--M", "2",
+                                                 "--N", "300"]))
+    short_rows = short["boundary_curves.csv"].splitlines()
+    assert len(short_rows) == 302
+    assert files["boundary_curves.csv"].splitlines()[:302] == short_rows
 
 
 def test_unknown_option_exit_64():
@@ -320,8 +346,9 @@ def test_exit_codes_stable_contract(capsys):
     ["polys", "--check-identities", "--order", "0"],
     ["polys", "--check-identities", "--order", "-3"],
     ["polys", "--n-max", "-1"],
-    # M**N past the float range
-    ["classify", "--model", "half-line", "--M", "2", "--N", "1100"],
+    # a depth past classify's limit
+    ["classify", "--model", "half-line", "--M", "2", "--N", str(cli.CLASSIFY_N_MAX + 1)],
+    ["classify", "--model", "half-line", "--M", "2", "--N", "1"],
     ["walk", "--model", "half-line", "--M", "2", "--N", "3000", "--start", "2",
      "--trials", "10"],
     # non-finite numbers: JSON has no NaN or Infinity
@@ -402,6 +429,22 @@ def test_negative_conductance_names_the_first_such_edge(command, capsys, tmp_pat
     assert (code, captured.out) == (64, "")
     assert captured.err == (f"resistnet: error: {tmp_path / 'g.txt'}: line 4: edge (2, 3) has "
                             "conductance -2.5 < 0\n")
+
+
+@pytest.mark.parametrize("command", [["energy", "--vector", "{dir}/v.csv"],
+                                     ["resolvent", "--x", "0"]])
+def test_vertex_weight_overflow_names_its_edge(command, capsys, tmp_path):
+    # c(1) = 1e308 + 1e308 is not a finite float: the energy read Infinity
+    # and the solve a backward residual of 0.0 before read_graph refused it
+    (tmp_path / "g.txt").write_text("graph 3 2 0\nedge 0 1 1e308\nedge 1 2 1e308\n")
+    (tmp_path / "v.csv").write_text("vertex,value\n0,1\n1,0\n2,1\n")
+    code = cli.main([arg.format(dir=tmp_path) for arg in command]
+                    + ["--graph", str(tmp_path / "g.txt")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (64, "")
+    assert captured.err == (f"resistnet: error: {tmp_path / 'g.txt'}: line 3: edge (1, 2) "
+                            "overflows the weight of vertex 1: a vertex weight must stay "
+                            "below 1.798e+308\n")
 
 
 @pytest.mark.parametrize("command", [["energy", "--vector", "{dir}/v.csv"],
@@ -735,6 +778,7 @@ def test_pinned_outputs_are_byte_identical(argv, hashes, tmp_path, monkeypatch):
     assert sorted(outputs) == sorted(hashes)
     for name, digest in hashes.items():
         assert hashlib.sha256(outputs[name].encode()).hexdigest() == digest, name
+    strict_json(text)
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _hashes in PINNED_OUTPUTS])

@@ -56,7 +56,7 @@ def reference_read_graph(text):
         n_vertices, n_edges, base = int(parts[1]), int(parts[2]), int(parts[3])
     except (ValueError, IndexError) as exc:
         raise GraphStructureError(f"line {header_line}: malformed 'graph' record") from exc
-    edges = []
+    edges, edge_lines = [], []
     labels = {}
     for lineno, raw in lines:
         parts = raw.split(None, 3)
@@ -71,6 +71,7 @@ def reference_read_graph(text):
                     raise GraphStructureError(
                         f"line {lineno}: edge ({x}, {y}) has conductance {c!r} < 0")
                 edges.append((x, y, c))
+                edge_lines.append(lineno)
             elif kind == "label":
                 vertex = int(parts[1])
                 if not 0 <= vertex < n_vertices:
@@ -98,6 +99,16 @@ def reference_read_graph(text):
     for e in edges:
         if not (0 <= e[0] < n_vertices and 0 <= e[1] < n_vertices):
             raise GraphStructureError(f"edge {e!r} has vertex out of range")
+    # each vertex weight, the sum of its edges' conductances, must be a finite float
+    weights = [0.0] * n_vertices
+    for (x, y, c), lineno in zip(edges, edge_lines):
+        for vertex in (x, y):
+            weights[vertex] += c
+        for vertex in (x, y):
+            if weights[vertex] == float("inf"):
+                raise GraphStructureError(
+                    f"line {lineno}: edge ({x}, {y}) overflows the weight of vertex {vertex}: "
+                    f"a vertex weight must stay below {sys.float_info.max:.4g}")
     return graph_from_records(n_vertices, edges, base_vertex=base, labels=label_tuple)
 
 
@@ -191,6 +202,14 @@ GRAPHS_REJECTED = {
     "edge-vertex-huge": "graph 2 1 0\nedge 99999999999999999999 1 1.0\n",
     "negative-conductance": "graph 3 2 0\nedge 0 1 -1.0\nedge 1 2 0\n",
     "negative-subnormal-conductance": "graph 3 3 0\nedge 0 1 0\nedge 1 2 -0.0\nedge 2 0 -5e-324\n",
+    # c(1) = 1e308 + 1e308 is not a finite float
+    "vertex-weight-overflow": "graph 3 2 0\nedge 0 1 1e308\nedge 1 2 1e308\n",
+    "self-loop-weight-overflow": "# c\n\ngraph 2 2 0\nedge 0 1 1.0\n  edge 1 1 1e308\n",
+    "weight-overflow-after-labels": (
+        "graph 4 5 0\nlabel 0 a\nedge 0 1 1e308\nedge 2 3 1e308\nlabel 1 b\n"
+        "edge 3 3 0\nedge 3 0 7e307\nedge 1 2 1e308\n"),
+    # a later malformed line is named before the weight that overflows
+    "weight-overflow-before-malformed": "graph 3 3 0\nedge 0 1 1e308\nedge 1 2 1e308\nedge x\n",
     # the first faulty line is reported, whatever the kinds of the later ones
     "label-fault-before-edge-fault": (
         "graph 2 2 0\nedge 0 1 1.0\nlabel 9 far\nedge 0 x 1.0\n"),

@@ -600,3 +600,13 @@ def test_nonzero_source_on_a_pinned_vertex_is_rejected(source):
         rhs[2] = zero
         assert solve_reduced(graph, 1.0, rhs, fixed, np.zeros(4))[0].tobytes() == \
             expected.tobytes()
+
+
+def test_a_solve_whose_scale_is_not_finite_is_never_exact():
+    # c(1) = 1e308 + 1e308 overflows, so the residual's scale is infinite
+    # and any residual over it would read 0.0; the solve is refused instead
+    graph = path_graph([1e308, 1e308])
+    rhs = np.zeros(3)
+    rhs[0] = 1.0
+    with pytest.raises(SolverError, match="backward residual nan"):
+        solve_reduced(graph, 1.0, rhs, np.zeros(3, dtype=bool), np.zeros(3))

@@ -368,12 +368,12 @@ def test_transfer_iterate_fixes_harmonic_vector():
 
 def test_transfer_iterate_deficiency_monotone():
     sol = build_deficiency_zplus(2, 40)
-    k = kernel_from_graph(sol.graph)
+    k = kernel_from_graph(sol.vector.graph)
     # eigen-relation at interior vertices: T u = (1 + 1/c) u
     tu = apply_transfer(k, sol.vector).values
     u = sol.vector.values
-    expected = (1.0 + 1.0 / sol.graph.vertex_weights) * u
-    interior = sol.graph.interior_mask
+    expected = (1.0 + 1.0 / sol.vector.graph.vertex_weights) * u
+    interior = sol.vector.graph.interior_mask
     rel = np.max(np.abs((tu - expected)[interior]) / np.abs(u[interior]))
     assert rel < 1e-9
     res = transfer_iterate(k, sol.vector, k_max=200, tol=1e-10)
