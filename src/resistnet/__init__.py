@@ -22,11 +22,11 @@ from .energy import (
 )
 from .linsolve import SolveDiagnostics, SolverError
 from .polynomials import (
-    FormalSeries, GrowthReport, PolyPair, QLimitError, QLimitResult, SEED_PAIR,
-    XiPoly, check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
+    GrowthReport, PolyPair, QLimitError, QLimitResult, XiPoly,
+    check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
     genfunc_P, genfunc_Q, growth_bounds_report, matrix_product_pair,
     pair_sequence, pair_values_sequence, product_exponential_discrepancy,
-    q_limit, recursion_step,
+    q_limit,
 )
 from .boundary import (
     ABDeficiencyReport, BoundaryReport, DeficiencySolution,

@@ -18,6 +18,8 @@ import sys
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from . import boundary, embedding, graphs, polynomials, walk
 from .energy import apply_laplacian, energy as energy_of, read_vector, write_vector
 from .linsolve import SolverError
@@ -229,7 +231,7 @@ def run_polys(config):
         if xi is None:
             raise UsageError("--growth needs --xi")
         try:
-            report = polynomials.growth_bounds_report(xi, config["n_max"], pairs)
+            report = polynomials.growth_bounds_report(xi, config["n_max"])
         except ValueError as exc:
             raise UsageError(f"--growth: {exc}") from exc
         doc["growth"] = report.to_dict()
@@ -347,9 +349,14 @@ def run_embed(config):
 def run_energy(config):
     graph = _read_file(config["graph"], graphs.read_graph)
     u = _read_file(config["vector"], lambda text: read_vector(graph, text))
-    lap = apply_laplacian(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = apply_laplacian(u)
+        energy = energy_of(u)
+    if not (np.isfinite(energy) and np.isfinite(lap.values).all()):
+        raise UsageError(f"{config['vector']} on {config['graph']}: the energy or the "
+                         "Laplacian leaves the float range")
     doc = {
-        "energy": energy_of(u),
+        "energy": energy,
         "n_vertices": graph.n_vertices,
         "n_edges": graph.n_edges,
     }

@@ -32,36 +32,62 @@ p_n = P_n / b^T(n-1) and q_n = Q_n / b^T(n) are already in lowest terms,
 and a float of either is one correctly rounded int / int division,
 exactly as Fraction.__float__ computes it.
 
-The module also provides truncated formal power series in a second
-variable X whose coefficients are polynomials in xi, used to verify the
-generating-function identities satisfied by the pair, including the
-product representation
+The polynomials themselves are never added coefficient by coefficient.
+A polynomial f with non-negative integer coefficients below 2^w is the
+integer f(2^w) (Kronecker substitution; von zur Gathen & Gerhard, Modern
+Computer Algebra, section 8.4), and evaluation at xi = 2^w is a ring
+homomorphism: running the scaled-integer recursion at xi = 2^w (a = 2^w,
+b = 1, every step shifts and additions) yields the integers p_n(2^w),
+q_n(2^w) exactly, whatever w is, and so does every sum and multiple by
+xi^k formed from them, with xi^k c a shift of c by k w bits. Packing only
+loses information when a coefficient reaches 2^w. The lemma that rules
+this out:
+
+    Every polynomial formed here has non-negative integer coefficients:
+    p_n and q_n (by induction on the recursion, whose steps only add and
+    multiply by xi^k), the running quotients 1 / prod (1 - xi^k X)^2 of
+    the product representations (each division is the sweep
+    c_m += xi^k c_(m-1)) and every sum of these. So each coefficient is at
+    most the polynomial's value at xi = 1, and if that value is below 2^w
+    the coefficients are the base-2^w digits of the value at 2^w, which
+    determine them.
+
+pair_sequence packs at the first multiple of 64 bits at or above
+w = q_(n_max)(1).bit_length(): p_n(1) <= q_n(1) <= q_(n_max)(1) for
+n <= n_max by induction, so every coefficient of the table is a digit,
+and the digits are read as whole 64-bit words.
+
+Each identity check compares one pair series with a side formed from the
+pair: the generating-function identities, the cumulative identity of the
+growth report, and the product representation
 
     sum_n p_n(xi) X^n
         = sum_{n>=1} xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2,
 
-obtained by eliminating the q-series and iterating the substitution
-X -> xi X. The right-hand side is built without multiplying series:
-dividing by (1 - xi^k X) is one upward sweep c_m += xi^k c_(m-1) over the
-coefficients, each squared factor is two such sweeps on a running
-quotient, and each term xi^T X^n times that quotient is added straight
-into the coefficients from X^n on. The sum is then compared exactly,
-coefficient by coefficient, with the series of the pair itself.
+obtained by eliminating the q-series and iterating X -> xi X, with its
+companion for the q-series. A check is first run at xi = 1, every shift
+0. If the two sides differ there, the polynomials differ. If they agree,
+every coefficient on either side is at most a value of the pair series
+at 1, below 2^w for w the largest bit length among those values, and the
+check is run again at xi = 2^w, where an integer comparison is a
+coefficient-by-coefficient one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import exp, inf, lcm, sqrt
-from typing import Optional, Sequence
+from sys import float_info
+from typing import Optional
+
+import numpy as np
 
 from .graphs import record_dict
 
 __all__ = [
-    "XiPoly", "PolyPair", "FormalSeries", "SEED_PAIR",
-    "recursion_step", "pair_sequence", "pair_values_sequence",
+    "XiPoly", "PolyPair", "pair_sequence", "pair_values_sequence",
     "matrix_product_pair", "genfunc_P", "genfunc_Q",
     "identity_P_holds", "identity_Q_holds",
     "check_identity_P", "check_identity_Q", "check_repr_P", "check_repr_Q",
@@ -76,90 +102,30 @@ CUBE_BOUND_RATIO_THRESHOLD = exp(sqrt(2.0 / 3.0) / exp(1.0))
 
 
 class XiPoly:
-    """Dense univariate polynomial in xi with exact coefficients.
+    """Dense univariate polynomial in xi with exact integer coefficients.
 
-    Coefficients are stored low degree first with no trailing zeros;
-    plain ints are kept as ints, rational coefficients as Fractions.
+    Coefficients are stored low degree first with no trailing zeros. The
+    arithmetic on the pair is done on packed integers (see the module
+    docstring); an XiPoly is the read-only, unpacked form of the result.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        # an exact type test: the isinstance check of the Fraction ABC costs
-        # about ten times as much, on every coefficient of every polynomial
-        coeffs = [int(c) if type(c) is Fraction and c.denominator == 1 else c
-                  for c in coeffs]
+        coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power, coeff=1):
-        return cls((0,) * power + (coeff,))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
 
     def coefficient(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return XiPoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return XiPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return XiPoly(out)
-
-    def scale(self, factor):
-        return XiPoly([c * factor for c in self.coeffs])
-
-    def shift(self, power):
-        """Multiply by xi**power."""
-        if self.is_zero():
-            return self
-        return XiPoly((0,) * power + self.coeffs)
-
-    def __call__(self, xi):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * xi + c
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, XiPoly) and self.coeffs == other.coeffs
@@ -180,22 +146,45 @@ class PolyPair:
     q: XiPoly
 
 
-SEED_PAIR = PolyPair(0, XiPoly.zero(), XiPoly.one())
+def _packed_pairs(n_max, w):
+    """The pair packed at width w: the lists p_n(2^w) and q_n(2^w), n = 0 .. n_max."""
+    p, q = [], []
+    for P, Q, _R, _D in islice(_scaled_pairs(1 << w), max(n_max, 0) + 1):
+        p.append(P)
+        q.append(Q)
+    return p, q
 
 
-def recursion_step(pair: PolyPair) -> PolyPair:
-    """Advance (p_n, q_n) to (p_{n+1}, q_{n+1}), exactly."""
-    p_next = pair.p + pair.q
-    q_next = pair.q + p_next.shift(pair.n + 1)
-    return PolyPair(pair.n + 1, p_next, q_next)
+def _unpack(value, words):
+    """The base-2^(64 words) digits of value >= 0, low first, as Python ints.
+
+    Each digit is `words` little-endian 64-bit words. numpy reads all the
+    low words of one value at once; a higher word is or-ed in only over the
+    slice of digits from its first to its last non-zero entry.
+    """
+    size = 8 * words
+    raw = value.to_bytes(-(-value.bit_length() // (8 * size)) * size, "little")
+    digits = np.frombuffer(raw, "<u8").reshape(-1, words)
+    out = digits[:, 0].astype(object)
+    for j in range(1, words):
+        rows = np.flatnonzero(digits[:, j])
+        if len(rows):
+            wide = slice(rows[0], rows[-1] + 1)
+            out[wide] |= digits[wide, j].astype(object) << (64 * j)
+    return out.tolist()
 
 
 def pair_sequence(n_max: int) -> list:
-    """PolyPair objects for n = 0 .. n_max."""
-    out = [SEED_PAIR]
-    for _ in range(n_max):
-        out.append(recursion_step(out[-1]))
-    return out
+    """PolyPair objects for n = 0 .. n_max.
+
+    The pair is run packed, at a width of whole 64-bit words that holds
+    q_(n_max)(1), the largest coefficient sum of the table, and each
+    polynomial is its integer's digits.
+    """
+    q_at_one = _packed_pairs(n_max, 0)[1][-1]
+    words = -(-q_at_one.bit_length() // 64)
+    return [PolyPair(n, XiPoly(_unpack(P, words)), XiPoly(_unpack(Q, words)))
+            for n, (P, Q) in enumerate(zip(*_packed_pairs(n_max, 64 * words)))]
 
 
 def _split_two(v):
@@ -313,126 +302,71 @@ def matrix_product_pair(n: int, xi):
     return top, bot
 
 
-# -- truncated formal power series in X with XiPoly coefficients ------------
+# -- the generating-function identities on packed series ----------------------
 
-class FormalSeries:
-    """Power series in X truncated at a fixed order, exact coefficients.
+def genfunc_P(order: int, w: int) -> list:
+    """The series sum_n p_n X^n through X^order, packed at width w: p_n(2^w)."""
+    return _packed_pairs(order, w)[0]
 
-    Operations never combine series of different truncation orders; call
-    truncate() explicitly when mixing.
+
+def genfunc_Q(order: int, w: int) -> list:
+    """The series sum_n q_n X^n through X^order, packed at width w: q_n(2^w)."""
+    return _packed_pairs(order, w)[1]
+
+
+def identity_P_holds(p, q, w) -> bool:
+    """X * (P + Q) == P, on the two series packed at width w."""
+    return [0] + [a + b for a, b in zip(p, q[:-1])] == p
+
+
+def identity_Q_holds(p, q, w) -> bool:
+    """Q == 1 + X*Q + P(xi X), on the two series packed at width w.
+
+    Substituting xi X for X multiplies the X^m coefficient by xi^m, a
+    shift by m w bits.
     """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Sequence[XiPoly]):
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order + 1 coefficients")
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order, tuple(XiPoly.zero() for _ in range(order + 1)))
-
-    @classmethod
-    def one(cls, order):
-        return cls(order, (XiPoly.one(),) + tuple(XiPoly.zero() for _ in range(order)))
-
-    @classmethod
-    def from_coeffs(cls, order, coeffs):
-        coeffs = list(coeffs)[: order + 1]
-        coeffs += [XiPoly.zero()] * (order + 1 - len(coeffs))
-        return cls(order, coeffs)
-
-    def _check(self, other):
-        if self.order != other.order:
-            raise ValueError(
-                f"mixed truncation orders {self.order} and {other.order}; "
-                "retruncate explicitly")
-
-    def truncate(self, new_order):
-        if new_order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return FormalSeries(new_order, self.coeffs[: new_order + 1])
-
-    def __add__(self, other):
-        self._check(other)
-        return FormalSeries(self.order,
-                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return FormalSeries(self.order,
-                            [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, poly: XiPoly):
-        return FormalSeries(self.order, [c * poly for c in self.coeffs])
-
-    def mul_x(self, j=1):
-        """Multiply by X**j."""
-        if j > self.order:
-            return FormalSeries.zero(self.order)
-        coeffs = (XiPoly.zero(),) * j + self.coeffs[: self.order + 1 - j]
-        return FormalSeries(self.order, coeffs)
-
-    def substitute_scaled_x(self, power=1):
-        """Substitute xi**power * X for X: coefficient k gains xi^(k*power)."""
-        return FormalSeries(self.order,
-                            [c.shift(k * power) for k, c in enumerate(self.coeffs)])
-
-    def __eq__(self, other):
-        return (isinstance(other, FormalSeries) and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"FormalSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
+    rhs = [1 + p[0]] + [q[m - 1] + (p[m] << (m * w)) for m in range(1, len(q))]
+    return rhs == q
 
 
-def genfunc_P(order: int) -> FormalSeries:
-    """Series whose X^n coefficient is p_n (zero constant term)."""
-    pairs = pair_sequence(order)
-    return FormalSeries(order, [pair.p for pair in pairs])
+def _holds_exactly(order, holds):
+    """Whether holds(p, q, w) holds for the pair as polynomials.
 
-
-def genfunc_Q(order: int) -> FormalSeries:
-    """Series whose X^n coefficient is q_n (constant term 1)."""
-    pairs = pair_sequence(order)
-    return FormalSeries(order, [pair.q for pair in pairs])
-
-
-def identity_P_holds(series_p: FormalSeries, series_q: FormalSeries) -> bool:
-    """X * (P + Q) == P, coefficient by coefficient."""
-    return (series_p + series_q).mul_x(1) == series_p
-
-
-def identity_Q_holds(series_p: FormalSeries, series_q: FormalSeries) -> bool:
-    """Q == 1 + X*Q + P(xi X), coefficient by coefficient."""
-    rhs = (FormalSeries.one(series_q.order)
-           + series_q.mul_x(1)
-           + series_p.substitute_scaled_x(1))
-    return rhs == series_q
+    holds compares one of the pair series p, q through X^order, packed at
+    width w, with a side formed from both. It runs at xi = 1 first and
+    then, if it holds there, at xi = 2^w with w the largest bit length of
+    a pair value at 1, where its integer comparison compares coefficients
+    (the lemma in the module docstring).
+    """
+    p, q = _packed_pairs(order, 0)
+    if not holds(p, q, 0):
+        return False
+    w = max(v.bit_length() for v in p + q)
+    return holds(*_packed_pairs(order, w), w)
 
 
 def check_identity_P(order: int) -> bool:
-    return identity_P_holds(genfunc_P(order), genfunc_Q(order))
+    return _holds_exactly(order, identity_P_holds)
 
 
 def check_identity_Q(order: int) -> bool:
-    return identity_Q_holds(genfunc_P(order), genfunc_Q(order))
+    return _holds_exactly(order, identity_Q_holds)
 
 
-def _divide_linear(coeffs, k, top):
-    """Divide a series by (1 - xi^k X) in place, through coefficient top.
+def _divide_linear(coeffs, shift, top):
+    """Divide a packed series by (1 - xi^k X) in place, through coefficient top.
 
-    Multiplying the quotient back by (1 - xi^k X) must give the series, so
-    c_m becomes c_m + xi^k c_(m-1), sweeping m upward over the new values.
+    shift is k w. Multiplying the quotient back by (1 - xi^k X) must give
+    the series, so c_m becomes c_m + xi^k c_(m-1), sweeping m upward over
+    the new values.
     """
     for m in range(1, top + 1):
-        coeffs[m] = coeffs[m] + coeffs[m - 1].shift(k)
+        coeffs[m] += coeffs[m - 1] << shift
 
 
-def _product_sum(order, n_max, first):
-    """Coefficients through X^order of the sum over n = 1 .. n_max of
+def _product_sum(order, n_max, first, w):
+    """Coefficients through X^order, packed at width w, of the sum over
+    n = 1 .. n_max of
 
         xi^T(k) X^n / prod_{j=first}^{k} (1 - xi^j X)^2,   k = n - 1 + first,
 
@@ -446,31 +380,31 @@ def _product_sum(order, n_max, first):
         raise ValueError("order must be >= 1")
     if n_max < order:
         raise ValueError("n_max must be >= order so no contributing term is skipped")
-    total = [XiPoly.zero()] * (order + 1)
-    running = [XiPoly.one()] + [XiPoly.zero()] * order
+    total = [0] * (order + 1)
+    running = [1] + [0] * order
     tri = first * (first - 1) // 2
     for n in range(1, order + 1):
         k = n - 1 + first
         top = order - n
-        _divide_linear(running, k, top)
-        _divide_linear(running, k, top)
+        _divide_linear(running, k * w, top)
+        _divide_linear(running, k * w, top)
         tri += k
         for m in range(top + 1):
-            total[n + m] = total[n + m] + running[m].shift(tri)
+            total[n + m] += running[m] << (tri * w)
     return total
 
 
-def _repr_series_P(order: int, n_max: int) -> FormalSeries:
-    """sum_{n=1}^{n_max} xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2."""
-    return FormalSeries(order, _product_sum(order, n_max, 0))
+def _repr_series_P(order: int, n_max: int, w: int) -> list:
+    """sum_{n=1}^{n_max} xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2, packed."""
+    return _product_sum(order, n_max, 0, w)
 
 
-def _repr_series_Q(order: int, n_max: int) -> FormalSeries:
-    """(1/(1-X)) (1 + sum_{n=1}^{n_max} xi^(n(n+1)/2) X^n / prod_{k=1}^{n} (1 - xi^k X)^2)."""
-    coeffs = _product_sum(order, n_max, 1)
-    coeffs[0] = XiPoly.one()
+def _repr_series_Q(order: int, n_max: int, w: int) -> list:
+    """(1/(1-X)) (1 + sum_{n=1}^{n_max} xi^(n(n+1)/2) X^n / prod_{k=1}^{n} (1 - xi^k X)^2), packed."""
+    coeffs = _product_sum(order, n_max, 1, w)
+    coeffs[0] = 1
     _divide_linear(coeffs, 0, order)      # 1/(1 - X): a prefix sum
-    return FormalSeries(order, coeffs)
+    return coeffs
 
 
 def check_repr_P(order: int, n_max: int) -> bool:
@@ -478,12 +412,12 @@ def check_repr_P(order: int, n_max: int) -> bool:
 
     The terms xi^((n-1)n/2) X^n / prod_{k=0}^{n-1} (1 - xi^k X)^2 for
     n = 1 .. n_max are built by dividing out one linear factor at a time,
-    each a single sweep c_m += xi^k c_(m-1) over the coefficients, and
-    their sum is compared with genfunc_P coefficient by coefficient.
+    each a single sweep c_m += xi^k c_(m-1) over the packed coefficients,
+    and their sum is compared with the p-series coefficient by coefficient.
     n_max must reach order, so no term that touches a compared
     coefficient is left out.
     """
-    return _repr_series_P(order, n_max) == genfunc_P(order)
+    return _holds_exactly(order, lambda p, _q, w: _repr_series_P(order, n_max, w) == p)
 
 
 def check_repr_Q(order: int, n_max: int) -> bool:
@@ -494,9 +428,9 @@ def check_repr_Q(order: int, n_max: int) -> bool:
 
     built by the same division sweeps as check_repr_P; the final 1/(1-X)
     is the sweep with k = 0, a prefix sum. The result is compared with
-    genfunc_Q coefficient by coefficient.
+    the q-series coefficient by coefficient.
     """
-    return _repr_series_Q(order, n_max) == genfunc_Q(order)
+    return _holds_exactly(order, lambda _p, q, w: _repr_series_Q(order, n_max, w) == q)
 
 
 def product_exponential_discrepancy(xi: float, x: float, k_terms: int = 60):
@@ -529,25 +463,27 @@ class GrowthReport:
         return {**record_dict(self), "xi": str(self.xi)}
 
 
-def growth_bounds_report(xi, n_max: int, pairs=None) -> GrowthReport:
+def _cumulative_identity_holds(p, q, w) -> bool:
+    """p_n == 1 + q_1 + ... + q_(n-1) for n = 1 .. order, on packed series."""
+    return list(accumulate(q[1:-1], initial=1)) == p[1:]
+
+
+def growth_bounds_report(xi, n_max: int) -> GrowthReport:
     """Exact growth checks for p_n, q_n at one rational xi.
 
     Checks n <= p_n(xi) for every n; the cubic upper bound whenever the
     ratio 1/xi clears the threshold that guarantees it (otherwise the
     smallest integer exponent m <= 12 making both paired power bounds
     hold is searched and reported); and the telescoped cumulative-sum
-    identity p_n = 1 + q_1 + ... + q_{n-1} at the polynomial level. The
-    slope fields are diagnostics: the linear-growth constant is
-    existential, so no pass/fail is attached. pairs, if given, is
-    pair_sequence(n_max), already built by the caller.
+    identity p_n = 1 + q_1 + ... + q_{n-1} at the polynomial level, on
+    the packed pair. The slope fields are diagnostics: the linear-growth
+    constant is existential, so no pass/fail is attached.
     """
     xi = Fraction(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
-    if pairs is None:
-        pairs = pair_sequence(n_max)
     values = pair_values_sequence(xi, n_max)
 
     lower_ok = all(values[n][0] >= n for n in range(1, n_max + 1))
@@ -566,13 +502,7 @@ def growth_bounds_report(xi, n_max: int, pairs=None) -> GrowthReport:
                 smallest_m = m
                 break
 
-    cumsum_ok = True
-    acc = XiPoly.one()
-    for n in range(1, n_max + 1):
-        if pairs[n].p != acc:
-            cumsum_ok = False
-            break
-        acc = acc + pairs[n].q
+    cumsum_ok = _holds_exactly(n_max, _cumulative_identity_holds)
 
     ns = list(range(1, n_max + 1))
     ps = [float(values[n][0]) for n in ns]
@@ -609,7 +539,9 @@ def q_limit(xi, tol: float = 1e-12, max_n: int = 5000) -> QLimitResult:
     rather than assumed, as identities of the scaled integers (q_n > q_(n-1)
     is Q_n > b^n Q_(n-1) and q_n > 1 is Q_n > D_n). Since every increment
     is positive, tol must be > 0 to be reachable, and finite to iterate
-    past the first term.
+    past the first term. A run whose terms leave the float range before
+    the increment falls below tol raises QLimitError, as a run that
+    reaches max_n does.
     """
     xi = Fraction(xi)
     if not 0 < xi < 1:
@@ -623,22 +555,28 @@ def q_limit(xi, tol: float = 1e-12, max_n: int = 5000) -> QLimitResult:
     pairs = _scaled_pairs(xi)
     _, Q_prev, _, D_prev = next(pairs)
     b_n = 1             # odd part of b^n
+    value, increment = 1.0, 0.0
     for n, (P, Q, R, D) in enumerate(pairs, 1):
         b_n *= b_odd
         if R <= 0 or Q <= _times(Q_prev, b_n, sb * n):
             monotone_ok = False
         if Q <= D:
             above_one_ok = False
-        a_max = max(a_max, _float_quotient(R, P, D, D_prev))   # xi^n p_n^2
-        increment = R / D
-        if increment < tol * (Q / D):
+        try:
+            a_max = max(a_max, _float_quotient(R, P, D, D_prev))   # xi^n p_n^2
+            increment, value = R / D, Q / D
+        except OverflowError as exc:
+            raise QLimitError(
+                f"the terms of q_n({xi}) leave the float range (max {float_info.max:g}) "
+                f"at n = {n}, before the rel. increment drops below {tol:g}",
+                n, value, increment) from exc
+        if increment < tol * value:
             break
         if n >= max_n:
             raise QLimitError(
                 f"no convergence to rel. increment {tol:g} within {max_n} steps",
-                n, Q / D, increment)
+                n, value, increment)
         Q_prev, D_prev = Q, D
-    value = Q / D
     bound = 1.0 + sqrt(a_max * float(xi)) / (1.0 - sqrt(float(xi)))
     return QLimitResult(value, n, monotone_ok, above_one_ok, a_max, bound,
                         value <= bound + 1e-12)

@@ -60,7 +60,8 @@ def test_polys_q_limit_run(capsys):
 
 
 def test_polys_builds_the_pair_list_once(capsys, monkeypatch):
-    # the table and the growth report share one pair_sequence(n_max)
+    # the table builds the pair list once; the growth report checks its
+    # cumulative identity on the packed pair and does not read the table
     calls = []
     real = polynomials.pair_sequence
 
@@ -381,7 +382,11 @@ def test_exit_codes_stable_contract(capsys):
     # a negative conductance makes the energy form indefinite; read_graph refuses it
     ["energy", "--graph", "{dir}/negative.txt", "--vector", "{dir}/v3.csv"],
     ["resolvent", "--graph", "{dir}/negative.txt", "--x", "0"],
+    # finite conductances whose energy, or Laplacian, leaves the float range
+    ["energy", "--graph", "{dir}/huge4.txt", "--vector", "{dir}/huge4.csv"],
+    ["energy", "--graph", "{dir}/huge2.txt", "--vector", "{dir}/huge2.csv"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "g.txt").write_text(write_graph(path_graph([1.0])))
     (tmp_path / "v.csv").write_text("vertex,value\n0,1.0\n1,0.0\n")
@@ -401,6 +406,10 @@ def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
     (tmp_path / "inf_value.csv").write_text("vertex,value\n0,1.0\n1,inf\n")
     (tmp_path / "negative.txt").write_text("graph 3 2 0\nedge 0 1 -1.0\nedge 1 2 1.0\n")
     (tmp_path / "v3.csv").write_text("vertex,value\n0,0\n1,1\n2,1\n")
+    (tmp_path / "huge4.txt").write_text("graph 4 2 0\nedge 0 1 1e308\nedge 2 3 1e308\n")
+    (tmp_path / "huge4.csv").write_text("vertex,value\n0,1\n1,0\n2,1\n3,0\n")
+    (tmp_path / "huge2.txt").write_text("graph 2 1 0\nedge 0 1 1e308\n")
+    (tmp_path / "huge2.csv").write_text("vertex,value\n0,3\n1,-3\n")
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "incomplete.json").write_text(json.dumps({"command": "walk"}))
     polys = _resolved(["polys"])
@@ -483,6 +492,16 @@ def test_q_limit_non_convergence_is_structured(capsys, monkeypatch):
     assert doc["q_limit"] == {"error": {
         "class": "QLimitError", "message": "no convergence", "n_reached": 5000}}
     assert doc["exit_code"] == 2
+
+
+def test_q_limit_past_the_float_range_is_structured(capsys):
+    # the terms xi^n p_n^2 of q_n(1023/1024) pass the largest float at n = 405
+    code, out = run_cli(capsys, ["polys", "--xi", "1023/1024", "--q-limit"])
+    assert code == 2
+    error = json.loads(out)["q_limit"]["error"]
+    assert error["class"] == "QLimitError"
+    assert error["n_reached"] == 405
+    assert "float range" in error["message"]
 
 
 def test_classify_half_line_uncertified_window_exits_2(capsys):
