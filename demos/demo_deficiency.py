@@ -15,10 +15,10 @@ print("defect vector u(n) = q_n(1/2), first values:",
       [float(v) for v in sol.u_exact[:5]])
 print("interior rows of Lap u = -u hold exactly in rationals:",
       sol.interior_residual_exact_zero)
-print("energy partial sums:", [(d, round(v, 12)) for d, v in sol.energy_partials],
-      "->", sol.energy_flag)
-print("square-sum partials:", [(d, round(v, 2)) for d, v in sol.l2_partials],
-      "->", sol.l2_flag)
+print("energy:", sol.energy_verdict, "from depth", sol.certified_depth,
+      "enclosed in", list(sol.energy_enclosure))
+print("u(n) rises to a limit in", list(sol.u_limit_enclosure),
+      "so the square sums through n exceed n + 1:", sol.l2_cumulative[-1])
 print("(finite energy with divergent square sums is the whole point:",
       "the vector lives in the energy space but not in little-ell-2)")
 
@@ -30,7 +30,7 @@ print("h(1) =", hline.vector.values[hline.vector.graph.index_of(1)],
 
 zsol = rn.build_deficiency_zline(2, 100)
 print("symmetric defect candidate: u(1) =", float(zsol.u_exact[1]),
-      " classification:", zsol.classification)
+      " energy:", zsol.energy_verdict, "in", list(zsol.energy_enclosure))
 
 print()
 print("=== the dimension table, with evidence ===")
@@ -39,7 +39,7 @@ for m_ratio in (1.5, 2.0, 4.0):
     print(f"half line M={m_ratio}: (harm, def) = ({rep.harm_dim}, {rep.def_dim})")
 rep = rn.classify_model(rn.LINE_GEOM_SYM, 2.0, 120)
 print(f"sym line  M=2.0: harm = {rep.harm_dim}, "
-      f"def = {rep.def_dim} (evidence only: {rep.def_evidence['classification']})")
+      f"def = {rep.def_dim} (the symmetric candidate: {rep.def_evidence['energy_verdict']})")
 
 print()
 print("=== the two-ratio line and its normalization puzzle ===")

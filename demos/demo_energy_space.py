@@ -37,9 +37,9 @@ print("bound for |u(3) - u(0)| / ||u||:", bound)
 print("observed ratio:", abs(u.values[3] - u.values[0]) / np.sqrt(rn.energy(u)))
 
 print()
-print("=== quadratic sums and their growth ===")
+print("=== quadratic sums ===")
 supported = rng.standard_normal(g.n_vertices)
 supported[g.depths > 3] = 0.0
-res = rn.sum_S2(rn.vector(g, supported))
-print("finitely supported vector: S2 =", res.total,
-      " energy =", rn.energy(rn.vector(g, supported)), " flag:", res.flag)
+w = rn.vector(g, supported)
+quadratic = float(np.sum(w.values * rn.apply_laplacian(w).values))
+print("finitely supported vector: sum u Lap u =", quadratic, " energy =", rn.energy(w))

@@ -15,10 +15,9 @@ from .graphs import (
     build_sym_line, path_graph, read_graph, validate, write_graph,
 )
 from .energy import (
-    EnergyVector, ProjectionError, S2Result, apply_laplacian, constant,
-    delta, distance_bound, energy, energy_inner, project_fin_harm,
-    random_interior_vector, read_vector, solve_dipole, sum_S2, vector,
-    write_vector,
+    EnergyVector, ProjectionError, apply_laplacian, constant, delta,
+    distance_bound, energy, energy_inner, project_fin_harm,
+    random_interior_vector, read_vector, solve_dipole, vector, write_vector,
 )
 from .linsolve import SolveDiagnostics, SolverError
 from .polynomials import (

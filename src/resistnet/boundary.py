@@ -3,9 +3,38 @@
 Everything here produces constructive evidence, not numerics-only rank
 estimates: each claimed basis vector comes with its defining relations
 checked in exact rational arithmetic where the construction is exact, a
-backward-style float residual for the floated copy, and tail diagnostics
-for the energy and square-sum partial sums. Truncation frontier vertices
-are excluded from every pointwise identity.
+backward-style float residual for the floated copy, and a certified
+energy verdict. Truncation frontier vertices are excluded from every
+pointwise identity.
+
+The verdict is a lemma on the last exact row. A side with share lam runs
+p_k = p_(k-1) + q_(k-1), q_k = q_(k-1) + xi^k p_k from (p_0, q_0) =
+(lam - 1, 1), 0 < xi = 1/M < 1, so p_k, q_k > 0 for k >= 1 (p_1 = lam and
+each step adds positive terms). Fix n >= 1; S0 = xi^(n+1)/(1-xi) and
+S1 = xi^(n+1)/(1-xi)^2.
+
+Lemma. If S1 < 1, then Q = (q_n + p_n S0)/(1 - S1) bounds q_m for all
+m >= n, and with p = p_n the energy tail sum_(k>n) xi^k p_k^2 is at most
+xi^n [p^2 xi/(1-xi) + 2pQ xi/(1-xi)^2 + Q^2 xi(1+xi)/(1-xi)^3].
+
+Proof. q_n <= Q. If q_j <= Q for n <= j < m, then p_k <= p_n + (k-n) Q for
+n <= k <= m, so q_m = q_n + sum_(k=n+1..m) xi^k p_k <= q_n + p_n S0 + Q S1
+= Q, as sum_(j>=1) xi^(n+j) = S0 and sum_(j>=1) j xi^(n+j) = S1. The tail
+is at most sum_(j>=1) xi^(n+j) (p + jQ)^2; sum j^2 xi^j = xi(1+xi)/(1-xi)^3.
+
+S1 falls with n, so from certified_depth n0, the least n >= 1 with
+xi^(n+1) < (1-xi)^2 (2 at M = 2, 5 at 1.5, 50 at 1.1, 927 at 1.01), the
+energy is FINITE, in [E_N, E_N + sides * tail], and u(m) = q_m rises to a
+limit in [q_N, Q]; below n0 the verdict is NEEDS_DEPTH. Every M > 1 closes,
+so no line model has infinite energy. The square sum diverges: q_m >= 1.
+
+Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4;
+u = 2^-53). p_N and q_N are floated correctly rounded and widened up one
+ulp; Q and the tail grow with both, are formed in Fractions at the exact xi
+and rounded up. E_N is the sequential np.cumsum of N correctly rounded
+positive terms, so the exact partial sum is in E_N (1 -+ gamma), gamma =
+(N+1)u/(1-(N+1)u), widened by (N+1) 2^-1070 for terms in the subnormal
+range. Each end is rounded outward; one past the float range is null.
 """
 
 from __future__ import annotations
@@ -15,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import sqrt
+from math import ceil, inf, isfinite, log, nextafter, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,43 +58,18 @@ from .linsolve import point_source, solve_reduced
 from .polynomials import _float_quotient, _scaled_pairs, _split_two, _times
 
 HARM_TRIVIAL = "HARM_TRIVIAL"
-CONVERGENT = "CONVERGENT"
-DIVERGENT = "DIVERGENT"
-INCONCLUSIVE = "INCONCLUSIVE"
+FINITE = "FINITE"
+NEEDS_DEPTH = "NEEDS_DEPTH"
 
-# Tail-window classification thresholds: geometric-type decay across the
-# three dyadic windows for CONVERGENT, last increment comparable to the
-# first for INFINITE growth evidence.
-WINDOW_DECAY_RATIO = 0.95
-INFINITE_FLOOR_FRACTION = 1e-3
+# classify's exact rows grow like n**2 bits, so its time grows like N**3: at
+# this limit --M 2 takes 4-7 s at 44 MB peak RSS on a 2-CPU x86-64 host (an
+# odd denominator in 1/M, as at --M 1.5, far longer). certified_depth is
+# checked exactly to here; past it, it is CLASSIFY_N_MAX + 1, a lower bound
+CLASSIFY_N_MAX = 4096
 
 
 def _dyadic_depths(n):
     return sorted({max(1, n // 4), max(1, n // 2), max(1, (3 * n) // 4), n})
-
-
-def tail_flag(cumulative, depths):
-    """Classify growth of a cumulative nonnegative sum at dyadic depths.
-
-    cumulative[k] is the partial sum through index k. Returns
-    (flag, [(depth, value), ...]).
-    """
-    marks = [(d, cumulative[d]) for d in depths]
-    if len(marks) < 4:
-        return INCONCLUSIVE, marks
-    values = [v for _, v in marks]
-    w1 = values[1] - values[0]
-    w2 = values[2] - values[1]
-    w3 = values[3] - values[2]
-    if w1 <= 0 and w2 <= 0 and w3 <= 0:
-        return CONVERGENT, marks
-    decaying = (w2 < WINDOW_DECAY_RATIO * w1 or w2 == 0) and \
-               (w3 < WINDOW_DECAY_RATIO * w2 or w3 == 0)
-    if decaying:
-        return CONVERGENT, marks
-    if w1 > 0 and w3 >= INFINITE_FLOOR_FRACTION * w1:
-        return DIVERGENT, marks
-    return INCONCLUSIVE, marks
 
 
 # the line families classify_model takes: family -> (graph builder, sides)
@@ -219,13 +223,12 @@ class DeficiencySolution:
     interior_residual_exact_zero: bool
     float_residual_rel_max: float
     monotone_ok: bool
-    energy_partials: tuple          # ((depth, value), ...)
-    energy_flag: str
-    l2_partials: tuple
-    l2_flag: str
+    energy_verdict: str             # FINITE or NEEDS_DEPTH
+    certified_depth: int            # n0: the verdict is FINITE from N = n0 on
+    energy_enclosure: tuple         # [lo, hi]; hi is null below n0
+    u_limit_enclosure: tuple        # [q_N, Q] encloses lim u(n); Q is null below n0
     upper_bound: float              # 1 + sqrt(A xi)/(1 - sqrt(xi)), A observed
     within_bound: bool
-    classification: str             # energy verdict: CONVERGENT maps to FINITE
     energy_cumulative: tuple        # full per-coordinate partial sums
     l2_cumulative: tuple
     u_float: tuple                  # u(0..N) by coordinate
@@ -250,10 +253,16 @@ class DeficiencySolution:
         return EnergyVector(graph, np.array(self.u_float)[np.abs(x)])
 
     def to_dict(self):
-        """The scalar fields and partials, xi as "a/b", and u(0..7) as u_head."""
+        """The scalar fields and enclosures, xi as "a/b", and u(0..7) as u_head."""
         curves = ("energy_cumulative", "l2_cumulative", "u_float", "du_float")
         return {**record_dict(self, curves),
                 "xi": str(self.xi), "u_head": list(self.u_float[:8])}
+
+    # tests/test_acceptance.py reads the verdict in the words of the flags it replaced
+    energy_partials = property(lambda s: tuple(
+        (d, s.energy_cumulative[d]) for d in _dyadic_depths(s.N)))
+    energy_flag = property(lambda s: "CONVERGENT" if s.energy_verdict == FINITE else NEEDS_DEPTH)
+    l2_flag = property(lambda s: "DIVERGENT" if s.monotone_ok else "UNCHECKED")
 
 
 def _side_rows(xi, N, lam):
@@ -294,9 +303,10 @@ def _side(xi, N, lam):
     from the recursion's own product, with the powers of two in a and b as
     shifts. Each row is floated and checked as it comes, then dropped.
 
-    Returns (head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, terms): rows
-    0 and 1, the three checks, du(n) > 0 for n >= 1, and the floats of u, du
-    and the energy terms xi^n p_n^2 = R_n P_n / (D_n D_(n-1)), an array.
+    Returns (head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, p, terms):
+    rows 0 and 1, the three checks, du(n) > 0 for n >= 1, and the floats of
+    u, du, p_N = P_N / D_(N-1) and the energy terms xi^n p_n^2 =
+    R_n P_n / (D_n D_(n-1)), an array.
     """
     a, b = xi.numerator, xi.denominator
     (a_odd, sa), (b_odd, sb) = _split_two(a), _split_two(b)
@@ -317,22 +327,63 @@ def _side(xi, N, lam):
             b_x *= b_odd
             outflow = Q - _times(Q_prev, b_x, sb * x)
             rows_ok = rows_ok and (x == 1 or outflow == inflow + _times(Q_prev, a_x, sa * x))
+            if x == N:
+                p = _float_quotient(P, 1, D_prev, 1)
         Q_prev, D_prev = Q, D
     (_, Q0, _, _), (_, Q1, R1, _) = head
     n, d = lam.numerator, lam.denominator
     seed_ok = d * R1 == n * a * Q0 and d * Q1 == (d * b + n * a) * Q0
     zero_row_ok = d * (b * Q0 - Q1) + n * a * Q0 == 0
-    return head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, np.array(terms)
+    return head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, p, np.array(terms)
 
 
-def _l2_flag_for(u_floats, depths):
-    """Square-sum growth flag: partial sums pinned against 0.9 n min^2."""
-    sq = np.cumsum(np.square(u_floats))
-    marks = [(d, float(sq[d])) for d in depths]
-    n = len(u_floats)
-    min_u = float(np.min(np.abs(u_floats)))
-    divergent = sq[-1] >= 0.9 * n * min_u * min_u and min_u > 0
-    return (DIVERGENT if divergent else INCONCLUSIVE), marks
+def _rounded(x, up):
+    """The float next to the Fraction x above it (up) or below, None past the float range."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return None
+    if Fraction(f) < x if up else Fraction(f) > x:
+        f = nextafter(f, inf if up else -inf)
+    return f if isfinite(f) else None
+
+
+def _closes(xi, n):
+    """S1 < 1 at depth n >= 1, that is xi^(n+1) < (1 - xi)^2, in integers."""
+    a, b = xi.numerator, xi.denominator
+    return a ** (n + 1) < (b - a) ** 2 * b ** (n - 1)
+
+
+def _certified_depth(xi, N):
+    """n0, the least n >= 1 with xi^(n+1) < (1 - xi)^2, from logs, checked exactly
+    at n0 and n0 - 1; past max(N, CLASSIFY_N_MAX) it is that limit + 1, a lower bound."""
+    limit = max(N, CLASSIFY_N_MAX)
+    n = min(max(1, ceil(log((1 - xi) ** 2) / log(xi)) - 1), limit + 1)
+    while n <= limit and not _closes(xi, n):
+        n += 1
+    while n > 1 and _closes(xi, n - 1):
+        n -= 1
+    return n
+
+
+def _energy_verdict(xi, N, sides, p, q, E):
+    """(verdict, n0, energy enclosure, u-limit enclosure) from p_N, q_N and the
+    partial energy E of row N as the side kernel floats them (module docstring)."""
+    n0 = _certified_depth(xi, N)
+    gamma = Fraction(N + 1, 2**53 - (N + 1))
+    allowance = Fraction(N + 1, 2**1070)
+    energy_lo = _rounded(Fraction(E) * (1 - gamma) - allowance, up=False)
+    q_lo = nextafter(q, 0.0)
+    if n0 > N:
+        return NEEDS_DEPTH, n0, (energy_lo, None), (q_lo, None)
+    p, q = Fraction(nextafter(p, inf)), Fraction(nextafter(q, inf))
+    r = 1 - xi
+    S0 = xi ** (N + 1) / r
+    S1 = S0 / r
+    Q = (q + p * S0) / (1 - S1)
+    tail = xi ** N * (p * p * xi / r + 2 * p * Q * xi / r ** 2 + Q * Q * xi * (1 + xi) / r ** 3)
+    energy_hi = Fraction(E) * (1 + gamma) + allowance + sides * tail
+    return FINITE, n0, (energy_lo, _rounded(energy_hi, up=True)), (q_lo, _rounded(Q, up=True))
 
 
 def _deficiency_solution(family, M, N):
@@ -341,24 +392,19 @@ def _deficiency_solution(family, M, N):
     _require_depth(N)
     M, sides = float(M), _LINES[family][1]
     xi = 1 / Fraction(M)
-    _, seed_ok, zero_row_ok, rows_ok, monotone, u, du, terms = _side(xi, N, Fraction(1, sides))
+    _, seed_ok, zero_row_ok, rows_ok, monotone, u, du, p, terms = _side(xi, N, Fraction(1, sides))
     half = np.array(u)
     float_rel = _defect_residual(half, M, sides)
-
-    depths = _dyadic_depths(N)
     cumulative = _energy_cumulative(terms, sides)
-    energy_flag, energy_marks = tail_flag(cumulative, depths)
-    l2_flag, l2_marks = _l2_flag_for(half, depths)
+    verdict, n0, energy_box, u_box = _energy_verdict(xi, N, sides, p, u[-1], cumulative[-1])
 
     a_obs = float(np.max(terms))
     bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
     return DeficiencySolution(
         family, M, xi, N,
         seed_ok, rows_ok, zero_row_ok and rows_ok, float_rel, monotone,
-        tuple(energy_marks), energy_flag, tuple(l2_marks), l2_flag,
+        verdict, n0, energy_box, u_box,
         bound, u[-1] <= bound + 1e-12,
-        "FINITE" if energy_flag == CONVERGENT else
-        ("INFINITE" if energy_flag == DIVERGENT else INCONCLUSIVE),
         tuple(float(v) for v in cumulative),
         tuple(float(v) for v in np.cumsum(np.square(half))),
         tuple(u), tuple(du))
@@ -369,9 +415,9 @@ def build_deficiency_zplus(M: float, N: int) -> DeficiencySolution:
 
     Exactness: the vertex-0 relation u(1) = (1 + xi) u(0), the flux
     recursion mu(x+1) du(x+1) = mu(x) du(x) + u(x), and the interior rows
-    of Lap u = -u all hold as integer identities of the scaled values.
-    Energy partial sums are expected CONVERGENT and square-sum partials
-    DIVERGENT.
+    of Lap u = -u all hold as integer identities of the scaled values. The
+    energy is certified FINITE from N = certified_depth on; the square sums
+    diverge, since u >= 1.
     """
     return _deficiency_solution(HALF_LINE_GEOM, M, N)
 
@@ -382,9 +428,8 @@ def build_deficiency_zline(M: float, N: int) -> DeficiencySolution:
     Symmetry u(-x) = u(x) together with the vertex-0 row forces the first
     increment du(1) = (xi/2) u(0); from there the one-sided flux recursion
     propagates, which is the pair recursion from the seed
-    (p_0, q_0) = (-1/2, 1), that is (p_1, q_1) = (1/2, 1 + xi/2). The
-    energy verdict (FINITE, INFINITE or INCONCLUSIVE) is reported as
-    evidence, never asserted.
+    (p_0, q_0) = (-1/2, 1), that is (p_1, q_1) = (1/2, 1 + xi/2). Its
+    energy verdict is FINITE or NEEDS_DEPTH, as on the half line.
     """
     return _deficiency_solution(LINE_GEOM_SYM, M, N)
 
@@ -617,24 +662,24 @@ def classify_model(family: str, M: float, N: int) -> BoundaryReport:
     family is HALF_LINE_GEOM or LINE_GEOM_SYM; another family, or an M or
     N the line builders refuse, raises ValueError. No graph is built: the
     float evidence reads arrays of N + 1 values, none of which overflows.
+
+    def_dim counts the symmetric candidate: 0 when its exact rows fail, 1 when
+    they hold, rise and the energy is FINITE, else None, never a guess. It is
+    hard on the half line; the symmetric line's odd solution is not counted.
     """
     if family not in _LINES:
         raise ValueError(f"classification supports the geometric line models only, "
                          f"not {family!r}")
     deficiency = _deficiency_solution(family, M, N)
+    if not deficiency.interior_residual_exact_zero:
+        def_dim = 0
+    elif deficiency.monotone_ok and deficiency.energy_verdict == FINITE:
+        def_dim = 1
+    else:
+        def_dim = None
     if family == HALF_LINE_GEOM:
         harm = build_harmonic_zplus(deficiency.M, N)
         harm_dim = 0 if harm.verdict == HARM_TRIVIAL else 1
-        # The paper gives the half line one defect vector for every M > 1.
-        # The energy and square-sum flags read a finite window, so when one
-        # of them fails the vector is not certified, but not refuted either.
-        flags_ok = (deficiency.energy_flag == CONVERGENT
-                    and deficiency.l2_flag == DIVERGENT)
-        if not deficiency.interior_residual_exact_zero:
-            def_dim, def_hard = 0, True
-        else:
-            def_dim, def_hard = (1, True) if flags_ok else (None, False)
-        # def_dim == 1 holds only with the exact rows and both flags
         expectations_ok = harm_dim == 0 and def_dim == 1
         extra = {}
     else:
@@ -644,10 +689,9 @@ def classify_model(family: str, M: float, N: int) -> BoundaryReport:
                    and abs(harm.energy_partial - harm.energy_partial_closed)
                    <= 1e-10 * harm.energy_limit)
         harm_dim = 1 if harm_ok else 0
-        def_dim = {"FINITE": 1, "INFINITE": 0}.get(deficiency.classification)
-        def_hard = False
         expectations_ok = harm_ok
         extra = {"h": harm.h.tolist()}
+    def_hard = family == HALF_LINE_GEOM and def_dim is not None
     curves = {
         "coordinate": list(range(N + 1)),
         "u": list(deficiency.u_float),

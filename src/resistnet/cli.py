@@ -32,10 +32,7 @@ CLAIM_EXIT = 2
 # also caps --order, whose identity checks take about 9 s at order 100
 POLYS_N_MAX = 100
 
-# classify's exact rows grow like n**2 bits, so its time grows like N**3: at
-# this limit --M 2 takes 4-7 s at 44 MB peak RSS on a 2-CPU x86-64 host (an
-# odd denominator in 1/M, as at --M 1.5, far longer)
-CLASSIFY_N_MAX = 4096
+CLASSIFY_N_MAX = boundary.CLASSIFY_N_MAX     # classify's --N limit
 
 # classify's model names -> the line families boundary.classify_model takes
 _CLASSIFIED = {"half-line": graphs.HALF_LINE_GEOM, "sym-line": graphs.LINE_GEOM_SYM}
@@ -152,14 +149,21 @@ def _json_parts(value, depth, parts):
     parts.append(outer + ("}" if is_dict else "]"))
 
 
+def _out_of_memory(what, exc):
+    return UsageError(f"{what}: out of memory" + (f" ({exc})" if str(exc) else ""))
+
+
 def _model_graph(config):
-    """The graph of the config's model; an unknown model or bad parameters are usage errors."""
+    """The graph of the config's model; an unknown model, bad parameters or a
+    graph too large to allocate are usage errors."""
     if config["model"] not in _MODELS:
         raise UsageError(f"unknown model {config['model']!r}")
     try:
         return _MODELS[config["model"]](config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError as exc:
+        raise _out_of_memory(f"--model {config['model']} --N {config['N']}", exc) from exc
 
 
 def _read_file(path, parse):
@@ -177,8 +181,7 @@ def _read_file(path, parse):
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     except MemoryError as exc:
-        raise UsageError(f"{path}: out of memory while loading it"
-                         + (f" ({exc})" if str(exc) else "")) from exc
+        raise _out_of_memory(path, exc) from exc
 
 
 # -- polys --------------------------------------------------------------------
@@ -317,6 +320,8 @@ def run_embed(config):
                                           seed=config["seed"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError as exc:
+        raise _out_of_memory(f"--N {n}", exc) from exc
     doc = {"certificate": cert.to_dict()}
     warnings = []
     if n < 4:

@@ -17,13 +17,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import (
-    WeightedGraph, float_texts, format_rows, parse_rows, read_chunks, read_rows, record_dict,
-    write_chunks,
+    WeightedGraph, float_texts, format_rows, parse_rows, read_chunks, read_rows, write_chunks,
 )
 from .linsolve import point_source, solve_reduced
 
@@ -164,55 +163,6 @@ def project_fin_harm(v: EnergyVector, harm_basis: Sequence[EnergyVector],
     harm_part = EnergyVector(v.graph, harm_values)
     fin_part = EnergyVector(v.graph, v.values - harm_values)
     return fin_part, harm_part
-
-
-@dataclass(frozen=True)
-class S2Result:
-    """Partial sums of sum_x conj(u(x)) (Lap u)(x) with a growth verdict."""
-
-    total: float
-    partials: tuple            # ((depth, value), ...) ordered by depth
-    flag: str                  # CONVERGENT | DIVERGENT | INCONCLUSIVE
-    interior_total: float
-
-    to_dict = record_dict
-
-
-def sum_S2(u: EnergyVector, depths: Optional[Sequence[int]] = None,
-           tau_tail: float = 1e-8) -> S2Result:
-    """Partial sums of the quadratic sum S2(u), ordered by hop depth.
-
-    The caller reads the flag as evidence, not proof: CONVERGENT means the
-    last recorded increment is negligible relative to the sum, DIVERGENT
-    means the per-vertex increment in the last window stays comparable to
-    the per-vertex average, and anything else is INCONCLUSIVE.
-    """
-    g = u.graph
-    lap = apply_laplacian(u)
-    terms = np.real(np.conj(u.values) * lap.values)
-    depth = g.depths
-    max_depth = int(depth.max())
-    if depths is None:
-        depths = sorted({max_depth // 2, (3 * max_depth) // 4, max_depth})
-    order_totals = []
-    for d in depths:
-        order_totals.append((int(d), float(terms[depth <= d].sum())))
-    total = float(terms.sum())
-    interior_total = float(terms[g.interior_mask].sum())
-
-    flag = "INCONCLUSIVE"
-    if len(order_totals) >= 2:
-        (d_prev, s_prev), (d_last, s_last) = order_totals[-2], order_totals[-1]
-        inc = abs(s_last - s_prev)
-        n_window = max(1, int(np.sum((depth > d_prev) & (depth <= d_last))))
-        n_total = max(1, int(np.sum(depth <= d_last)))
-        per_vertex_inc = inc / n_window
-        baseline = (abs(s_last) + 1.0) / n_total
-        if inc <= tau_tail * max(abs(s_last), 1e-300):
-            flag = "CONVERGENT"
-        elif per_vertex_inc >= 1e-3 * baseline:
-            flag = "DIVERGENT"
-    return S2Result(total, tuple(order_totals), flag, interior_total)
 
 
 def random_interior_vector(graph: WeightedGraph, rng: np.random.Generator,

@@ -1,4 +1,6 @@
 import dataclasses
+import decimal
+import functools
 import hashlib
 import json
 import math
@@ -12,12 +14,12 @@ import pytest
 
 from resistnet import boundary, cli
 from resistnet.boundary import (
-    _side, build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
-    build_harmonic_zplus, classify_model, resolvent_delta,
-    solve_ab_deficiency, space_decomposition_check, tail_flag,
+    CLASSIFY_N_MAX, _side, build_deficiency_zline, build_deficiency_zplus,
+    build_harmonic_zline, build_harmonic_zplus, classify_model, resolvent_delta,
+    solve_ab_deficiency, space_decomposition_check,
 )
 from resistnet.energy import (
-    EnergyVector, apply_laplacian, energy, random_interior_vector, sum_S2, vector,
+    EnergyVector, apply_laplacian, energy, random_interior_vector, vector,
 )
 from resistnet.graphs import (
     DYADIC_TREE, HALF_LINE_GEOM, LINE_AB, LINE_GEOM_SYM, WeightedGraph, build_dyadic_tree,
@@ -84,21 +86,23 @@ def test_deficiency_increments_match_value_differences_exactly():
 
 
 def test_half_line_deficiency_dichotomy():
+    # finite energy, enclosed to rounding at N = 200, and divergent square
+    # sums: u rises from u(0) = 1, so the sum through N is at least N + 1
     sol = build_deficiency_zplus(2, 200)
-    assert sol.energy_flag == "CONVERGENT"
-    assert sol.l2_flag == "DIVERGENT"
-    # square sums really do grow at least linearly at the minimum value
-    depth, last = sol.l2_partials[-1]
-    assert depth == 200
-    assert last >= 0.9 * 200 * float(min(abs(v) for v in sol.u_exact)) ** 2
+    assert (sol.energy_verdict, sol.certified_depth) == ("FINITE", 2)
+    lo, hi = sol.energy_enclosure
+    assert lo <= sol.energy_cumulative[-1] <= hi <= lo * (1 + 1e-13)
+    assert all(v >= 1 for v in sol.u_exact)
+    assert sol.l2_cumulative[-1] >= 201
 
 
-@pytest.mark.parametrize("m_ratio", [1.5, 2.0, 4.0])
-def test_half_line_dichotomy_across_ratios(m_ratio):
+@pytest.mark.parametrize("m_ratio,depth", [(1.5, 5), (2.0, 2), (4.0, 1)])
+def test_half_line_dichotomy_across_ratios(m_ratio, depth):
     sol = build_deficiency_zplus(m_ratio, 200)
     assert sol.interior_residual_exact_zero
-    assert sol.energy_flag == "CONVERGENT"
-    assert sol.l2_flag == "DIVERGENT"
+    assert (sol.energy_verdict, sol.certified_depth) == ("FINITE", depth)
+    assert None not in sol.energy_enclosure + sol.u_limit_enclosure
+    assert sol.l2_cumulative[-1] >= 201
     assert sol.monotone_ok
     assert sol.within_bound
 
@@ -132,8 +136,166 @@ def test_sym_line_deficiency_vertex_zero_row_exact():
 
 def test_sym_line_deficiency_energy_classification():
     sol = build_deficiency_zline(2, 100)
-    assert sol.classification == "FINITE"
+    assert (sol.energy_verdict, sol.certified_depth) == ("FINITE", 2)
+    energy_ref, q_ref = _deep_reference(LINE_GEOM_SYM, 2)
+    lo, hi = sol.energy_enclosure
+    assert lo <= energy_ref <= hi
+    lo, hi = sol.u_limit_enclosure
+    assert lo <= q_ref <= hi
     assert sol.monotone_ok
+
+
+# -- the energy verdict ---------------------------------------------------------
+
+@functools.cache
+def _deep_reference(family, M, depth=20_000):
+    """(energy, lim u) of a line model's defect candidate by the pair recursion
+    to `depth`, independently, in 50-digit decimal arithmetic.
+
+    A float recursion to the same depth ends about 40 ulps above the
+    certified upper end of lim u at M = 1.1, N = 300: its own rounding
+    exceeds the width of the enclosures, so it cannot be the oracle.
+    """
+    sides = boundary._LINES[family][1]
+    context = decimal.Context(prec=50)
+    xi = 1 / Fraction(M)
+    xi = context.divide(xi.numerator, xi.denominator)
+    p, q, e, xk = context.divide(1, sides) - 1, decimal.Decimal(1), decimal.Decimal(0), 1
+    for _ in range(depth):
+        xk = context.multiply(xk, xi)
+        p = context.add(p, q)
+        q = context.add(q, context.multiply(xk, p))
+        e = context.add(e, context.multiply(xk, context.multiply(p, p)))
+    return context.multiply(sides, e), q
+
+
+@pytest.mark.parametrize("M", [1.1, 1.5, 2, 3])
+@pytest.mark.parametrize("family", [HALF_LINE_GEOM, LINE_GEOM_SYM])
+def test_enclosures_contain_the_deep_recursion(family, M):
+    # from the first certified depth, where the tail bound is loose, to a
+    # depth where each enclosure is a few ulps wide; N = 300 at M = 1.1
+    # takes about 10 s on the 52-bit odd denominator of 1/Fraction(1.1), so
+    # that model stops at 100
+    energy_ref, q_ref = _deep_reference(family, M)
+    if M == 1.1:    # the energies the float recursion gives, to four digits
+        assert round(float(energy_ref) / 1e16, 3) == {HALF_LINE_GEOM: 7.015,
+                                                       LINE_GEOM_SYM: 6.889}[family]
+    n0 = boundary._deficiency_solution(family, M, 2).certified_depth
+    for N in (max(n0, 2), 60, 100 if M == 1.1 else 300):
+        sol = boundary._deficiency_solution(family, M, N)
+        assert sol.energy_verdict == "FINITE", N
+        lo, hi = sol.energy_enclosure
+        assert decimal.Decimal(lo) <= energy_ref <= decimal.Decimal(hi), N
+        lo, hi = sol.u_limit_enclosure
+        assert decimal.Decimal(lo) <= q_ref <= decimal.Decimal(hi), N
+
+
+def _tail_bound(xi, N, p, q):
+    """(Q, tail) of the lemma at row N, exactly, from Fractions p = p_N, q = q_N:
+    S0 = sum_(k>N) xi^k, S1 = sum_(k>N) (k - N) xi^k, and the tail
+    sum_(j>=1) xi^(N+j) (p + jQ)^2, each in closed form."""
+    r = 1 - xi
+    S0, S1 = xi ** (N + 1) / r, xi ** (N + 1) / r ** 2
+    Q = (q + p * S0) / (1 - S1)
+    tail = xi ** N * (p * p * xi / r + 2 * p * Q * xi / r ** 2 + Q * Q * xi * (1 + xi) / r ** 3)
+    return Q, tail
+
+
+@pytest.mark.parametrize("family", [HALF_LINE_GEOM, LINE_GEOM_SYM])
+def test_exact_partial_sum_and_tail_lie_inside(family):
+    # at M = 2, N = 40: the exact energy through 40 lies inside, and so does
+    # that sum plus the lemma's tail from the exact p_40, q_40; the upper
+    # ends are within 1e-12 of those exact values, so a lost or added term
+    # shows, not only a wrong direction of rounding
+    N, sides = 40, boundary._LINES[family][1]
+    xi = Fraction(1, 2)
+    sol = boundary._deficiency_solution(family, 2, N)
+    values = list(islice(_scaled_pairs(xi, (Fraction(1, sides) - 1, 1)), N + 1))
+    p = [Fraction(P, D_prev) for (P, _Q, _R, _D), (_P, _Q2, _R2, D_prev)
+         in zip(values[1:], values)]
+    energy = sides * sum(xi ** k * p[k - 1] ** 2 for k in range(1, N + 1))
+    Q, tail = _tail_bound(xi, N, p[-1], sol.u_exact[-1])
+    lo, hi = sol.energy_enclosure
+    assert lo <= energy and energy + sides * tail <= hi
+    assert hi <= (energy + sides * tail) * (1 + Fraction(1, 10**12))
+    lo, hi = sol.u_limit_enclosure
+    assert lo <= sol.u_exact[-1] and Q <= hi <= Q * (1 + Fraction(1, 10**15))
+
+
+@pytest.mark.parametrize("M", [1.1, 1.5, 3])
+def test_upper_ends_are_the_lemma_rounded_up(M):
+    # Q and the energy's upper end equal the lemma at the widened p_N and q_N,
+    # rounded up: at the certified depth, where S1 is near 1, and 20 rows deeper
+    xi = 1 / Fraction(M)
+    n0 = max(boundary._certified_depth(xi, 2), 2)
+    for N in (n0, n0 + 20):
+        _head, *_, u, _du, p, terms = _side(xi, N, Fraction(1))
+        E = float(np.cumsum(terms)[-1])
+        verdict, _n0, (_lo, hi), (_q_lo, Q_up) = boundary._energy_verdict(xi, N, 1, p, u[-1], E)
+        Q, tail = _tail_bound(xi, N, Fraction(math.nextafter(p, math.inf)),
+                              Fraction(math.nextafter(u[-1], math.inf)))
+        gamma = Fraction(N + 1, 2**53 - (N + 1))
+        assert verdict == "FINITE"
+        assert Q_up == boundary._rounded(Q, up=True) >= Q
+        assert hi == boundary._rounded(Fraction(E) * (1 + gamma) + Fraction(N + 1, 2**1070)
+                                       + tail, up=True)
+
+
+def test_rounded_rounds_outward():
+    # 1/3 rounds to nearest below itself and 1/10 above
+    for x in (Fraction(1, 3), Fraction(1, 10), Fraction(10, 7), 1 / Fraction(1.1), Fraction(5)):
+        up, down = boundary._rounded(x, up=True), boundary._rounded(x, up=False)
+        assert Fraction(down) <= x <= Fraction(up)
+        assert up == down if Fraction(up) == x else math.nextafter(down, math.inf) == up
+    assert boundary._rounded(Fraction(1, 3), up=True) > 1 / 3
+    assert boundary._rounded(Fraction(1, 10), up=False) < 1 / 10
+
+
+def test_bounds_past_the_float_range_are_null():
+    # a row whose Q, or whose energy tail, passes the largest float: the
+    # enclosure reports null there, never Infinity
+    xi = 1 / Fraction(1.1)
+    verdict, n0, energy_box, u_box = boundary._energy_verdict(xi, 50, 1, 1e308, 1e308, 1.0)
+    assert (verdict, n0) == ("FINITE", 50)
+    assert energy_box[1] is None and u_box[1] is None
+    assert u_box[0] < 1e308
+    verdict, _n0, energy_box, u_box = boundary._energy_verdict(xi, 60, 1, 1e160, 1e160, 1.0)
+    assert energy_box[1] is None and 1e160 < u_box[1] < 2e160
+    assert "Infinity" not in cli._json_text({"e": energy_box, "u": u_box})
+
+
+@pytest.mark.parametrize("M", [1.01, 1.1, 1.5, 2, 3, 4, 1e6, 1 + 2**-20])
+def test_certified_depth_is_the_least_closing_depth(M):
+    # the least n >= 1 with xi^(n+1) < (1 - xi)^2, by a scan in Fractions
+    xi = 1 / Fraction(M)
+    if M < 1.001:          # past the exact limit: a lower bound, itself checked
+        assert boundary._certified_depth(xi, 60) == CLASSIFY_N_MAX + 1
+        assert not xi ** (CLASSIFY_N_MAX + 1) < (1 - xi) ** 2
+        return
+    n = 1
+    while not xi ** (n + 1) < (1 - xi) ** 2:
+        n += 1
+    assert boundary._certified_depth(xi, 60) == n
+    assert {1.01: 927, 1.1: 50, 1.5: 5, 2: 2}.get(M, n) == n
+
+
+@pytest.mark.parametrize("N", [60, 100])
+def test_sym_line_at_M_1_1_is_certified(N):
+    report = classify_model(LINE_GEOM_SYM, 1.1, N)
+    assert report.def_dim == 1
+    assert not report.def_hard
+    assert report.hard_expectations_ok
+    assert (report.def_evidence["energy_verdict"], report.def_evidence["certified_depth"]) == (
+        "FINITE", 50)
+
+
+def test_sym_line_below_its_certified_depth_is_open():
+    # at M = 1.01 the lemma closes at n = 927: N = 200 is open, never 0
+    report = classify_model(LINE_GEOM_SYM, 1.01, 200)
+    assert report.def_dim is None
+    assert (report.def_evidence["energy_verdict"], report.def_evidence["certified_depth"]) == (
+        "NEEDS_DEPTH", 927)
+    assert report.def_evidence["energy_enclosure"][1] is None
 
 
 def test_sym_line_deficiency_matrix_product_oracle():
@@ -239,25 +401,21 @@ def _digest(data):
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
-# sha256 of json.dumps(to_dict(), sort_keys=True); the half line at M = 1.1
-# is the uncertified window of test_classify_half_line_uncertified_window_is_inconclusive.
-# The sum_S2, space_decomposition_check and transfer_iterate records reach no
-# pinned CLI output; their digests were recorded from the hand-listed to_dict
-# each had before record_dict. The first three were re-recorded when the
-# defect residual stopped reading the graph (see RESIDUAL_MOVES).
+# sha256 of json.dumps(to_dict(), sort_keys=True). The space_decomposition_check
+# and transfer_iterate records reach no pinned CLI output; their digests were
+# recorded from the hand-listed to_dict each had before record_dict. The first
+# three were re-recorded when the defect residual stopped reading the graph,
+# and again when the certified verdict replaced the window flags (see
+# RESIDUAL_MOVES).
 PINNED_REPORTS = [
     (lambda: build_deficiency_zplus(1.5, 40),
-     "e2c3c3df3a1b40cd79704ed3588fb8924230e872a0c86dcc51d7b52cc4905478"),
+     "d3cf33c56f7a9eab7c98f576477df9c8c0a0c62bf9b7194bac9bccd223c9a37b"),
     (lambda: build_deficiency_zline(1.5, 40),
-     "7e3f596474f8202ba6c335619fe8c5b5b288bf6d12400f627d182074da3df950"),
+     "54db15b84f5867c8afd15b024d9f367fbdc4afb604838ff0d9d4224d09f7a165"),
     (lambda: build_deficiency_zplus(1.1, 60),
-     "bc3aef00edf4c3eea97d8d011b3e1a4aca7fbdc5050dbe2ce1741bda69c531b2"),
+     "dcb2a3bb934e87e7ca903c03b15655bca567604b48d07da79059c525774a58dc"),
     (lambda: solve_ab_deficiency(2, 3, 60),
      "f4c21d31e8a6943b49e82b9741bef0e988dda8f75fcc5416aef48a60cd0459a6"),
-    (lambda: sum_S2(build_deficiency_zplus(2, 40).vector),
-     "7e0e7fc483fec70485b14b52204df88a164ca7781bcc8cb2acc0d8689b22d746"),
-    (lambda: sum_S2(_supported_vector(build_half_line(2, 40), 11, 5)),
-     "da9441cb36444e44465668cdd6cd2fc12391e0b5c26cf02115aad88ab58f137d"),
     (lambda: _decomposition(60, None),
      "f99adfd1472b21065bd35c2d71027b14444b04493e10a8ce477e1af3d84a0c3c"),
     (lambda: _decomposition(200, 15),
@@ -354,19 +512,20 @@ CLASSIFIED = {HALF_LINE_GEOM: (build_half_line, "half-line"),
 
 # (family, M, N): sha256 of the report's to_dict() and of its curves; the
 # report digests were re-recorded when the defect residual stopped reading
-# the graph (see RESIDUAL_MOVES), the curve digests are unchanged
+# the graph, and when the certified verdict replaced the window flags (see
+# RESIDUAL_MOVES); the curve digests are unchanged
 PINNED_CLASSIFY = [
     (HALF_LINE_GEOM, 1.5, 40,
-     "6a752da121536d28d9a0632fc1cfe5ce918113ba9a6e4d511668679dfa2834f9",
+     "b05ac81c15a10718e035c4edbb75f72c74f90e4babc20b4b8ce958110a313db4",
      "a0b8c42b767a9bc7f3acb875845f6c37bc0185fa1cb5dc37ccb709bacc397f19"),
     (HALF_LINE_GEOM, 1.1, 60,
-     "039237afb82f0f7279f4b658a4065da35a533dc7f439ecb5687ee7f6b3bc80cc",
+     "ada480d818b50e649e843c273fc11f2299ac853a6aada65d20e5ce02d7c48476",
      "49e0696847f0900555917af7715c3b85815b011a64b6665d1ca24f03123a303d"),
     (LINE_GEOM_SYM, 1.5, 40,
-     "9eb417c07f5d68f01ea5f1f089005baef9038715d0fbc333e0111008d2c3a1b4",
+     "20074651624aceefb44b8c08e0bc1bf8981307dddb8d5d952e9e4327a4e1af99",
      "2116787d5e5dfb2edfce94b184b5004c561d9c3c3d75d6f61ce3fadf5f01f14b"),
     (LINE_GEOM_SYM, 1.1, 60,
-     "d85e658c23a98e96cc9eb0a3797583a74fad9dadf6b9bb20cdf0184ed01fc656",
+     "19073691bc2522627479148f8d27b0a6b517224b54108d0827846f9bc8a18e90",
      "fc430410babb6fedd343c9a29794221388e65ce2fc72603c8d29b68894fce529"),
 ]
 
@@ -378,37 +537,72 @@ def test_classify_reports_are_pinned(family, M, N, report_digest, curves_digest)
     assert _digest(report.curves) == curves_digest
 
 
-# (family, M, N): float_residual_rel_max as the graph gave it, and the
-# digests it gave the classify report and the defect solution (the three
-# in PINNED_REPORTS)
+# the def_evidence keys of the window flags and of the verdict that replaced
+# them, and the report keys the verdict moves
+VERDICT_KEYS = ("energy_partials", "energy_flag", "l2_partials", "l2_flag", "classification",
+                "energy_verdict", "certified_depth", "energy_enclosure", "u_limit_enclosure")
+VERDICT_REPORT_KEYS = ("def_dim", "def_hard", "hard_expectations_ok")
+
+
+def outside_the_verdict(report):
+    """A classify report's to_dict() less the verdict keys, at both levels."""
+    evidence = {k: v for k, v in report["def_evidence"].items() if k not in VERDICT_KEYS}
+    return {**{k: v for k, v in report.items() if k not in VERDICT_REPORT_KEYS},
+            "def_evidence": evidence}
+
+
+# (family, M, N): float_residual_rel_max as the graph gave it, and the digests
+# of the classify report and of the defect solution (the three in
+# PINNED_REPORTS) with that residual put back, outside the verdict keys. Each
+# is the digest the documents had before the certified verdict replaced the
+# window flags, and those documents, with the residual put back, were the
+# ones recorded before the defect residual stopped reading the graph
 RESIDUAL_MOVES = [
     (HALF_LINE_GEOM, 1.5, 40, 4.8690907152825655e-17,
-     "ae3197377ccb0de9b6b42cf7b71a8a468c28c42a26a49c4605cc34d688f22157",
-     "d4d7a189f9e4a11b42db4fcbca7020cffa4edabc920185319346fcbe09677d4f"),
+     "46747847a04944fcb9c7902bc808f338f1f045e137cbe6c8e71e35ce79116605",
+     "481861e41f3c464721f524b9df1b5e9e4c173c86166c046bde2f1aee9adc58ff"),
     (HALF_LINE_GEOM, 1.1, 60, 3.5055743371521503e-17,
-     "6877595bdaf1ea6971bfc5125598f5a7fc2dd066222eace439ce310a89dde6b9",
-     "9b0088ec44aee8223a9f42c14b7a36bde9cdb8ded042bfc6c4f76ebedf2bfe77"),
+     "36d4218cf72df15a6e64f5d43537cfd3ccf810ef11082660f278b72de4f63688",
+     "37b444ab51b287f08a4b7d0d13afb3f1f7e78afc7adb91db1e2718322c0641b9"),
     (LINE_GEOM_SYM, 1.5, 40, 5.963657149776288e-17,
-     "162a8f2685801a3ab511cba510b585f991aee48b360a1c0b91231bb52ef9aab5",
-     "fc6ff3b18a577eeeebdfa005113e1b55ebf48ddf4658e4a8b6a9c8900f16506a"),
+     "524b4578bd05f4f04d4935a9f18e53c8058d0cde07b5ab766aa8e5243476fc60",
+     "eb191e2e75768d875b1bcb779c7fd944a7fbda7f3ac80c5fac06ebccbc4f9785"),
     (LINE_GEOM_SYM, 1.1, 60, 4.5494074733601543e-17,
-     "fc795932690c8cc991d1583bab07e04e55ff8748ec73241aa3e92690c4073192", None),
+     "f40fb8497cd1e77a21353634c1cfafccde7975a493c81337b1a9e387a9f31da1", None),
 ]
 
 
 @pytest.mark.parametrize("family,M,N,graph_residual,report_digest,solution_digest",
                          RESIDUAL_MOVES)
-def test_re_recorded_digests_moved_only_by_the_residual(family, M, N, graph_residual,
-                                                        report_digest, solution_digest):
-    # putting the graph's residual back restores the earlier digests, so no
-    # other field moved, and the residual moved by at most 5e-18
+def test_re_recorded_digests_moved_only_by_the_residual_and_the_verdict(
+        family, M, N, graph_residual, report_digest, solution_digest):
+    # with the graph's residual put back, each document equals the earlier
+    # one outside the verdict keys, so no other field moved, and the
+    # residual moved by at most 5e-18
     report = classify_model(family, M, N).to_dict()
-    evidence = report["def_evidence"]
-    assert abs(evidence["float_residual_rel_max"] - graph_residual) <= 5e-18
-    evidence["float_residual_rel_max"] = graph_residual
-    assert _digest(report) == report_digest
+    assert abs(report["def_evidence"]["float_residual_rel_max"] - graph_residual) <= 5e-18
+    report["def_evidence"]["float_residual_rel_max"] = graph_residual
+    outside = outside_the_verdict(report)
+    assert _digest(outside) == report_digest
     if solution_digest is not None:
-        assert _digest(evidence) == solution_digest
+        assert _digest(outside["def_evidence"]) == solution_digest
+
+
+# classify --M 2 --N 300 on each line model: sha256 of its stdout document,
+# outside the verdict keys, before the certified verdict replaced the window flags
+STDOUT_OUTSIDE_THE_VERDICT = {
+    "half-line": "a4986318dbaab19950e625e4ddac30000f88624d1767833087bf49383232d75b",
+    "sym-line": "da5e45bc8055c2875401cc2339f046c6f621b0457aec07efc2ff6928da11c1fa",
+}
+
+
+@pytest.mark.parametrize("model", list(STDOUT_OUTSIDE_THE_VERDICT))
+def test_classify_stdout_moved_only_by_the_verdict(model):
+    config = cli._config_from_args(cli._build_parser().parse_args(
+        ["classify", "--model", model, "--M", "2", "--N", "300"]))
+    doc = json.loads(cli.execute(config)[1])
+    doc["report"] = outside_the_verdict(doc["report"])
+    assert _digest(doc) == STDOUT_OUTSIDE_THE_VERDICT[model]
 
 
 def reference_defect_residual(sol):
@@ -618,16 +812,20 @@ def test_classify_half_line(m_ratio):
 
 
 def test_classify_half_line_uncertified_window_is_inconclusive():
-    # at M = 1.1 the energy terms still grow at N = 60 (they peak near
-    # n = 75), so the window flags cannot certify the defect vector; the
-    # paper gives it for every M > 1, so the verdict is open, never 0
-    report = classify_model(HALF_LINE_GEOM, 1.1, 60)
+    # at M = 1.1 the lemma closes at n = 50, so N = 49 cannot certify the
+    # defect vector; the paper gives it for every M > 1, so the verdict is
+    # open, never 0, and names the depth it needs. N = 50 certifies it
+    report = classify_model(HALF_LINE_GEOM, 1.1, 49)
     assert report.def_evidence["interior_residual_exact_zero"]
-    assert report.def_evidence["energy_flag"] != "CONVERGENT"
+    assert (report.def_evidence["energy_verdict"], report.def_evidence["certified_depth"]) == (
+        "NEEDS_DEPTH", 50)
+    assert report.def_evidence["u_limit_enclosure"][1] is None
     assert report.def_dim is None
     assert not report.def_hard
     assert not report.hard_expectations_ok
     assert report.to_dict()["def_dim"] is None
+    report = classify_model(HALF_LINE_GEOM, 1.1, 50)
+    assert (report.def_dim, report.def_hard, report.hard_expectations_ok) == (1, True, True)
 
 
 def test_deficiency_float_curves_round_the_exact_values():
@@ -642,10 +840,12 @@ def test_classify_sym_line():
     report = classify_model(LINE_GEOM_SYM, 2.0, 100)
     assert report.harm_dim == 1
     assert report.hard_expectations_ok
-    # the defect verdict stays evidence-only for this model
+    # the symmetric candidate is certified; the count leaves out the odd
+    # solution, so it is not hard
+    assert report.def_dim == 1
     assert not report.def_hard
-    assert report.def_evidence["classification"] in (
-        "FINITE", "INFINITE", "INCONCLUSIVE")
+    assert (report.def_evidence["energy_verdict"], report.def_evidence["certified_depth"]) == (
+        "FINITE", 2)
 
 
 def test_classify_sym_line_fails_with_its_harmonic_check(monkeypatch):
@@ -687,16 +887,3 @@ def test_classify_reports_an_int_M_as_a_float():
     assert type(report.M) is float and report.M == 2.0
     assert report.to_dict() == classify_model(HALF_LINE_GEOM, 2.0, 30).to_dict()
 
-
-def test_tail_flag_windows():
-    n = 40
-    depths = [10, 20, 30, 40]
-    geometric = np.cumsum([0.5 ** k for k in range(n + 1)])
-    flag, _ = tail_flag(geometric, depths)
-    assert flag == "CONVERGENT"
-    linear = np.arange(n + 1, dtype=float)
-    flag, _ = tail_flag(linear, depths)
-    assert flag == "DIVERGENT"
-    flat = np.zeros(n + 1)
-    flag, _ = tail_flag(flat, depths)
-    assert flag == "CONVERGENT"

@@ -385,6 +385,10 @@ def test_exit_codes_stable_contract(capsys):
     # finite conductances whose energy, or Laplacian, leaves the float range
     ["energy", "--graph", "{dir}/huge4.txt", "--vector", "{dir}/huge4.csv"],
     ["energy", "--graph", "{dir}/huge2.txt", "--vector", "{dir}/huge2.csv"],
+    # model graphs past the 48-bit address space: 16 PiB and 7 PiB arrays,
+    # refused at allocation, so no memory is touched
+    ["walk", "--model", "tree", "--N", "50", "--start", "0"],
+    ["resolvent", "--model", "half-line", "--M", "2", "--N", "1000000000000000", "--x", "0"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_is_a_usage_error(argv, capsys, tmp_path):
@@ -481,6 +485,19 @@ def test_huge_header_vertex_count_is_a_usage_error(labels, named, capsys, tmp_pa
     assert captured.err.count("\n") == 1
 
 
+def test_embed_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    # the tree pair of embed --N 40 asks for 16 TiB; a MemoryError from its
+    # build is raised here instead of allocating anything
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(embedding, "dyadic_pair", no_memory)
+    code = cli.main(["embed", "--N", "40"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (64, "")
+    assert captured.err == "resistnet: error: --N 40: out of memory (Unable to allocate 16.0 TiB)\n"
+
+
 def test_q_limit_non_convergence_is_structured(capsys, monkeypatch):
     def no_convergence(xi, tol):
         raise polynomials.QLimitError("no convergence", 5000, 1.5, 1e-3)
@@ -506,27 +523,45 @@ def test_q_limit_past_the_float_range_is_structured(capsys):
 
 def test_classify_half_line_uncertified_window_exits_2(capsys):
     code, out = run_cli(capsys, ["classify", "--model", "half-line",
-                                 "--M", "1.1", "--N", "60"])
+                                 "--M", "1.1", "--N", "49"])
     assert code == 2
-    report = json.loads(out)["report"]
+    report = strict_json(out)["report"]
     assert report["def_dim"] is None
     assert report["def_hard"] is False
+    evidence = report["def_evidence"]
+    assert (evidence["energy_verdict"], evidence["certified_depth"]) == ("NEEDS_DEPTH", 50)
+    assert evidence["energy_enclosure"][1] is None
+
+
+@pytest.mark.parametrize("M,N", [("1.1", "60"), ("2", "2")])
+def test_classify_certifies_from_the_certified_depth(M, N, capsys):
+    # M = 1.1 closes at n = 50 and M = 2 at n = 2, where fewer than four
+    # dyadic window depths exist
+    code, out = run_cli(capsys, ["classify", "--model", "half-line", "--M", M, "--N", N])
+    assert code == 0
+    report = strict_json(out)["report"]
+    assert report["def_dim"] == 1
+    assert report["def_evidence"]["energy_verdict"] == "FINITE"
+    lo, hi = report["def_evidence"]["energy_enclosure"]
+    assert 0 < lo < hi
 
 
 # sha256 of stdout and of each CSV artifact; the classify and order-12 polys
 # hashes were recorded from the Fraction-based recursion the scaled-integer
 # kernel replaced, the order-20 polys hashes from the series products the
 # division sweeps replaced, and the walk, resolvent and embed hashes from an
-# earlier per-command model dispatch. Any change to these outputs is
-# deliberate.
+# earlier per-command model dispatch. The classify stdout hashes were
+# re-recorded when the certified verdict replaced the window flags; outside
+# the verdict keys the documents are unchanged (test_boundary.py). Any change
+# to these outputs is deliberate.
 PINNED_OUTPUTS = [
     (["classify", "--model", "half-line", "--M", "2", "--N", "300"], {
-        "stdout": "49631dcf05624c2f28bb50a87241db361ea88fb6e9548c541466eeed9641458d",
+        "stdout": "b8336c06e82f199c863e90a8db1c82912d7c8d6b161f09f932d538c0cfcd92fe",
         "boundary_curves.csv":
             "8af47bf9f22d6a6065f68be01888beb18e9da15c376bf0e5bc29d05684edd0e6",
     }),
     (["classify", "--model", "sym-line", "--M", "2", "--N", "300"], {
-        "stdout": "5773d0ae6079b78263426c2864abe03bf547c70701a6caf0c1ebc7a76beb56ae",
+        "stdout": "4a7a151921998dca985b9867bb9208d226c7e249cc49ff181f509f23c51c8ce0",
         "boundary_curves.csv":
             "6edbd0f8854d6b5cc5c1c0018840d7a981a135874632e5e1b7a69d76f5207166",
     }),

@@ -4,10 +4,9 @@ import pytest
 from resistnet.energy import (
     EnergyVector, ProjectionError, apply_laplacian, constant, delta,
     distance_bound, energy, energy_inner, project_fin_harm,
-    random_interior_vector, read_vector, solve_dipole, sum_S2, vector,
-    write_vector,
+    random_interior_vector, read_vector, solve_dipole, vector, write_vector,
 )
-from resistnet.boundary import build_deficiency_zplus, build_harmonic_zline
+from resistnet.boundary import build_harmonic_zline
 from resistnet.graphs import (
     build_dyadic_tree, build_half_line, build_sym_line, path_graph,
 )
@@ -277,6 +276,18 @@ def test_sum_identity_finite_support_vs_projection():
         assert abs(lhs - rhs) <= 1e-6 * (1 + abs(lhs))
 
 
+def test_quadratic_sum_of_a_finitely_supported_vector_is_its_energy():
+    # Green's identity: sum_x u(x) (Lap u)(x) = E(u) when u vanishes near the
+    # frontier, so no boundary term remains
+    g = build_half_line(2, 40)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(g.n_vertices)
+    values[g.depths > 5] = 0.0
+    u = vector(g, values)
+    quadratic = float(np.sum(u.values * apply_laplacian(u).values))
+    assert abs(quadratic - energy(u)) < 1e-9 * (1 + energy(u))
+
+
 def test_contractivity_of_identity_plus_laplacian():
     g = build_sym_line(2, 10)
     rng = np.random.default_rng(10)
@@ -284,37 +295,6 @@ def test_contractivity_of_identity_plus_laplacian():
         v = random_interior_vector(g, rng)
         shifted = EnergyVector(g, v.values + apply_laplacian(v).values)
         assert np.sqrt(energy(shifted)) >= np.sqrt(energy(v)) * (1 - 1e-12)
-
-
-def test_sum_s2_finitely_supported_equals_energy():
-    g = build_half_line(2, 40)
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal(g.n_vertices)
-    values[g.depths > 5] = 0.0
-    u = vector(g, values)
-    res = sum_S2(u)
-    assert abs(res.total - energy(u)) < 1e-9 * (1 + energy(u))
-    assert res.flag == "CONVERGENT"
-
-
-def test_sum_s2_zero_vector():
-    g = build_half_line(2, 16)
-    res = sum_S2(constant(g, 0.0))
-    assert res.total == 0.0
-    assert res.flag == "CONVERGENT"
-
-
-def test_sum_s2_deficiency_vector_diverges():
-    # N stays inside the float-representable regime for the increments;
-    # far deeper truncations need the exact square-sum partials carried by
-    # the DeficiencySolution itself
-    sol = build_deficiency_zplus(2, 40)
-    res = sum_S2(sol.vector)
-    assert res.flag == "DIVERGENT"
-    # the quadratic sum tracks the negated square sums at interior depth
-    partial = dict(res.partials)
-    assert partial[20] < 0
-    assert partial[30] < partial[20]
 
 
 def test_vector_serialization_roundtrip():
