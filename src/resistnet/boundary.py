@@ -539,7 +539,7 @@ def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
 
 @dataclass(frozen=True)
 class ResolventResult:
-    """Solution of (I + Lap) u = delta_x with its contract checks."""
+    """Solution of (I + Lap) u = delta_x; the gate is the backward residual in diagnostics."""
 
     vector: EnergyVector
     x: int

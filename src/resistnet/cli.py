@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -31,6 +32,16 @@ CLAIM_EXIT = 2
 # grows like n_max**4: at this limit the command peaks near 76 MB RSS. It
 # also caps --order, whose identity checks take about 9 s at order 100
 POLYS_N_MAX = 100
+
+# polys refuses an --xi = a/b whose eval CSV could hold an integer of more
+# bits than this. With m = max(|a|, b) < 2^L and T(n) = n(n+1)/2, induction
+# on the scaled recursion (polynomials._scaled_pairs) gives |P_n| <= 3^n
+# m^T(n-1) and |Q_n| <= 3^n m^T(n), and the denominators are powers of b, so
+# no written integer, xi included, has more than L max(T(n_max), 1) + 2 n_max
+# bits. Every a/b with a, b <= 1000 (L = 10) stays below 50,700 bits at
+# n_max = 100; 2^16 bits are 19,729 digits, which int-to-str, quadratic in
+# CPython, writes in milliseconds
+POLYS_XI_BITS_MAX = 1 << 16
 
 CLASSIFY_N_MAX = boundary.CLASSIFY_N_MAX     # classify's --N limit
 
@@ -64,6 +75,9 @@ class _ReplayParser(_Parser):
 
 def _parse_fraction(text):
     text = str(text)
+    # Fraction("1e<k>") forms 10**k before anything can measure it: 7 s at k = 10**7
+    if re.search(r"[eE]\s*[-+]?0*[1-9][0-9]{5}", text):
+        raise UsageError(f"decimal exponent of 10^5 or more in {text!r}")
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -196,9 +210,28 @@ def _polys_table_csv(pairs):
 
 
 def _polys_eval_csv(xi, values):
-    columns = (range(len(values)), [_fraction_str(xi)] * len(values),
-               *([_fraction_str(f) for f in column] for column in zip(*values)))
-    return "n,xi,p,q\n" + graphs.format_rows("%d,%s,%s,%s\n", columns)
+    """The n,xi,p,q rows, written exactly: the integers may pass the
+    interpreter's int-to-str digit limit, which is lifted here alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        columns = (range(len(values)), [_fraction_str(xi)] * len(values),
+                   *([_fraction_str(f) for f in column] for column in zip(*values)))
+        return "n,xi,p,q\n" + graphs.format_rows("%d,%s,%s,%s\n", columns)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _polys_xi(text, n_max):
+    """--xi as a Fraction, refused unless its eval CSV fits POLYS_XI_BITS_MAX."""
+    xi = _parse_fraction(text)
+    bits = max(abs(xi.numerator).bit_length(), xi.denominator.bit_length())
+    if bits * max(n_max * (n_max + 1) // 2, 1) + 2 * n_max > POLYS_XI_BITS_MAX:
+        raise UsageError(f"--xi of {bits} bits at --n-max {n_max} could write integers "
+                         f"past {POLYS_XI_BITS_MAX} bits")
+    return xi
 
 
 def run_polys(config):
@@ -207,11 +240,11 @@ def run_polys(config):
     files = {}
     if not 0 <= config["n_max"] <= POLYS_N_MAX:
         raise UsageError(f"--n-max must be between 0 and {POLYS_N_MAX}")
+    xi = None if config["xi"] is None else _polys_xi(config["xi"], config["n_max"])
     pairs = polynomials.pair_sequence(config["n_max"])
     files["polys_table.csv"] = _polys_table_csv(pairs)
     doc["table_rows"] = config["n_max"]
 
-    xi = None if config["xi"] is None else _parse_fraction(config["xi"])
     if xi is not None:
         values = polynomials.pair_values_sequence(xi, config["n_max"])
         files["polys_eval.csv"] = _polys_eval_csv(xi, values)
@@ -375,8 +408,9 @@ def run_energy(config):
 # -- resolvent ---------------------------------------------------------------------
 
 def run_resolvent(config):
-    if not 0 < config["tol"] < float("inf"):
-        raise UsageError(f"--tol must be finite and > 0, not {config['tol']}")
+    # a backward residual never exceeds 1 (linsolve), so a tol of 1 checks nothing
+    if not 0 < config["tol"] < 1:
+        raise UsageError(f"--tol must be > 0 and < 1, not {config['tol']}")
     if config.get("graph"):
         graph = _read_file(config["graph"], graphs.read_graph)
         x = config["x"]
@@ -390,11 +424,10 @@ def run_resolvent(config):
     except SolverError as exc:
         error = {"class": type(exc).__name__, "message": str(exc)}
         return CLAIM_EXIT, {"error": error, "contract_ok": False}, {}
-    ok = (result.residual_inf <= config["tol"] and result.contractive_ok
-          and result.punctured_residual_inf <= 1e-9)
-    doc = {"resolvent": result.to_dict(), "contract_ok": ok}
+    # the solve raised above unless its backward residual is <= tol
+    doc = {"resolvent": result.to_dict(), "contract_ok": result.contractive_ok}
     files = {"resolvent_u.csv": write_vector(result.vector)}
-    return (0 if ok else CLAIM_EXIT), doc, files
+    return (0 if result.contractive_ok else CLAIM_EXIT), doc, files
 
 
 _RUNNERS = {

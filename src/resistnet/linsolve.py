@@ -48,7 +48,9 @@ Every path reports the normwise backward residual over the unpinned rows,
     ||(shift I + Lap) u - rhs||_inf / (||shift I + Lap||_inf ||u||_inf + ||rhs||_inf),
 
 and raises SolverError, never a numpy error, when the system is singular
-or the residual exceeds the tolerance.
+or the residual exceeds the tolerance. For any u, ||A u - b|| <= ||A||
+||u|| + ||b||, so the residual never exceeds 1 (up to one rounding): a
+tolerance of 1 or more accepts any u.
 """
 
 from __future__ import annotations

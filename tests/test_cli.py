@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from resistnet import cli, embedding, graphs, polynomials
+from resistnet import cli, embedding, graphs, linsolve, polynomials
 from resistnet.energy import vector, write_vector
 from resistnet.graphs import build_dyadic_tree, path_graph, write_graph
 
@@ -74,6 +77,33 @@ def test_polys_builds_the_pair_list_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["growth"]["cumulative_identity_ok"]
     assert calls == [40]
+
+
+def test_polys_writes_values_past_the_int_digit_limit():
+    # at xi = 999/1000 and n = 100 the largest denominator has 15,151 digits,
+    # past the interpreter's default limit of 4,300 for int-to-str; the CSV
+    # writer lifts it for itself alone
+    limit = sys.get_int_max_str_digits()
+    code, _text, files = cli.execute(_resolved(["polys", "--xi", "999/1000", "--n-max", "100"]))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = [line.split(",") for line in files["polys_eval.csv"].splitlines()[1:]]
+        values = [(Fraction(p), Fraction(q)) for _n, _xi, p, q in rows]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [row[1] for row in rows] == ["999/1000"] * 101
+    assert values == polynomials.pair_values_sequence(Fraction(999, 1000), 100)
+
+
+def test_polys_refuses_an_xi_past_the_size_budget_before_the_recursion(capsys):
+    # at 1e400 and n_max = 100 the recursion alone takes seconds, and its
+    # integers reach millions of bits; 1e5000 would take far longer
+    start = time.perf_counter()
+    assert cli.main(["polys", "--xi", "1e5000", "--n-max", "100"]) == 64
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("resistnet: error: --xi of 16610 bits")
 
 
 def test_classify_half_line(capsys):
@@ -246,11 +276,66 @@ def test_resolvent_command(capsys):
 def test_resolvent_past_former_size_cliff(capsys):
     code, out = run_cli(capsys, ["resolvent", "--model", "sym-line",
                                  "--M", "2", "--N", "64", "--x", "3"])
-    assert code in (0, 2)
+    assert code == 0
     doc = json.loads(out)
     assert doc["resolvent"]["diagnostics"]["method"] == "tree"
     assert doc["resolvent"]["diagnostics"]["residual"] <= 1e-15
     assert doc["exit_code"] == code
+
+
+# solves with a backward residual far below tol whose absolute residual, the
+# size of a row at conductances up to 2^600 or 5e307, the CLI once also gated
+FORMER_REFUSALS = [
+    ["--model", "half-line", "--M", "2", "--N", "40", "--x", "1"],
+    ["--model", "half-line", "--M", "2", "--N", "600", "--x", "300"],
+    ["--model", "sym-line", "--M", "2", "--N", "64", "--x", "6"],
+    ["--model", "tree", "--N", "3", "--x", "1", "--c-const", "1e300"],
+    ["--model", "tree", "--N", "3", "--x", "1", "--c-const", "5e307"],
+]
+
+
+@pytest.mark.parametrize("args", FORMER_REFUSALS)
+def test_resolvent_contract_is_the_backward_residual(args):
+    config = _resolved(["resolvent", *args])
+    code, text, files = cli.execute(config)
+    doc = strict_json(text)
+    assert code == doc["exit_code"] == 0
+    assert doc["contract_ok"] is True
+    assert doc["resolvent"]["diagnostics"]["residual"] <= config["tol"]
+    assert doc["resolvent"]["contractive_ok"] is True
+    assert "resolvent_u.csv" in files
+
+
+@pytest.mark.parametrize("args", FORMER_REFUSALS)
+def test_resolvent_refuses_a_solution_perturbed_past_tol(args, monkeypatch):
+    # each entry moved by a relative 1e-6 of alternating sign: the backward
+    # residual rises far past tol, so the solve itself refuses the vector
+    eliminate = linsolve._eliminate_forest
+
+    def perturbed(*forest):
+        u = eliminate(*forest)
+        return u * (1 + 1e-6 * (-1.0) ** np.arange(len(u)))
+
+    monkeypatch.setattr(linsolve, "_eliminate_forest", perturbed)
+    code, text, files = cli.execute(_resolved(["resolvent", *args]))
+    doc = strict_json(text)
+    assert code == doc["exit_code"] == 2
+    assert doc["contract_ok"] is False
+    assert doc["error"]["class"] == "SolverError"
+    assert "backward residual" in doc["error"]["message"]
+    assert files == {}
+
+
+def test_resolvent_scale_past_the_float_range_is_refused(monkeypatch):
+    # read_graph refuses a vertex weight past the float range, so only a graph
+    # built in code reaches the solve: its infinite scale gives a NaN backward
+    # residual, which fails the gate instead of reading as an exact solve
+    monkeypatch.setattr(cli, "_read_file", lambda path, parse: path_graph([1e308, 1e308]))
+    code, text, _files = cli.execute(_resolved(["resolvent", "--graph", "g.txt", "--x", "0"]))
+    doc = strict_json(text)
+    assert code == 2 and doc["contract_ok"] is False
+    assert doc["error"]["class"] == "SolverError"
+    assert "backward residual nan" in doc["error"]["message"]
 
 
 def test_embed_builds_one_tree(monkeypatch, capsys):
@@ -313,6 +398,11 @@ def test_exit_codes_stable_contract(capsys):
     ["polys", "--xi", "0", "--q-limit"],
     ["polys", "--xi", "3/2", "--q-limit"],
     ["polys", "--n-max", "5", "--xi", "1/2", "--growth"],
+    # an xi whose values could pass POLYS_XI_BITS_MAX, or whose decimal
+    # exponent Fraction would expand before anything could measure it
+    *(["polys", "--xi", xi, "--n-max", "100"]
+      for xi in ("1e400", "1/" + "7" * 4000, "1e99999999999")),
+    ["polys", "--xi", "1e400"],
     ["classify", "--model", "half-line", "--M", "inf", "--N", "10"],
     # {dir} is a scratch directory holding the files written below
     ["energy", "--graph", "{dir}/missing.txt", "--vector", "{dir}/v.csv"],
@@ -368,9 +458,10 @@ def test_exit_codes_stable_contract(capsys):
      "--c-const", "1e308"],
     ["resolvent", "--model", "tree", "--N", "3", "--x", "1", "--c-const", "7e307"],
     ["resolvent", "--model", "tree", "--N", "3", "--x", "1", "--c-const", "nan"],
-    # a residual gate that is not finite and > 0 checks nothing, or fails every solve
+    # a residual gate outside (0, 1) checks nothing, or fails every solve: a
+    # backward residual never exceeds 1
     *(["resolvent", "--model", "half-line", "--M", "2", "--N", "10", "--x", "3", "--tol", tol]
-      for tol in ("nan", "-1", "inf", "0")),
+      for tol in ("nan", "-1", "inf", "0", "1", "1e308")),
     # so does a z-score band that is not finite and > 0; no count of exits is negative
     *(["walk", "--model", "half-line", "--M", "2", "--N", "10", "--start", "2", "--trials", "10",
        *option] for option in (("--sigma-band", "nan"), ("--sigma-band", "-1"),
@@ -699,13 +790,16 @@ PINNED_OUTPUTS = [
         "resolvent_u.csv":
             "f65a57f81125ab6dd5346b6d0431a8a61d1ab57977db5ecee3c20ae68c0b9aca",
     }),
+    # the next two stdout hashes were re-recorded when the solve's backward
+    # residual became the only residual gate: both runs moved from exit 2 to
+    # 0 (test_moved_resolvent_documents_differ_only_in_the_verdict)
     (["resolvent", "--model", "half-line", "--M", "2", "--N", "600", "--x", "300"], {
-        "stdout": "db99c00aaaa78d78bf19ac0dd37ab9abc0c62a9998196e57ef3d5a4b36c70e2e",
+        "stdout": "9147dae68f9f46b2b41153bcb9ee79716d204bfb1b72c1a59640a24219cce0ec",
         "resolvent_u.csv":
             "d1724975709d3fd90f155786952b225eba1d01d9bd9368245adf57685d047129",
     }),
     (["resolvent", "--model", "sym-line", "--M", "2", "--N", "64", "--x", "6"], {
-        "stdout": "1bdc8759d3b0c4c4321c83673fab3b06f873e082d745a958bd4ee10c48ea499b",
+        "stdout": "75c4f6011398adb3a534acf0239f1f9cd3ec04e7e39d405cb32f31c3b05dc3dc",
         "resolvent_u.csv":
             "c584caa43b550a3bb86ef32ce4842ec3a6f6ea38aec565e15983af28088a1a93",
     }),
@@ -839,3 +933,22 @@ def test_pinned_outputs_are_byte_identical(argv, hashes, tmp_path, monkeypatch):
 def test_replay_parses_each_echo_back_to_itself(argv):
     config = _resolved(argv)
     assert cli._replay_config(json.loads(cli._json_text(config))) == config
+
+
+# sha256 of the stdout of the two runs whose pinned hashes moved, as they
+# were when the CLI also gated the absolute and punctured residuals
+FORMER_REFUSAL_STDOUT = [
+    (["resolvent", "--model", "half-line", "--M", "2", "--N", "600", "--x", "300"],
+     "db99c00aaaa78d78bf19ac0dd37ab9abc0c62a9998196e57ef3d5a4b36c70e2e"),
+    (["resolvent", "--model", "sym-line", "--M", "2", "--N", "64", "--x", "6"],
+     "1bdc8759d3b0c4c4321c83673fab3b06f873e082d745a958bd4ee10c48ea499b"),
+]
+
+
+@pytest.mark.parametrize("argv,former_digest", FORMER_REFUSAL_STDOUT)
+def test_moved_resolvent_documents_differ_only_in_the_verdict(argv, former_digest):
+    # with the former verdict put back, each document is the former one
+    doc = json.loads(cli.execute(_resolved(argv))[1])
+    assert (doc["contract_ok"], doc["exit_code"]) == (True, 0)
+    doc["contract_ok"], doc["exit_code"] = False, 2
+    assert hashlib.sha256(cli._json_text(doc).encode()).hexdigest() == former_digest
