@@ -40,9 +40,9 @@ print("fitted slope of p_n vs n      :", round(report.slope_fit, 4),
 print()
 print("=== the bounded limit of q_n(xi) ===")
 for xi in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)):
-    res = rn.q_limit(xi, tol=1e-12, max_n=400)
+    res = rn.q_limit(xi, tol=1e-12)
     print(f"xi={xi}: limit ~ {res.value:.10f} after {res.n_terms} terms, "
-          f"monotone: {res.monotone_ok}, bound {res.upper_bound:.4f}")
+          f"monotone: {res.monotone_ok}, bound {res.upper_bound:.12f}")
 
 print()
 print("=== a printed closed form that is only an approximation ===")

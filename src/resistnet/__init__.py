@@ -21,19 +21,18 @@ from .energy import (
 )
 from .linsolve import SolveDiagnostics, SolverError
 from .polynomials import (
-    GrowthReport, PolyPair, QLimitError, QLimitResult, XiPoly,
+    GrowthReport, PolyPair, XiPoly,
     check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
-    genfunc_P, genfunc_Q, growth_bounds_report, matrix_product_pair,
+    growth_bounds_report, matrix_product_pair,
     pair_sequence, pair_values_sequence, product_exponential_discrepancy,
-    q_limit,
 )
 from .boundary import (
     ABDeficiencyReport, BoundaryReport, DeficiencySolution,
-    HarmonicHalfLineResult, HarmonicLineResult, ResolventResult,
-    SpaceDecompositionResult, boundary_curves_csv, build_deficiency_zline,
-    build_deficiency_zplus, build_harmonic_zline, build_harmonic_zplus,
-    classify_model, resolvent_delta, solve_ab_deficiency,
-    space_decomposition_check,
+    HarmonicHalfLineResult, HarmonicLineResult, QLimitError, QLimitResult,
+    ResolventResult, SpaceDecompositionResult, boundary_curves_csv,
+    build_deficiency_zline, build_deficiency_zplus, build_harmonic_zline,
+    build_harmonic_zplus, classify_model, q_limit, resolvent_delta,
+    solve_ab_deficiency, space_decomposition_check,
 )
 from .walk import (
     FrequencyCheck, TransferIterateResult, TransitionKernel, WalkStats,

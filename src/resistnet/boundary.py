@@ -28,6 +28,13 @@ energy is FINITE, in [E_N, E_N + sides * tail], and u(m) = q_m rises to a
 limit in [q_N, Q]; below n0 the verdict is NEEDS_DEPTH. Every M > 1 closes,
 so no line model has infinite energy. The square sum diverges: q_m >= 1.
 
+The lemma has two consumers, both reading the one checked side pass
+(_side): classify's verdict reads it at row N, and q_limit reads the half
+line's pass (lam = 1, the pair from (0, 1)) row by row until [q_n, Q] is as
+narrow as asked. The width (Q - q_n)/q_n exceeds S1/(1 - S1), so a relative
+width tol needs S1 < tol/(1 + tol), and q_limit knows that depth, and the
+size of the row there, before the pass runs.
+
 Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4;
 u = 2^-53). p_N and q_N are floated correctly rounded and widened up one
 ulp; Q and the tail grow with both, are formed in Fractions at the exact xi
@@ -44,8 +51,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import ceil, inf, isfinite, log, nextafter, sqrt
-from typing import Optional, Sequence
+from math import ceil, inf, isfinite, isqrt, log, log1p, nextafter
+from sys import float_info
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +74,14 @@ NEEDS_DEPTH = "NEEDS_DEPTH"
 # odd denominator in 1/M, as at --M 1.5, far longer). certified_depth is
 # checked exactly to here; past it, it is CLASSIFY_N_MAX + 1, a lower bound
 CLASSIFY_N_MAX = 4096
+
+# q_limit runs no row past this many bits. Row n of the pair at xi = a/b
+# holds D_n = b^T(n), T(n) = n(n+1)/2, so the rows are sized before the pass
+# runs. On a 2-CPU x86-64 host the slowest runs to the last row allowed took
+# about 1 s at 30 MB peak RSS (xi = 5/7, 590 rows; a 27-bit odd b, 196
+# rows), and 9/10 at tol 1e-12 stops at row 338, about 229,000 bits; at
+# 2^20 bits the same runs took 5 s
+Q_LIMIT_BITS_MAX = 1 << 19
 
 
 def _dyadic_depths(n):
@@ -227,8 +243,6 @@ class DeficiencySolution:
     certified_depth: int            # n0: the verdict is FINITE from N = n0 on
     energy_enclosure: tuple         # [lo, hi]; hi is null below n0
     u_limit_enclosure: tuple        # [q_N, Q] encloses lim u(n); Q is null below n0
-    upper_bound: float              # 1 + sqrt(A xi)/(1 - sqrt(xi)), A observed
-    within_bound: bool
     energy_cumulative: tuple        # full per-coordinate partial sums
     l2_cumulative: tuple
     u_float: tuple                  # u(0..N) by coordinate
@@ -279,8 +293,29 @@ def _energy_cumulative(terms, sides=1):
     return np.concatenate([[0.0], np.cumsum(sides * terms)])
 
 
-def _side(xi, N, lam):
-    """Check and float the rows n = 0..N of one side, share lam, in one pass.
+class _SideRow(NamedTuple):
+    """Row n >= 1 of a side pass: u(n), du(n) = u(n) - u(n-1) and the energy
+    term xi^n p_n^2 as floats, the checks through row n, and the exact P_n and
+    D_(n-1) that p_n is floated from."""
+
+    u: float
+    du: float
+    term: float
+    seed_ok: bool
+    zero_row_ok: bool
+    rows_ok: bool       # the flux identity at x = 1 .. n-1
+    monotone: bool      # du(x) > 0 for x = 1 .. n
+    P: int
+    D_prev: int
+
+    @property
+    def p(self):
+        """p_n = P_n / D_(n-1), floated on demand: only the rows the lemma reads need it."""
+        return _float_quotient(self.P, 1, self.D_prev, 1)
+
+
+def _side(xi, lam):
+    """Check and float the rows of one side, share lam, in one streaming pass.
 
     The seed (p_0, q_0) = (lam - 1, 1) gives (p_1, q_1) = (lam, 1 + lam xi):
     the side takes the share lam of the vertex-0 row (1 on the half line,
@@ -299,42 +334,43 @@ def _side(xi, N, lam):
 
     and the interior row mu(x) du(x) + mu(x+1) (u(x) - u(x+1)) + u(x) = 0,
     scaled the same way, is that identity rearranged, so one comparison
-    decides both for x = 1 .. N-1. Each step forms b^(x+1) Q_x itself, not
+    decides both for x = 1 .. n-1. Each step forms b^(x+1) Q_x itself, not
     from the recursion's own product, with the powers of two in a and b as
-    shifts. Each row is floated and checked as it comes, then dropped.
+    shifts.
 
-    Returns (head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, p, terms):
-    rows 0 and 1, the three checks, du(n) > 0 for n >= 1, and the floats of
-    u, du, p_N = P_N / D_(N-1) and the energy terms xi^n p_n^2 =
-    R_n P_n / (D_n D_(n-1)), an array.
+    Yields a _SideRow for n = 1, 2, 3, ... without end; row 0 is the seed,
+    u(0) = q_0 = 1. Each row is checked and floated as it comes, then
+    dropped, so a consumer that keeps the floats alone holds two scaled rows.
     """
     a, b = xi.numerator, xi.denominator
+    n, d = lam.numerator, lam.denominator
     (a_odd, sa), (b_odd, sb) = _split_two(a), _split_two(b)
     a_x = b_x = 1                   # odd parts of a^(x-1) and b^(x-1)
-    head, u, du, terms = [], [], [], []
+    rows = _scaled_pairs(xi, (lam - 1, 1))
+    _P, Q0, _R, D_prev = next(rows)
+    Q_prev = Q0
     rows_ok = monotone = True
-    for x, (P, Q, R, D) in enumerate(_side_rows(xi, N, lam)):
-        u.append(_float_quotient(Q, 1, D, 1))
-        if x < 2:
-            head.append((P, Q, R, D))
-        if x:
-            du.append(_float_quotient(R, 1, D, 1))
-            terms.append(_float_quotient(R, P, D, D_prev))
-            monotone = monotone and R > 0
-            # the identity at x - 1, from outflow_(x-2) and rows x - 1 and x
-            inflow = _times(outflow, a_odd * b_x, sa + sb * (x - 1)) if x > 1 else 0
-            a_x *= a_odd
-            b_x *= b_odd
-            outflow = Q - _times(Q_prev, b_x, sb * x)
-            rows_ok = rows_ok and (x == 1 or outflow == inflow + _times(Q_prev, a_x, sa * x))
-            if x == N:
-                p = _float_quotient(P, 1, D_prev, 1)
+    for x, (P, Q, R, D) in enumerate(rows, 1):
+        if x == 1:
+            seed_ok = d * R == n * a * Q0 and d * Q == (d * b + n * a) * Q0
+            zero_row_ok = d * (b * Q0 - Q) + n * a * Q0 == 0
+        monotone = monotone and R > 0
+        # the identity at x - 1, from outflow_(x-2) and rows x - 1 and x
+        inflow = _times(outflow, a_odd * b_x, sa + sb * (x - 1)) if x > 1 else 0
+        a_x *= a_odd
+        b_x *= b_odd
+        outflow = Q - _times(Q_prev, b_x, sb * x)
+        rows_ok = rows_ok and (x == 1 or outflow == inflow + _times(Q_prev, a_x, sa * x))
+        yield _SideRow(_float_quotient(Q, 1, D, 1), _float_quotient(R, 1, D, 1),
+                       _float_quotient(R, P, D, D_prev),
+                       seed_ok, zero_row_ok, rows_ok, monotone, P, D_prev)
         Q_prev, D_prev = Q, D
-    (_, Q0, _, _), (_, Q1, R1, _) = head
-    n, d = lam.numerator, lam.denominator
-    seed_ok = d * R1 == n * a * Q0 and d * Q1 == (d * b + n * a) * Q0
-    zero_row_ok = d * (b * Q0 - Q1) + n * a * Q0 == 0
-    return head, seed_ok, zero_row_ok, rows_ok, monotone, u, du, p, np.array(terms)
+
+
+def _head_and_terms(xi, N, lam):
+    """Rows 0 and 1 of a side with share lam, exact, and its energy terms
+    xi^n p_n^2, n = 1..N, an array."""
+    return list(_side_rows(xi, 1, lam)), np.array([row.term for row in islice(_side(xi, lam), N)])
 
 
 def _rounded(x, up):
@@ -348,22 +384,50 @@ def _rounded(x, up):
     return f if isfinite(f) else None
 
 
-def _closes(xi, n):
-    """S1 < 1 at depth n >= 1, that is xi^(n+1) < (1 - xi)^2, in integers."""
+def _closes(xi, n, s=1):
+    """S1 < s at depth n >= 1, that is xi^(n+1) < s (1 - xi)^2, in integers."""
     a, b = xi.numerator, xi.denominator
-    return a ** (n + 1) < (b - a) ** 2 * b ** (n - 1)
+    s = Fraction(s)
+    return a ** (n + 1) * s.denominator < s.numerator * (b - a) ** 2 * b ** (n - 1)
+
+
+def _least_depth(xi, limit, s=1):
+    """The least n >= 1 with S1 < s, from logs, checked exactly at n and n - 1;
+    past limit it is limit + 1, a lower bound.
+
+    log(xi) is log1p of -(b - a)/b, a correctly rounded int quotient, so it
+    keeps its digits at any size of a and b as xi nears 1.
+    """
+    a, b = xi.numerator, xi.denominator
+    r = (b - a) / b
+    guess = (log(s) + 2 * (log(b - a) - log(b))) / log1p(-r) if r else inf
+    n = max(1, ceil(guess) - 1) if guess <= limit else limit + 1
+    while n <= limit and not _closes(xi, n, s):
+        n += 1
+    while n > 1 and _closes(xi, n - 1, s):
+        n -= 1
+    return n
 
 
 def _certified_depth(xi, N):
-    """n0, the least n >= 1 with xi^(n+1) < (1 - xi)^2, from logs, checked exactly
-    at n0 and n0 - 1; past max(N, CLASSIFY_N_MAX) it is that limit + 1, a lower bound."""
-    limit = max(N, CLASSIFY_N_MAX)
-    n = min(max(1, ceil(log((1 - xi) ** 2) / log(xi)) - 1), limit + 1)
-    while n <= limit and not _closes(xi, n):
-        n += 1
-    while n > 1 and _closes(xi, n - 1):
-        n -= 1
-    return n
+    """n0, the least n >= 1 with xi^(n+1) < (1 - xi)^2; past max(N,
+    CLASSIFY_N_MAX) it is that limit + 1, a lower bound."""
+    return _least_depth(xi, max(N, CLASSIFY_N_MAX))
+
+
+def _limit_bound(xi, n, p, q):
+    """The lemma's bound on every q_m, m >= n, at a row n where S1 < 1.
+
+    p_n and q_n come as floats, correctly rounded, and are widened up one
+    ulp; Q = (q + p S0)/(1 - S1) is formed in Fractions at the exact xi.
+    Returns (p, Q, Q rounded up), the widened p and Q exact, the rounded Q
+    None past the float range.
+    """
+    p, q = Fraction(nextafter(p, inf)), Fraction(nextafter(q, inf))
+    r = 1 - xi
+    S0 = xi ** (n + 1) / r
+    Q = (q + p * S0) / (1 - S0 / r)
+    return p, Q, _rounded(Q, up=True)
 
 
 def _energy_verdict(xi, N, sides, p, q, E):
@@ -376,14 +440,82 @@ def _energy_verdict(xi, N, sides, p, q, E):
     q_lo = nextafter(q, 0.0)
     if n0 > N:
         return NEEDS_DEPTH, n0, (energy_lo, None), (q_lo, None)
-    p, q = Fraction(nextafter(p, inf)), Fraction(nextafter(q, inf))
+    p, Q, Q_up = _limit_bound(xi, N, p, q)
     r = 1 - xi
-    S0 = xi ** (N + 1) / r
-    S1 = S0 / r
-    Q = (q + p * S0) / (1 - S1)
     tail = xi ** N * (p * p * xi / r + 2 * p * Q * xi / r ** 2 + Q * Q * xi * (1 + xi) / r ** 3)
     energy_hi = Fraction(E) * (1 + gamma) + allowance + sides * tail
-    return FINITE, n0, (energy_lo, _rounded(energy_hi, up=True)), (q_lo, _rounded(Q, up=True))
+    return FINITE, n0, (energy_lo, _rounded(energy_hi, up=True)), (q_lo, Q_up)
+
+
+class QLimitError(RuntimeError):
+    def __init__(self, message, n_reached, last_value, last_increment):
+        super().__init__(message)
+        self.n_reached = n_reached
+        self.last_value = last_value
+        self.last_increment = last_increment
+
+
+@dataclass(frozen=True)
+class QLimitResult:
+    value: float             # q_n(xi) at the stopping row; nextafter(value, 0) is below lim q_n
+    n_terms: int
+    monotone_ok: bool
+    above_one_ok: bool
+    upper_bound: float       # the lemma's Q at row n_terms, rounded up
+    within_bound: bool       # value <= upper_bound
+
+
+def q_limit(xi, tol: float = 1e-12) -> QLimitResult:
+    """Enclose lim q_n(xi) to a relative width tol, certified.
+
+    Runs the half line's checked side pass at xi (share 1, the pair from
+    (0, 1)) and stops at the first row n, from the least depth where
+    S1 < tol/(1 + tol), at which the lemma's Q (module docstring), rounded
+    up, is within tol * value of value = q_n; so [nextafter(value, 0),
+    upper_bound] encloses the limit. monotone_ok is the pass's exact check
+    du > 0 through row n; above_one_ok adds its seed check, u(1) = 1 + xi,
+    as u(0) = 1.
+
+    tol must be finite and > 0. QLimitError is raised before the pass runs
+    when the row at that least depth could hold more than Q_LIMIT_BITS_MAX
+    bits (n_reached 0), when the floats of a row leave the float range, and
+    after the last row within that budget.
+    """
+    xi = Fraction(xi)
+    if not 0 < xi < 1:
+        raise ValueError("xi must lie in (0, 1)")
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be finite and > 0 (got {tol!r}); "
+                         "it is the enclosure's relative width")
+    t = Fraction(tol)
+    b_bits = xi.denominator.bit_length()
+    # row n holds D_n = b^T(n), about T(n) b_bits bits; row n_fit is the last
+    # within the budget. An exact check of a depth n compares integers of
+    # about n b_bits bits, so the depth is found exactly up to k
+    k = Q_LIMIT_BITS_MAX // b_bits
+    n_fit = (isqrt(8 * k + 1) - 1) // 2
+    depth = _least_depth(xi, k, t / (1 + t))
+    if depth > n_fit:
+        raise QLimitError(
+            f"a relative width of {tol:g} needs n >= {depth}, past n = {n_fit}, "
+            f"the last row within {Q_LIMIT_BITS_MAX} bits", 0, 1.0, 0.0)
+    rows = _side(xi, Fraction(1))
+    value, increment = 1.0, 0.0
+    for n in range(1, n_fit + 1):
+        try:
+            row = next(rows)
+            upper = _limit_bound(xi, n, row.p, row.u)[2] if n >= depth else None
+        except OverflowError as exc:
+            raise QLimitError(
+                f"the terms of q_n({xi}) leave the float range (max {float_info.max:g}) "
+                f"at n = {n}, before the enclosure narrows to {tol:g}",
+                n, value, increment) from exc
+        value, increment = row.u, row.du
+        if upper is not None and upper - value <= tol * value:
+            return QLimitResult(value, n, row.monotone, row.monotone and row.seed_ok,
+                                upper, value <= upper)
+    raise QLimitError(f"no enclosure of relative width {tol:g} by n = {n_fit}, the last row "
+                      f"within {Q_LIMIT_BITS_MAX} bits", n_fit, value, increment)
 
 
 def _deficiency_solution(family, M, N):
@@ -392,19 +524,19 @@ def _deficiency_solution(family, M, N):
     _require_depth(N)
     M, sides = float(M), _LINES[family][1]
     xi = 1 / Fraction(M)
-    _, seed_ok, zero_row_ok, rows_ok, monotone, u, du, p, terms = _side(xi, N, Fraction(1, sides))
+    u, du, terms = [1.0], [], []            # u(0) = q_0 = 1
+    for row in islice(_side(xi, Fraction(1, sides)), N):
+        u.append(row.u)
+        du.append(row.du)
+        terms.append(row.term)
     half = np.array(u)
     float_rel = _defect_residual(half, M, sides)
-    cumulative = _energy_cumulative(terms, sides)
-    verdict, n0, energy_box, u_box = _energy_verdict(xi, N, sides, p, u[-1], cumulative[-1])
-
-    a_obs = float(np.max(terms))
-    bound = 1.0 + sqrt(a_obs * float(xi)) / (1.0 - sqrt(float(xi)))
+    cumulative = _energy_cumulative(np.array(terms), sides)
+    verdict, n0, energy_box, u_box = _energy_verdict(xi, N, sides, row.p, u[-1], cumulative[-1])
     return DeficiencySolution(
         family, M, xi, N,
-        seed_ok, rows_ok, zero_row_ok and rows_ok, float_rel, monotone,
+        row.seed_ok, row.rows_ok, row.zero_row_ok and row.rows_ok, float_rel, row.monotone,
         verdict, n0, energy_box, u_box,
-        bound, u[-1] <= bound + 1e-12,
         tuple(float(v) for v in cumulative),
         tuple(float(v) for v in np.cumsum(np.square(half))),
         tuple(u), tuple(du))
@@ -508,8 +640,8 @@ def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
         raise ValueError("A and B must both be > 1")
     alpha, beta = 1 / Fraction(float(A)), 1 / Fraction(float(B))
     # the literal candidate runs each side with the whole vertex-0 row
-    pos, *_, pos_terms = _side(alpha, N, Fraction(1))
-    neg, *_, neg_terms = _side(beta, N, Fraction(1))
+    pos, pos_terms = _head_and_terms(alpha, N, Fraction(1))
+    neg, neg_terms = _head_and_terms(beta, N, Fraction(1))
     a_f, b_f = 1 / alpha, 1 / beta
 
     (u0, u1), (_, um1) = _q_values(pos), _q_values(neg)
@@ -521,8 +653,8 @@ def solve_ab_deficiency(A: float, B: float, N: int) -> ABDeficiencyReport:
     # the repaired candidate gives the sides shares summing to 1
     lam_p = Fraction(1, 2)
     lam_m = 1 - lam_p
-    rep_pos, *_, rep_pos_terms = _side(alpha, N, lam_p)
-    rep_neg, *_, rep_neg_terms = _side(beta, N, lam_m)
+    rep_pos, rep_pos_terms = _head_and_terms(alpha, N, lam_p)
+    rep_neg, rep_neg_terms = _head_and_terms(beta, N, lam_m)
     (_, rep_u1), (_, rep_um1) = _q_values(rep_pos), _q_values(rep_neg)
     rep_res = (a_f + b_f + 1) * u0 - a_f * rep_u1 - b_f * rep_um1
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
@@ -42,6 +44,8 @@ POLYS_N_MAX = 100
 # n_max = 100; 2^16 bits are 19,729 digits, which int-to-str, quadratic in
 # CPython, writes in milliseconds
 POLYS_XI_BITS_MAX = 1 << 16
+# the digits of 2^POLYS_XI_BITS_MAX: a longer run of digits is past the budget
+POLYS_XI_DIGITS_MAX = math.floor(POLYS_XI_BITS_MAX * math.log10(2)) + 1
 
 CLASSIFY_N_MAX = boundary.CLASSIFY_N_MAX     # classify's --N limit
 
@@ -73,16 +77,41 @@ class _ReplayParser(_Parser):
         raise UsageError(f"replay: {message}")
 
 
+@contextmanager
+def _int_digits_unlimited():
+    """Lift the interpreter's int/str digit limit inside the block, restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _parse_fraction(text):
+    """--xi text as a Fraction; text that is not a rational is a usage error.
+
+    A run of more digits than 2^POLYS_XI_BITS_MAX has writes an integer past
+    that budget (leading zeros aside), so it is refused from the text alone,
+    before int() would spend time quadratic in its length; a shorter one is
+    converted with the int/str digit limit lifted.
+    """
     text = str(text)
+    digits = max(map(len, re.findall(r"[0-9]+", text)), default=0)
+    if digits > POLYS_XI_DIGITS_MAX:
+        raise UsageError(f"--xi has a run of {digits} digits, past the {POLYS_XI_DIGITS_MAX} "
+                         f"of 2^{POLYS_XI_BITS_MAX}")
     # Fraction("1e<k>") forms 10**k before anything can measure it: 7 s at k = 10**7
     if re.search(r"[eE]\s*[-+]?0*[1-9][0-9]{5}", text):
         raise UsageError(f"decimal exponent of 10^5 or more in {text!r}")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(text)
+        with _int_digits_unlimited():
+            if "/" in text:
+                num, den = text.split("/", 1)
+                return Fraction(int(num), int(den))
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
@@ -212,16 +241,10 @@ def _polys_table_csv(pairs):
 def _polys_eval_csv(xi, values):
     """The n,xi,p,q rows, written exactly: the integers may pass the
     interpreter's int-to-str digit limit, which is lifted here alone."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    with _int_digits_unlimited():
         columns = (range(len(values)), [_fraction_str(xi)] * len(values),
                    *([_fraction_str(f) for f in column] for column in zip(*values)))
         return "n,xi,p,q\n" + graphs.format_rows("%d,%s,%s,%s\n", columns)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def _polys_xi(text, n_max):
@@ -280,14 +303,14 @@ def run_polys(config):
         if xi is None:
             raise UsageError("--q-limit needs --xi")
         try:
-            result = polynomials.q_limit(xi, tol=config["q_limit_tol"])
+            result = boundary.q_limit(xi, tol=config["q_limit_tol"])
         except ValueError as exc:
             raise UsageError(f"--q-limit: {exc}") from exc
-        except polynomials.QLimitError as exc:
+        except boundary.QLimitError as exc:
             doc["q_limit"] = {"error": {"class": type(exc).__name__, "message": str(exc),
                                         "n_reached": exc.n_reached}}
             return CLAIM_EXIT, doc, files
-        doc["q_limit"] = graphs.record_dict(result, ("increment_max",))
+        doc["q_limit"] = graphs.record_dict(result)
         if not (result.monotone_ok and result.above_one_ok and result.within_bound):
             code = CLAIM_EXIT
     return code, doc, files

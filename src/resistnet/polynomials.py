@@ -78,8 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import exp, inf, lcm, sqrt
-from sys import float_info
+from math import exp, lcm, sqrt
 from typing import Optional
 
 import numpy as np
@@ -88,12 +87,11 @@ from .graphs import record_dict
 
 __all__ = [
     "XiPoly", "PolyPair", "pair_sequence", "pair_values_sequence",
-    "matrix_product_pair", "genfunc_P", "genfunc_Q",
+    "matrix_product_pair",
     "identity_P_holds", "identity_Q_holds",
     "check_identity_P", "check_identity_Q", "check_repr_P", "check_repr_Q",
     "product_exponential_discrepancy",
     "growth_bounds_report", "GrowthReport",
-    "q_limit", "QLimitResult", "QLimitError",
     "CUBE_BOUND_RATIO_THRESHOLD",
 ]
 
@@ -304,16 +302,6 @@ def matrix_product_pair(n: int, xi):
 
 # -- the generating-function identities on packed series ----------------------
 
-def genfunc_P(order: int, w: int) -> list:
-    """The series sum_n p_n X^n through X^order, packed at width w: p_n(2^w)."""
-    return _packed_pairs(order, w)[0]
-
-
-def genfunc_Q(order: int, w: int) -> list:
-    """The series sum_n q_n X^n through X^order, packed at width w: q_n(2^w)."""
-    return _packed_pairs(order, w)[1]
-
-
 def identity_P_holds(p, q, w) -> bool:
     """X * (P + Q) == P, on the two series packed at width w."""
     return [0] + [a + b for a, b in zip(p, q[:-1])] == p
@@ -510,73 +498,3 @@ def growth_bounds_report(xi, n_max: int) -> GrowthReport:
     ref = sqrt(float(xi)) / (1.0 - sqrt(float(xi)))
     return GrowthReport(xi, n_max, lower_ok, hypothesis, cube_ok, smallest_m,
                         cumsum_ok, slope, ref)
-
-
-class QLimitError(RuntimeError):
-    def __init__(self, message, n_reached, last_value, last_increment):
-        super().__init__(message)
-        self.n_reached = n_reached
-        self.last_value = last_value
-        self.last_increment = last_increment
-
-
-@dataclass(frozen=True)
-class QLimitResult:
-    value: float             # q_n(xi) at the stopping index
-    n_terms: int
-    monotone_ok: bool
-    above_one_ok: bool
-    increment_max: float     # A = max over the run of xi^n p_n(xi)^2
-    upper_bound: float       # 1 + sqrt(A xi) / (1 - sqrt(xi))
-    within_bound: bool
-
-
-def q_limit(xi, tol: float = 1e-12, max_n: int = 5000) -> QLimitResult:
-    """Iterate q_n(xi) exactly until the relative increment drops below tol.
-
-    The increments q_n - q_(n-1) = xi^n p_n(xi) are positive, so the
-    sequence increases; both that and q_n > 1 are asserted on every step
-    rather than assumed, as identities of the scaled integers (q_n > q_(n-1)
-    is Q_n > b^n Q_(n-1) and q_n > 1 is Q_n > D_n). Since every increment
-    is positive, tol must be > 0 to be reachable, and finite to iterate
-    past the first term. A run whose terms leave the float range before
-    the increment falls below tol raises QLimitError, as a run that
-    reaches max_n does.
-    """
-    xi = Fraction(xi)
-    if not 0 < xi < 1:
-        raise ValueError("xi must lie in (0, 1)")
-    if not 0 < tol < inf:
-        raise ValueError(f"tol must be finite and > 0 (got {tol!r}); the increments are positive")
-    b_odd, sb = _split_two(xi.denominator)
-    monotone_ok = True
-    above_one_ok = True
-    a_max = 0.0
-    pairs = _scaled_pairs(xi)
-    _, Q_prev, _, D_prev = next(pairs)
-    b_n = 1             # odd part of b^n
-    value, increment = 1.0, 0.0
-    for n, (P, Q, R, D) in enumerate(pairs, 1):
-        b_n *= b_odd
-        if R <= 0 or Q <= _times(Q_prev, b_n, sb * n):
-            monotone_ok = False
-        if Q <= D:
-            above_one_ok = False
-        try:
-            a_max = max(a_max, _float_quotient(R, P, D, D_prev))   # xi^n p_n^2
-            increment, value = R / D, Q / D
-        except OverflowError as exc:
-            raise QLimitError(
-                f"the terms of q_n({xi}) leave the float range (max {float_info.max:g}) "
-                f"at n = {n}, before the rel. increment drops below {tol:g}",
-                n, value, increment) from exc
-        if increment < tol * value:
-            break
-        if n >= max_n:
-            raise QLimitError(
-                f"no convergence to rel. increment {tol:g} within {max_n} steps",
-                n, value, increment)
-        Q_prev, D_prev = Q, D
-    bound = 1.0 + sqrt(a_max * float(xi)) / (1.0 - sqrt(float(xi)))
-    return QLimitResult(value, n, monotone_ok, above_one_ok, a_max, bound,
-                        value <= bound + 1e-12)

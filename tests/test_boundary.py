@@ -104,7 +104,8 @@ def test_half_line_dichotomy_across_ratios(m_ratio, depth):
     assert None not in sol.energy_enclosure + sol.u_limit_enclosure
     assert sol.l2_cumulative[-1] >= 201
     assert sol.monotone_ok
-    assert sol.within_bound
+    lo, hi = sol.u_limit_enclosure
+    assert lo < sol.u_float[-1] <= hi
 
 
 def test_half_line_deficiency_rational_residual_oracle():
@@ -147,18 +148,22 @@ def test_sym_line_deficiency_energy_classification():
 
 # -- the energy verdict ---------------------------------------------------------
 
+def _deep_reference(family, M):
+    """(energy, lim u) of a line model's defect candidate at xi = 1/M."""
+    return _decimal_reference(1 / Fraction(M), boundary._LINES[family][1])
+
+
 @functools.cache
-def _deep_reference(family, M, depth=20_000):
-    """(energy, lim u) of a line model's defect candidate by the pair recursion
-    to `depth`, independently, in 50-digit decimal arithmetic.
+def _decimal_reference(xi, sides, depth=20_000):
+    """(energy, lim u) of the defect candidate on a line of `sides` sides, each
+    with share 1/sides, at rational xi, by the pair recursion to `depth`,
+    independently, in 50-digit decimal arithmetic.
 
     A float recursion to the same depth ends about 40 ulps above the
     certified upper end of lim u at M = 1.1, N = 300: its own rounding
     exceeds the width of the enclosures, so it cannot be the oracle.
     """
-    sides = boundary._LINES[family][1]
     context = decimal.Context(prec=50)
-    xi = 1 / Fraction(M)
     xi = context.divide(xi.numerator, xi.denominator)
     p, q, e, xk = context.divide(1, sides) - 1, decimal.Decimal(1), decimal.Decimal(0), 1
     for _ in range(depth):
@@ -229,11 +234,12 @@ def test_upper_ends_are_the_lemma_rounded_up(M):
     xi = 1 / Fraction(M)
     n0 = max(boundary._certified_depth(xi, 2), 2)
     for N in (n0, n0 + 20):
-        _head, *_, u, _du, p, terms = _side(xi, N, Fraction(1))
-        E = float(np.cumsum(terms)[-1])
-        verdict, _n0, (_lo, hi), (_q_lo, Q_up) = boundary._energy_verdict(xi, N, 1, p, u[-1], E)
+        rows = list(islice(_side(xi, Fraction(1)), N))
+        E = float(np.cumsum([row.term for row in rows])[-1])
+        p, q = rows[-1].p, rows[-1].u
+        verdict, _n0, (_lo, hi), (_q_lo, Q_up) = boundary._energy_verdict(xi, N, 1, p, q, E)
         Q, tail = _tail_bound(xi, N, Fraction(math.nextafter(p, math.inf)),
-                              Fraction(math.nextafter(u[-1], math.inf)))
+                              Fraction(math.nextafter(q, math.inf)))
         gamma = Fraction(N + 1, 2**53 - (N + 1))
         assert verdict == "FINITE"
         assert Q_up == boundary._rounded(Q, up=True) >= Q
@@ -298,6 +304,60 @@ def test_sym_line_below_its_certified_depth_is_open():
     assert report.def_evidence["energy_enclosure"][1] is None
 
 
+# -- the limit at infinity ------------------------------------------------------
+
+# (xi, tol) -> the first row whose enclosure [q_n, Q] is at most tol wide
+Q_LIMIT_ROWS = {
+    (Fraction(1, 2), 1e-10): 39, (Fraction(1, 2), 1e-12): 46,
+    (Fraction(3, 4), 1e-10): 100, (Fraction(3, 4), 1e-12): 117,
+    (Fraction(9, 10), 1e-10): 292, (Fraction(9, 10), 1e-12): 338,
+    (Fraction(1, 100), 1e-10): 5, (Fraction(1, 100), 1e-12): 6,
+}
+
+
+@pytest.mark.parametrize("xi,tol", list(Q_LIMIT_ROWS))
+def test_q_limit_encloses_the_deep_recursion(xi, tol):
+    # [nextafter(value, 0), upper_bound] holds the 50-digit limit and is at
+    # most tol * value wide, and it is the first row that narrow: the row
+    # before is wider, or below the least depth where S1 < tol/(1 + tol)
+    result = boundary.q_limit(xi, tol)
+    _energy, q_ref = _decimal_reference(xi, 1)
+    lo, hi = math.nextafter(result.value, 0), result.upper_bound
+    assert decimal.Decimal(lo) <= q_ref <= decimal.Decimal(hi)
+    assert hi - result.value <= tol * result.value
+    assert result.monotone_ok and result.above_one_ok and result.within_bound
+    assert result.n_terms == Q_LIMIT_ROWS[xi, tol]
+    n = result.n_terms - 1
+    *_, before = islice(_side(xi, Fraction(1)), n)
+    if xi ** (n + 1) / (1 - xi) ** 2 < Fraction(tol) / (1 + Fraction(tol)):
+        upper = boundary._limit_bound(xi, n, before.p, before.u)[2]
+        assert upper - before.u > tol * before.u
+
+
+@pytest.mark.parametrize("M", [2, 4])
+def test_q_limit_is_the_half_line_verdict_at_its_row(M):
+    # the same pass and the same lemma: at the row q_limit stops at, the
+    # half line's defect solution has its value and its upper end
+    result = boundary.q_limit(1 / Fraction(M), 1e-10)
+    sol = boundary._deficiency_solution(HALF_LINE_GEOM, M, result.n_terms)
+    assert result.value == sol.u_float[-1]
+    assert result.upper_bound == sol.u_limit_enclosure[1]
+
+
+@pytest.mark.parametrize("xi,depth", [(Fraction(99, 100), 3207), (Fraction(999, 1000), 36822),
+                                      (Fraction(1023, 1024), 37755)])
+def test_q_limit_refuses_a_row_past_the_budget_before_the_pass(xi, depth, monkeypatch):
+    # a width of 1e-10 needs S1 < 1e-10/(1 + 1e-10), at 99/100 first at
+    # n = 3207, where D_n = 100^T(n) has about 34 million bits; the pass
+    # never starts
+    monkeypatch.setattr(boundary, "_side", None)
+    with pytest.raises(boundary.QLimitError, match=f"needs n >= {depth},") as err:
+        boundary.q_limit(xi, 1e-10)
+    assert err.value.n_reached == 0
+    s = Fraction(1e-10) / (1 + Fraction(1e-10))
+    assert xi ** (depth + 1) < s * (1 - xi) ** 2 <= xi ** depth
+
+
 def test_sym_line_deficiency_matrix_product_oracle():
     # u(x) is the second component of the product of the step matrices
     # [[1, 1], [xi^k, 1 + xi^k]], k = x down to 2, applied to the seed
@@ -315,13 +375,15 @@ def test_sym_line_deficiency_matrix_product_oracle():
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 2)])
 def test_side_kernel_checks_hold_for_any_share(ratio, lam):
     xi = 1 / Fraction(ratio)
-    head, seed_ok, zero_row_ok, rows_ok, *_ = _side(xi, 10, lam)
-    assert seed_ok and zero_row_ok and rows_ok
+    *_, row = islice(_side(xi, lam), 10)
+    assert row.seed_ok and row.zero_row_ok and row.rows_ok and row.monotone
+    head, terms = boundary._head_and_terms(xi, 10, lam)
     u0, u1 = (Fraction(Q, D) for _P, Q, _R, D in head)
     assert u1 == (1 + lam * xi) * u0
     assert (1 / lam) * (1 / xi) * (u0 - u1) + u0 == 0
-    # the kept head rows are rows 0 and 1 of the recursion
+    # the head rows are rows 0 and 1 of the recursion, the terms the pass's
     assert head == list(islice(_scaled_pairs(xi, (lam - 1, 1)), 2))
+    assert terms.tolist() == [r.term for r in islice(_side(xi, lam), 10)]
 
 
 ROW_CHECK_XIS = [Fraction(1, 2), Fraction(2, 3), 1 / Fraction(1.1), Fraction(5, 12)]
@@ -349,11 +411,11 @@ def test_side_row_checks_agree_with_the_rational_rows(xi, seed, monkeypatch):
         return (u0 - u1) / (lam * xi) + u0 == 0
 
     def kernel_checks(Q):
-        # rows beyond N + 1 would raise: the kernel reads exactly rows 0..N
+        # rows beyond N + 1 would raise: the pass, read to row N, reads rows 0..N
         fed = [(P, q, R, D) for q, (P, _Q, R, D) in zip(Q, rows)]
         monkeypatch.setattr(boundary, "_scaled_pairs", lambda xi_, seed_: iter(fed + [None]))
-        _head, seed_ok, zero_row_ok, rows_ok, *_ = _side(xi, N, lam)
-        return seed_ok, zero_row_ok, rows_ok
+        *_, row = islice(_side(xi, lam), N)
+        return row.seed_ok, row.zero_row_ok, row.rows_ok
 
     assert rational_rows_hold(Q) and rational_zero_row_holds(Q)
     assert kernel_checks(Q) == (True, True, True)
@@ -405,15 +467,16 @@ def _digest(data):
 # and transfer_iterate records reach no pinned CLI output; their digests were
 # recorded from the hand-listed to_dict each had before record_dict. The first
 # three were re-recorded when the defect residual stopped reading the graph,
-# and again when the certified verdict replaced the window flags (see
+# again when the certified verdict replaced the window flags, and again when
+# the heuristic upper_bound and within_bound left the record (see
 # RESIDUAL_MOVES).
 PINNED_REPORTS = [
     (lambda: build_deficiency_zplus(1.5, 40),
-     "d3cf33c56f7a9eab7c98f576477df9c8c0a0c62bf9b7194bac9bccd223c9a37b"),
+     "e12b8aff0dd801a583dd93fc87bfdb0182c770a612f8a06ac3649ba77eba2912"),
     (lambda: build_deficiency_zline(1.5, 40),
-     "54db15b84f5867c8afd15b024d9f367fbdc4afb604838ff0d9d4224d09f7a165"),
+     "4468c9a12e66b70229e0cf1e7b2c14f33d50aea748ece52cfc04720bd7b4f5ff"),
     (lambda: build_deficiency_zplus(1.1, 60),
-     "dcb2a3bb934e87e7ca903c03b15655bca567604b48d07da79059c525774a58dc"),
+     "33af4c87289854830e6b662853be05329777cd601aee9bda1d920d901e014275"),
     (lambda: solve_ab_deficiency(2, 3, 60),
      "f4c21d31e8a6943b49e82b9741bef0e988dda8f75fcc5416aef48a60cd0459a6"),
     (lambda: _decomposition(60, None),
@@ -512,20 +575,21 @@ CLASSIFIED = {HALF_LINE_GEOM: (build_half_line, "half-line"),
 
 # (family, M, N): sha256 of the report's to_dict() and of its curves; the
 # report digests were re-recorded when the defect residual stopped reading
-# the graph, and when the certified verdict replaced the window flags (see
+# the graph, when the certified verdict replaced the window flags and when
+# the heuristic upper_bound and within_bound left the evidence (see
 # RESIDUAL_MOVES); the curve digests are unchanged
 PINNED_CLASSIFY = [
     (HALF_LINE_GEOM, 1.5, 40,
-     "b05ac81c15a10718e035c4edbb75f72c74f90e4babc20b4b8ce958110a313db4",
+     "e2b5039a578c343cc7167ada16baa3a1b354ab60965bf2ed44f724f060712303",
      "a0b8c42b767a9bc7f3acb875845f6c37bc0185fa1cb5dc37ccb709bacc397f19"),
     (HALF_LINE_GEOM, 1.1, 60,
-     "ada480d818b50e649e843c273fc11f2299ac853a6aada65d20e5ce02d7c48476",
+     "b3dd55f1285db69898704db6ea393909772f1b0cd5c70b9f4587ccce3d7006c8",
      "49e0696847f0900555917af7715c3b85815b011a64b6665d1ca24f03123a303d"),
     (LINE_GEOM_SYM, 1.5, 40,
-     "20074651624aceefb44b8c08e0bc1bf8981307dddb8d5d952e9e4327a4e1af99",
+     "61b439b26e3a53975486a794ac6be21367c170dfc7fd49356642fcbc2fb3dea0",
      "2116787d5e5dfb2edfce94b184b5004c561d9c3c3d75d6f61ce3fadf5f01f14b"),
     (LINE_GEOM_SYM, 1.1, 60,
-     "19073691bc2522627479148f8d27b0a6b517224b54108d0827846f9bc8a18e90",
+     "5cd3cedfa946acba0237cbdafb29bea06c1d15f7a8ab4ffd0f92570f8b3b74a3",
      "fc430410babb6fedd343c9a29794221388e65ce2fc72603c8d29b68894fce529"),
 ]
 
@@ -551,6 +615,13 @@ def outside_the_verdict(report):
             "def_evidence": evidence}
 
 
+def put_back_the_former_bound(evidence, upper_bound):
+    """Put the upper_bound a defect record carried until the lemma's u-limit
+    enclosure replaced it back into its evidence, with within_bound true."""
+    assert "upper_bound" not in evidence and "within_bound" not in evidence
+    evidence.update(upper_bound=upper_bound, within_bound=True)
+
+
 # (family, M, N): float_residual_rel_max as the graph gave it, and the digests
 # of the classify report and of the defect solution (the three in
 # PINNED_REPORTS) with that residual put back, outside the verdict keys. Each
@@ -558,30 +629,31 @@ def outside_the_verdict(report):
 # window flags, and those documents, with the residual put back, were the
 # ones recorded before the defect residual stopped reading the graph
 RESIDUAL_MOVES = [
-    (HALF_LINE_GEOM, 1.5, 40, 4.8690907152825655e-17,
+    (HALF_LINE_GEOM, 1.5, 40, 4.8690907152825655e-17, 48.00739484372859,
      "46747847a04944fcb9c7902bc808f338f1f045e137cbe6c8e71e35ce79116605",
      "481861e41f3c464721f524b9df1b5e9e4c173c86166c046bde2f1aee9adc58ff"),
-    (HALF_LINE_GEOM, 1.1, 60, 3.5055743371521503e-17,
+    (HALF_LINE_GEOM, 1.1, 60, 3.5055743371521503e-17, 639403616.8295783,
      "36d4218cf72df15a6e64f5d43537cfd3ccf810ef11082660f278b72de4f63688",
      "37b444ab51b287f08a4b7d0d13afb3f1f7e78afc7adb91db1e2718322c0641b9"),
-    (LINE_GEOM_SYM, 1.5, 40, 5.963657149776288e-17,
+    (LINE_GEOM_SYM, 1.5, 40, 5.963657149776288e-17, 35.591480056880634,
      "524b4578bd05f4f04d4935a9f18e53c8058d0cde07b5ab766aa8e5243476fc60",
      "eb191e2e75768d875b1bcb779c7fd944a7fbda7f3ac80c5fac06ebccbc4f9785"),
-    (LINE_GEOM_SYM, 1.1, 60, 4.5494074733601543e-17,
+    (LINE_GEOM_SYM, 1.1, 60, 4.5494074733601543e-17, 448046302.7204004,
      "f40fb8497cd1e77a21353634c1cfafccde7975a493c81337b1a9e387a9f31da1", None),
 ]
 
 
-@pytest.mark.parametrize("family,M,N,graph_residual,report_digest,solution_digest",
+@pytest.mark.parametrize("family,M,N,graph_residual,former_bound,report_digest,solution_digest",
                          RESIDUAL_MOVES)
 def test_re_recorded_digests_moved_only_by_the_residual_and_the_verdict(
-        family, M, N, graph_residual, report_digest, solution_digest):
-    # with the graph's residual put back, each document equals the earlier
-    # one outside the verdict keys, so no other field moved, and the
-    # residual moved by at most 5e-18
+        family, M, N, graph_residual, former_bound, report_digest, solution_digest):
+    # with the graph's residual and the former upper_bound put back, each
+    # document equals the earlier one outside the verdict keys, so no other
+    # field moved, and the residual moved by at most 5e-18
     report = classify_model(family, M, N).to_dict()
     assert abs(report["def_evidence"]["float_residual_rel_max"] - graph_residual) <= 5e-18
     report["def_evidence"]["float_residual_rel_max"] = graph_residual
+    put_back_the_former_bound(report["def_evidence"], former_bound)
     outside = outside_the_verdict(report)
     assert _digest(outside) == report_digest
     if solution_digest is not None:
@@ -589,10 +661,13 @@ def test_re_recorded_digests_moved_only_by_the_residual_and_the_verdict(
 
 
 # classify --M 2 --N 300 on each line model: sha256 of its stdout document,
-# outside the verdict keys, before the certified verdict replaced the window flags
+# outside the verdict keys, before the certified verdict replaced the window
+# flags, and the upper_bound the document then carried
 STDOUT_OUTSIDE_THE_VERDICT = {
-    "half-line": "a4986318dbaab19950e625e4ddac30000f88624d1767833087bf49383232d75b",
-    "sym-line": "da5e45bc8055c2875401cc2339f046c6f621b0457aec07efc2ff6928da11c1fa",
+    "half-line": ("a4986318dbaab19950e625e4ddac30000f88624d1767833087bf49383232d75b",
+                  5.476570785333181),
+    "sym-line": ("da5e45bc8055c2875401cc2339f046c6f621b0457aec07efc2ff6928da11c1fa",
+                 4.422340657644858),
 }
 
 
@@ -601,8 +676,10 @@ def test_classify_stdout_moved_only_by_the_verdict(model):
     config = cli._config_from_args(cli._build_parser().parse_args(
         ["classify", "--model", model, "--M", "2", "--N", "300"]))
     doc = json.loads(cli.execute(config)[1])
+    digest, former_bound = STDOUT_OUTSIDE_THE_VERDICT[model]
+    put_back_the_former_bound(doc["report"]["def_evidence"], former_bound)
     doc["report"] = outside_the_verdict(doc["report"])
-    assert _digest(doc) == STDOUT_OUTSIDE_THE_VERDICT[model]
+    assert _digest(doc) == digest
 
 
 def reference_defect_residual(sol):

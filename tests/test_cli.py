@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resistnet import cli, embedding, graphs, linsolve, polynomials
+from resistnet import boundary, cli, embedding, graphs, linsolve, polynomials
 from resistnet.energy import vector, write_vector
 from resistnet.graphs import build_dyadic_tree, path_graph, write_graph
 
@@ -95,6 +95,28 @@ def test_polys_writes_values_past_the_int_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert [row[1] for row in rows] == ["999/1000"] * 101
     assert values == polynomials.pair_values_sequence(Fraction(999, 1000), 100)
+
+
+@pytest.mark.parametrize("xi", ["1/" + "7" * 5000, "0." + "7" * 5000])
+def test_polys_reads_an_xi_past_the_int_digit_limit(xi, capsys):
+    # 5,000 digits pass the interpreter's int-from-str limit of 4,300; the
+    # value, 16,610 bits, is within POLYS_XI_BITS_MAX at --n-max 0
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, ["polys", "--xi", xi, "--n-max", "0"])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert strict_json(out)["table_rows"] == 0
+
+
+def test_polys_refuses_an_xi_of_too_many_digits_from_its_text(capsys):
+    # 20,000 digits are more than 2^POLYS_XI_BITS_MAX has (19,729): refused
+    # from the text, and the argument is not echoed
+    code = cli.main(["polys", "--xi", "1/" + "7" * 20_000])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err == ("resistnet: error: --xi has a run of 20000 digits, past the 19729 "
+                   "of 2^65536\n")
+    assert cli.POLYS_XI_DIGITS_MAX == 19729 and 10 ** 19728 < 2 ** 65536 < 10 ** 19729
 
 
 def test_polys_refuses_an_xi_past_the_size_budget_before_the_recursion(capsys):
@@ -591,9 +613,9 @@ def test_embed_out_of_memory_is_a_usage_error(capsys, monkeypatch):
 
 def test_q_limit_non_convergence_is_structured(capsys, monkeypatch):
     def no_convergence(xi, tol):
-        raise polynomials.QLimitError("no convergence", 5000, 1.5, 1e-3)
+        raise boundary.QLimitError("no convergence", 5000, 1.5, 1e-3)
 
-    monkeypatch.setattr(polynomials, "q_limit", no_convergence)
+    monkeypatch.setattr(boundary, "q_limit", no_convergence)
     code, out = run_cli(capsys, ["polys", "--xi", "1/2", "--q-limit"])
     assert code == 2
     doc = json.loads(out)
@@ -602,14 +624,45 @@ def test_q_limit_non_convergence_is_structured(capsys, monkeypatch):
     assert doc["exit_code"] == 2
 
 
-def test_q_limit_past_the_float_range_is_structured(capsys):
-    # the terms xi^n p_n^2 of q_n(1023/1024) pass the largest float at n = 405
+def test_q_limit_past_the_float_range_is_structured(capsys, monkeypatch):
+    # the terms xi^n p_n^2 of q_n(1023/1024) pass the largest float at n = 405;
+    # the row budget, lifted here, would refuse the run before the pass
+    monkeypatch.setattr(boundary, "Q_LIMIT_BITS_MAX", 1 << 40)
     code, out = run_cli(capsys, ["polys", "--xi", "1023/1024", "--q-limit"])
     assert code == 2
     error = json.loads(out)["q_limit"]["error"]
     assert error["class"] == "QLimitError"
     assert error["n_reached"] == 405
     assert "float range" in error["message"]
+
+
+@pytest.mark.parametrize("xi,depth", [("99/100", 3207), ("999/1000", 36822),
+                                      ("1023/1024", 37755)])
+def test_q_limit_past_the_row_budget_is_refused_before_the_pass(xi, depth, capsys):
+    # at 99/100 the enclosure narrows to 1e-10 no earlier than n = 3207, where
+    # a row has about 34 million bits; the run ran past 600 s before the budget
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["polys", "--xi", xi, "--q-limit"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    error = strict_json(out)["q_limit"]["error"]
+    assert (error["class"], error["n_reached"]) == ("QLimitError", 0)
+    assert f"needs n >= {depth}," in error["message"]
+
+
+def test_q_limit_nine_tenths_is_certified(capsys):
+    # the enclosure [value, upper_bound] is at most --q-limit-tol wide and
+    # reaches the limit, which the 1e-12 enclosure puts in
+    # [11929938.151132153, 11929938.151142962]; the heuristic stop gave
+    # 11929938.140400724, below both ends
+    code, out = run_cli(capsys, ["polys", "--xi", "9/10", "--q-limit"])
+    assert code == 0
+    q = strict_json(out)["q_limit"]
+    assert q["upper_bound"] - q["value"] <= 1e-10 * q["value"]
+    assert q["value"] <= 11929938.151132153 and q["upper_bound"] >= 11929938.151142962
+    code, out = run_cli(capsys, ["polys", "--xi", "9/10", "--q-limit", "--q-limit-tol", "1e-12"])
+    q = strict_json(out)["q_limit"]
+    assert (q["value"], q["upper_bound"]) == (11929938.151132153, 11929938.151142962)
 
 
 def test_classify_half_line_uncertified_window_exits_2(capsys):
@@ -643,22 +696,25 @@ def test_classify_certifies_from_the_certified_depth(M, N, capsys):
 # division sweeps replaced, and the walk, resolvent and embed hashes from an
 # earlier per-command model dispatch. The classify stdout hashes were
 # re-recorded when the certified verdict replaced the window flags; outside
-# the verdict keys the documents are unchanged (test_boundary.py). Any change
-# to these outputs is deliberate.
+# the verdict keys the documents are unchanged (test_boundary.py). They and
+# the q-limit polys stdout hash were re-recorded again when the lemma's
+# enclosure replaced the heuristic upper_bound
+# (test_documents_moved_only_by_the_heuristic_bound). Any change to these
+# outputs is deliberate.
 PINNED_OUTPUTS = [
     (["classify", "--model", "half-line", "--M", "2", "--N", "300"], {
-        "stdout": "b8336c06e82f199c863e90a8db1c82912d7c8d6b161f09f932d538c0cfcd92fe",
+        "stdout": "02b20b032824865f56cea12df1875c956e5d1fe63c064de6f235e8dca4b91e8d",
         "boundary_curves.csv":
             "8af47bf9f22d6a6065f68be01888beb18e9da15c376bf0e5bc29d05684edd0e6",
     }),
     (["classify", "--model", "sym-line", "--M", "2", "--N", "300"], {
-        "stdout": "4a7a151921998dca985b9867bb9208d226c7e249cc49ff181f509f23c51c8ce0",
+        "stdout": "ea55893712477532b6ee0e5eb495b142fe894e2669382bd56a5fff571d132f5d",
         "boundary_curves.csv":
             "6edbd0f8854d6b5cc5c1c0018840d7a981a135874632e5e1b7a69d76f5207166",
     }),
     (["polys", "--n-max", "40", "--xi", "1/2", "--check-identities", "--order", "12",
       "--growth", "--q-limit"], {
-        "stdout": "3de4f1adf55f10ab585069d4fef0abffa35955f8963e9f3ece6afde134fc6958",
+        "stdout": "8b9f10baa4e6cec9e349b447acf5a9ef9d3cc6c69c0b4009296bae6ad25e9d27",
         "polys_eval.csv":
             "ced3659e01e7786db1a449a064e7750e8ddd7dbe997b2f9684b0664bafcb3a0a",
         "polys_table.csv":
@@ -943,6 +999,37 @@ FORMER_REFUSAL_STDOUT = [
     (["resolvent", "--model", "sym-line", "--M", "2", "--N", "64", "--x", "6"],
      "1bdc8759d3b0c4c4321c83673fab3b06f873e082d745a958bd4ee10c48ea499b"),
 ]
+
+
+# sha256 of the stdout of the three runs whose pinned hashes moved when the
+# lemma's enclosure replaced the heuristic upper_bound, with the key path and
+# the upper_bound each document then carried (within_bound was true in each)
+FORMER_BOUND_STDOUT = [
+    (["classify", "--model", "half-line", "--M", "2", "--N", "300"], ("report", "def_evidence"),
+     5.476570785333181, "b8336c06e82f199c863e90a8db1c82912d7c8d6b161f09f932d538c0cfcd92fe"),
+    (["classify", "--model", "sym-line", "--M", "2", "--N", "300"], ("report", "def_evidence"),
+     4.422340657644858, "4a7a151921998dca985b9867bb9208d226c7e249cc49ff181f509f23c51c8ce0"),
+    (["polys", "--n-max", "40", "--xi", "1/2", "--check-identities", "--order", "12",
+      "--growth", "--q-limit"], ("q_limit",),
+     5.476570785333181, "3de4f1adf55f10ab585069d4fef0abffa35955f8963e9f3ece6afde134fc6958"),
+]
+
+
+@pytest.mark.parametrize("argv,path,former_bound,former_digest", FORMER_BOUND_STDOUT)
+def test_documents_moved_only_by_the_heuristic_bound(argv, path, former_bound, former_digest):
+    # with the former bound put back, each document is the former one: the
+    # classify evidence lost upper_bound and within_bound, and q_limit, whose
+    # value and row did not move at 1/2, reports the lemma's bound instead
+    doc = json.loads(cli.execute(_resolved(argv))[1])
+    record = doc
+    for key in path:
+        record = record[key]
+    if path == ("q_limit",):
+        assert record["value"] <= record["upper_bound"] < former_bound
+    else:
+        assert "upper_bound" not in record and "within_bound" not in record
+    record.update(upper_bound=former_bound, within_bound=True)
+    assert hashlib.sha256(cli._json_text(doc).encode()).hexdigest() == former_digest
 
 
 @pytest.mark.parametrize("argv,former_digest", FORMER_REFUSAL_STDOUT)

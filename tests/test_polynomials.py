@@ -1,20 +1,21 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from resistnet import polynomials
+from resistnet import boundary, polynomials
+from resistnet.boundary import QLimitError, q_limit
 from resistnet.cli import POLYS_N_MAX
 from resistnet.polynomials import (
-    _float_quotient, _repr_series_P, _repr_series_Q, _scaled_pairs, _split_two,
-    _times, _unpack,
-    CUBE_BOUND_RATIO_THRESHOLD, PolyPair, QLimitError, XiPoly,
+    _float_quotient, _packed_pairs, _repr_series_P, _repr_series_Q, _scaled_pairs,
+    _split_two, _times, _unpack,
+    CUBE_BOUND_RATIO_THRESHOLD, PolyPair, XiPoly,
     check_identity_P, check_identity_Q, check_repr_P, check_repr_Q,
-    genfunc_P, genfunc_Q, growth_bounds_report, identity_P_holds,
+    growth_bounds_report, identity_P_holds,
     identity_Q_holds, matrix_product_pair, pair_sequence,
-    pair_values_sequence, product_exponential_discrepancy, q_limit,
+    pair_values_sequence, product_exponential_discrepancy,
 )
 
 HALF = Fraction(1, 2)
@@ -263,8 +264,9 @@ def test_packed_series_match_oracle(order):
         product_q[m] = _add(product_q[m], product_q[m - 1])
     words = _words([c for pair in pairs for c in pair] + product_p + product_q)
     w = 64 * words
-    assert _unpacked(genfunc_P(order, w), words) == [p for p, _ in pairs]
-    assert _unpacked(genfunc_Q(order, w), words) == [q for _, q in pairs]
+    packed_p, packed_q = _packed_pairs(order, w)
+    assert _unpacked(packed_p, words) == [p for p, _ in pairs]
+    assert _unpacked(packed_q, words) == [q for _, q in pairs]
     assert _unpacked(_repr_series_P(order, order, w), words) == product_p
     assert _unpacked(_repr_series_Q(order, order, w), words) == product_q
 
@@ -322,15 +324,15 @@ def test_generating_function_identities():
     assert check_identity_Q(10)
     w = 8
     # low-order reading of the P identity: the X coefficient is p_0 + q_0 = p_1
-    assert genfunc_P(2, w) == [0, 1, 2 + (1 << w)]
+    assert _packed_pairs(2, w)[0] == [0, 1, 2 + (1 << w)]
     # low-order reading of the Q identity: q_1 = q_0 + xi p_1
-    assert genfunc_Q(2, w)[1] == 1 + (1 << w)
+    assert _packed_pairs(2, w)[1][1] == 1 + (1 << w)
 
 
 def test_identity_checks_are_falsifiable():
     order = 8
     for w in (0, 5, 64):
-        p, q = genfunc_P(order, w), genfunc_Q(order, w)
+        p, q = _packed_pairs(order, w)
         assert identity_P_holds(p, q, w)
         assert identity_Q_holds(p, q, w)
         # bump q_5 by 1 and both identities must break
@@ -458,7 +460,7 @@ def test_q_limit_small_xi():
 
 @pytest.mark.parametrize("xi", [Fraction(1, 10), Fraction(1, 3), HALF])
 def test_q_limit_monotone_and_bounded(xi):
-    result = q_limit(xi, tol=1e-12, max_n=300)
+    result = q_limit(xi, tol=1e-12)
     assert result.monotone_ok
     assert result.above_one_ok
     assert result.within_bound
@@ -466,16 +468,23 @@ def test_q_limit_monotone_and_bounded(xi):
 
 
 def test_q_limit_iteration_cap():
-    with pytest.raises(QLimitError) as err:
-        q_limit(HALF, tol=1e-12, max_n=3)
-    assert err.value.n_reached == 3
-    assert err.value.last_value > 1.0
+    # a width below a float's spacing is never reached: the pass stops at
+    # the last row within Q_LIMIT_BITS_MAX, T(n) b_bits <= 2^19 at b = 2
+    with pytest.raises(QLimitError, match="by n = 723") as err:
+        q_limit(HALF, tol=1e-30)
+    assert err.value.n_reached == 723 == (isqrt(8 * (2**19 // 2) + 1) - 1) // 2
+    assert 4 < err.value.last_value < 5
 
 
-def test_q_limit_past_the_float_range():
+def test_q_limit_past_the_float_range(monkeypatch):
     # q_n(1023/1024) converges far beyond the float range: its terms
     # xi^n p_n^2 pass the largest float at n = 405, long before the
-    # relative increment falls to 1e-10
+    # enclosure narrows to 1e-10. The row budget refuses that run before
+    # the pass starts, so the budget is lifted here to reach the float range
+    with pytest.raises(QLimitError, match="the last row within") as err:
+        q_limit(Fraction(1023, 1024), tol=1e-10)
+    assert err.value.n_reached == 0
+    monkeypatch.setattr(boundary, "Q_LIMIT_BITS_MAX", 1 << 40)
     with pytest.raises(QLimitError, match="float range") as err:
         q_limit(Fraction(1023, 1024), tol=1e-10)
     assert err.value.n_reached == 405
